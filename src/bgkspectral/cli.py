@@ -16,7 +16,8 @@ from . import diagnostics, scheme
 from .conjecture_lab import kn_sweep
 from .errors import ConfigError, InvalidPotentialError
 from .operators import build_deriv_couplings
-from .orthopoly import build_quadrature, build_recurrence
+# build_quadrature is not called here; benchmarks/spans.py traces it by this name.
+from .orthopoly import build_quadrature, build_recurrence  # noqa: F401
 from .potential import RawPotential, normalize_potential
 
 HARMONIC_COEFFS = [0.5 * math.log(2.0 * math.pi), 0.5]
@@ -75,6 +76,9 @@ class RunConfig:
             raise ConfigError(f"T/dt = {steps} is not an integer step count")
         if round(steps) > MAX_STEPS:
             raise ConfigError(f"step count {round(steps)} exceeds {MAX_STEPS}")
+        if self.n_max is not None and self.n_max < _min_n_max(self.N, degree):
+            raise ConfigError(f"n_max={self.n_max} is below N + deg(phi) + 2 = "
+                              f"{_min_n_max(self.N, degree)}")
         bad = set(self.outputs) - set(KNOWN_OUTPUTS)
         if bad:
             raise ConfigError(f"unknown outputs: {sorted(bad)}")
@@ -94,14 +98,27 @@ class RunConfig:
             raise ConfigError("snapshot_points entries must be >= 2")
         if not all(math.isfinite(v) for v in self.snapshot_range):
             raise ConfigError("snapshot_range must be finite")
+        names: dict[str, int] = {}
         for t in self.snapshot_times:
             if t < 0 or t > self.T + 1e-12:
                 raise ConfigError(f"snapshot time {t} outside [0, T]")
+            at = t / self.dt
+            if abs(at - round(at)) > 1e-9 * max(at, 1.0):
+                raise ConfigError(f"snapshot time {t} is not a multiple of dt={self.dt}")
+            name = f"snapshot_{t:g}.csv"
+            if names.setdefault(name, round(at)) != round(at):
+                raise ConfigError(f"snapshot times at steps {names[name]} and "
+                                  f"{round(at)} share the file name {name}")
         if self.fit_window is not None:
             if len(self.fit_window) != 2 or not self.fit_window[0] < self.fit_window[1]:
                 raise ConfigError("fit_window must be [t_start, t_end] with t_start < t_end")
         if self.quad_tol <= 0:
             raise ConfigError("quad_tol must be positive")
+
+
+def _min_n_max(N: int, degree: int) -> int:
+    # build_phi_matrix at size N + 1 reads a_0..a_{N + deg + 2}.
+    return N + degree + 2
 
 
 def _fig4_initial(ip_phi: np.ndarray) -> list:
@@ -167,12 +184,11 @@ def run(config: RunConfig, out_dir: Path) -> dict:
 
     pot = normalize_potential(RawPotential(tuple(config.potential)),
                               quad_tol=config.quad_tol)
-    n_max = config.n_max if config.n_max is not None else max(2 * config.N, 200)
+    n_max = config.n_max if config.n_max is not None \
+        else _min_n_max(config.N, pot.degree)
     table = build_recurrence(pot, n_max)
-    rule = build_quadrature(pot, "gauss_from_jacobi",
-                            config.N + pot.degree // 2 + 1, table=table)
-    couplings = build_deriv_couplings(table, rule, config.N)
-    basis = diagnostics.build_functional_basis(table, rule, config.N)
+    couplings = build_deriv_couplings(table, config.N)
+    basis = diagnostics.build_functional_basis(table, config.N)
 
     if isinstance(config.initial, str):
         entries = INITIAL_CONDITIONS[config.initial](basis.ip_phi)

@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthopoly import (QuadratureRule, RecurrenceTable, eval_poly_all,
-                        hermite_eval_all, inner_products)
+from .operators import jacobi_matrix
+from .orthopoly import RecurrenceTable, eval_poly_all, hermite_eval_all
+from .potential import _full_coeffs
 from .scheme import SpectralState
 
 
@@ -22,12 +23,26 @@ class FunctionalBasis:
     harmonic: bool
 
 
-def build_functional_basis(table: RecurrenceTable, rule: QuadratureRule,
-                           n: int) -> FunctionalBasis:
+def build_functional_basis(table: RecurrenceTable, n: int) -> FunctionalBasis:
+    """Inner products <phi, P_k> and <x, P_k>, k = 0..n, from the Jacobi matrix J.
+
+    P_0 = 1/a_0, so <f, P_k> = a_0 [f(J) e_0]_k for a polynomial f.  phi(J) e_0
+    is evaluated by Horner on a vector; J^j e_0 is supported on indices <= j,
+    so truncating J to n + 1 + deg(phi) leaves the retained entries exact.
+    For f = x this gives a_0 a_1 e_1.
+    """
     pot = table.weight
+    j = jacobi_matrix(table, n + 1 + pot.degree)
+    coeffs = _full_coeffs(pot.coeffs)
+    v = np.zeros(len(j))
+    v[0] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        v = j @ v
+        v[0] += c
+    a0 = float(table.a[0])
     return FunctionalBasis(
-        ip_phi=inner_products(table, rule, pot, n),
-        ip_x=inner_products(table, rule, lambda x: x, n),
+        ip_phi=a0 * v[: n + 1],
+        ip_x=a0 * j[: n + 1, 0],
         a1=float(table.a[1]),
         harmonic=pot.harmonic,
     )

@@ -3,8 +3,8 @@
 The multiplication operator by phi' is a symmetric band matrix Phi whose
 strictly lower part represents the adjoint derivative d* = -d/dx + phi' and
 whose strictly upper part represents d/dx (their sum is multiplication by
-phi').  The weighted Laplacian plus identity, Omega = d* d + 1, follows as a
-product of those two triangles.
+phi').  The derivative couplings and the weighted Laplacian plus identity,
+Omega = d* d + 1, follow exactly from those two triangles.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .orthopoly import QuadratureRule, RecurrenceTable, eval_poly_and_deriv_all
+from .orthopoly import RecurrenceTable
 from .potential import NormalizedPotential, _full_coeffs
 
 
@@ -114,19 +114,17 @@ def adjoint_derivative_matrix(phi: BandedOperator) -> np.ndarray:
     return np.tril(phi.toarray(), -1)
 
 
-def build_deriv_couplings(table: RecurrenceTable, rule: QuadratureRule,
-                          n: int) -> DerivCouplings:
-    """Quadrature assembly of A[r, n] = <P_r', P_n>.
+def build_deriv_couplings(table: RecurrenceTable, n: int) -> DerivCouplings:
+    """Couplings A[r, k] = <P_r', P_k> for r, k = 0..n, by integration by parts.
 
-    A Gauss rule with at least n+1 nodes integrates every entry exactly up to
-    rounding.  Entries that vanish structurally (derivative drops the degree;
-    parity pairs even with odd) are pinned to exact zeros.
+    For k < r, <P_r', P_k> = <phi' P_r, P_k> - <P_r, P_k'>, and the last term
+    vanishes because P_k' has degree below r; for k >= r the entry vanishes
+    because P_r' has degree r - 1.  So A is exactly the strictly lower part of
+    Phi: banded on the odd offsets 1, 3, ..., deg(phi) - 1, with every other
+    entry an exact zero.
     """
-    p, dp = eval_poly_and_deriv_all(table, n, rule.nodes)
-    a = (dp * rule.weights) @ p.T
-    r_idx, n_idx = np.indices(a.shape)
-    a[(n_idx >= r_idx) | ((r_idx - n_idx) % 2 == 0)] = 0.0
-    return DerivCouplings(A=a, table=table)
+    phi = build_phi_matrix(table, table.weight, n + 1)
+    return DerivCouplings(A=np.tril(phi.toarray(), -1), table=table)
 
 
 def build_omega_matrix(phi: BandedOperator, size: int) -> BandedOperator:

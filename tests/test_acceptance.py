@@ -24,10 +24,9 @@ RUNS: list[tuple[str, list[float]]] = []
 
 
 def _setup(pot, table, K, N):
-    rule = bk.build_quadrature(pot, "gauss_from_jacobi", N + 3, table=table)
-    dc = bk.build_deriv_couplings(table, rule, N)
+    dc = bk.build_deriv_couplings(table, N)
     gen = bk.assemble_generator(dc, K, N)
-    basis = bk.build_functional_basis(table, rule, N)
+    basis = bk.build_functional_basis(table, N)
     return gen, basis
 
 

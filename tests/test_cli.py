@@ -48,6 +48,10 @@ def test_validation_catches_bad_fields(tmp_path):
         small_config(T=-1.0),
         small_config(fit_window=[2.0, 1.0]),
         small_config(snapshot_times=[99.0]),
+        small_config(snapshot_times=[0.125]),   # not a multiple of dt
+        # distinct steps, one file name snapshot_0.5.csv
+        small_config(dt=1e-7, snapshot_times=[0.5, 0.5000001]),
+        small_config(n_max=7),                  # below N + deg(phi) + 2 = 8
     ]
     for data in cases:
         with pytest.raises(ConfigError):
@@ -62,11 +66,14 @@ def test_unknown_and_missing_fields():
 
 
 def test_invalid_config_leaves_no_artifacts(tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(small_config(N=1)))
-    out = tmp_path / "out"
-    assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert not out.exists()
+    too_short_table = {"potential": [1, -2, 1], "K": 4, "N": 30, "T": 0.1,
+                       "n_max": 20}
+    for i, data in enumerate((small_config(N=1), too_short_table)):
+        cfg = tmp_path / f"bad{i}.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / f"out{i}"
+        assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_run_writes_artifacts_and_summary(tmp_path):

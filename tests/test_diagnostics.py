@@ -7,17 +7,13 @@ import bgkspectral as bk
 
 
 @pytest.fixture(scope="module")
-def harmonic_basis(harmonic_pot, harmonic_table):
-    rule = bk.build_quadrature(harmonic_pot, "gauss_from_jacobi", 12,
-                               table=harmonic_table)
-    return bk.build_functional_basis(harmonic_table, rule, 8)
+def harmonic_basis(harmonic_table):
+    return bk.build_functional_basis(harmonic_table, 8)
 
 
 @pytest.fixture(scope="module")
-def doublewell_basis(doublewell_pot, doublewell_table):
-    rule = bk.build_quadrature(doublewell_pot, "gauss_from_jacobi", 12,
-                               table=doublewell_table)
-    return bk.build_functional_basis(doublewell_table, rule, 8)
+def doublewell_basis(doublewell_table):
+    return bk.build_functional_basis(doublewell_table, 8)
 
 
 def test_zero_state(harmonic_basis):
@@ -156,12 +152,10 @@ def test_snapshot_against_naive_sum(doublewell_table):
     assert grid[0, 0] == pytest.approx(naive, abs=1e-12)
 
 
-def test_preset_functionals_stay_zero(harmonic_pot, harmonic_table):
-    rule = bk.build_quadrature(harmonic_pot, "gauss_from_jacobi", 9,
-                               table=harmonic_table)
-    dc = bk.build_deriv_couplings(harmonic_table, rule, 5)
+def test_preset_functionals_stay_zero(harmonic_table):
+    dc = bk.build_deriv_couplings(harmonic_table, 5)
     gen = bk.assemble_generator(dc, 20, 5)
-    basis = bk.build_functional_basis(harmonic_table, rule, 5)
+    basis = bk.build_functional_basis(harmonic_table, 5)
     state = bk.project_initial_condition([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
     plan = bk.make_stepping_plan(gen, 0.02)
     series = bk.DiagnosticsSeries()

@@ -9,25 +9,21 @@ import bgkspectral as bk
 
 
 @pytest.fixture(scope="module")
-def harmonic_setup(harmonic_pot, harmonic_table):
+def harmonic_setup(harmonic_table):
     def make(K, N):
-        rule = bk.build_quadrature(harmonic_pot, "gauss_from_jacobi", N + 3,
-                                   table=harmonic_table)
-        dc = bk.build_deriv_couplings(harmonic_table, rule, N)
+        dc = bk.build_deriv_couplings(harmonic_table, N)
         gen = bk.assemble_generator(dc, K, N)
-        basis = bk.build_functional_basis(harmonic_table, rule, N)
+        basis = bk.build_functional_basis(harmonic_table, N)
         return dc, gen, basis
     return make
 
 
 @pytest.fixture(scope="module")
-def doublewell_setup(doublewell_pot, doublewell_table):
+def doublewell_setup(doublewell_table):
     def make(K, N):
-        rule = bk.build_quadrature(doublewell_pot, "gauss_from_jacobi", N + 3,
-                                   table=doublewell_table)
-        dc = bk.build_deriv_couplings(doublewell_table, rule, N)
+        dc = bk.build_deriv_couplings(doublewell_table, N)
         gen = bk.assemble_generator(dc, K, N)
-        basis = bk.build_functional_basis(doublewell_table, rule, N)
+        basis = bk.build_functional_basis(doublewell_table, N)
         return dc, gen, basis
     return make
 
@@ -90,11 +86,8 @@ def test_nnz_bound(doublewell_setup):
     assert gen.matrix.nnz <= 21 * (2 * nnz_a + 31)
 
 
-def test_truncation_requirement_enforced(doublewell_setup, doublewell_table,
-                                         doublewell_pot):
-    rule = bk.build_quadrature(doublewell_pot, "gauss_from_jacobi", 8,
-                               table=doublewell_table)
-    dc = bk.build_deriv_couplings(doublewell_table, rule, 3)
+def test_truncation_requirement_enforced(doublewell_setup, doublewell_table):
+    dc = bk.build_deriv_couplings(doublewell_table, 3)
     with pytest.raises(ValueError, match="N >= deg"):
         bk.assemble_generator(dc, 5, 3)
     with pytest.raises(ValueError):
