@@ -11,14 +11,12 @@ from .conjecture_lab import KNReport, estimate_kn, kn_sweep
 from .diagnostics import (ConservedSet, DecayFit, DiagnosticsSeries,
                           FunctionalBasis, build_functional_basis,
                           conserved_functionals, fit_decay_rate, l2_norm,
-                          per_mode_norms, snapshot)
+                          snapshot)
 from .errors import (ConfigError, IntegrationFailureError,
                      InvalidPotentialError, PrecisionFailureError,
                      SolverConsistencyError)
-from .operators import (BandedOperator, DerivCouplings,
-                        adjoint_derivative_matrix, build_deriv_couplings,
-                        build_omega_matrix, build_phi_matrix,
-                        derivative_matrix, jacobi_matrix)
+from .operators import (DerivCouplings, build_deriv_couplings,
+                        build_omega_matrix, build_phi_matrix, jacobi_matrix)
 from .orthopoly import (QuadratureRule, RecurrenceTable, build_quadrature,
                         build_recurrence, eval_poly, eval_poly_all,
                         eval_poly_and_deriv_all, hermite_eval_all,
@@ -33,18 +31,18 @@ from .scheme import (Generator, SpectralState, SteppingPlan,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandedOperator", "ConfigError", "ConservedSet", "DecayFit",
-    "DerivCouplings", "DiagnosticsSeries", "FunctionalBasis", "Generator",
+    "ConfigError", "ConservedSet", "DecayFit", "DerivCouplings",
+    "DiagnosticsSeries", "FunctionalBasis", "Generator",
     "IntegrationFailureError", "InvalidPotentialError", "KNReport",
     "NormalizedPotential", "PrecisionFailureError", "QuadratureRule",
     "RawPotential", "RecurrenceTable", "SolverConsistencyError",
-    "SpectralState", "SteppingPlan", "adjoint_derivative_matrix",
-    "assemble_generator", "build_deriv_couplings", "build_functional_basis",
-    "build_omega_matrix", "build_phi_matrix", "build_quadrature",
-    "build_recurrence", "conserved_functionals", "derivative_matrix",
-    "estimate_kn", "eval_poly", "eval_poly_all", "eval_poly_and_deriv_all",
-    "fit_decay_rate", "hermite_eval_all", "inner_products", "jacobi_matrix",
-    "kn_sweep", "l2_norm", "magnus_constant", "make_stepping_plan",
-    "normalize_potential", "per_mode_norms", "project_initial_condition",
-    "purge_equilibrium_components", "snapshot", "step", "tail_cutoff",
+    "SpectralState", "SteppingPlan", "assemble_generator",
+    "build_deriv_couplings", "build_functional_basis", "build_omega_matrix",
+    "build_phi_matrix", "build_quadrature", "build_recurrence",
+    "conserved_functionals", "estimate_kn", "eval_poly", "eval_poly_all",
+    "eval_poly_and_deriv_all", "fit_decay_rate", "hermite_eval_all",
+    "inner_products", "jacobi_matrix", "kn_sweep", "l2_norm",
+    "magnus_constant", "make_stepping_plan", "normalize_potential",
+    "project_initial_condition", "purge_equilibrium_components", "snapshot",
+    "step", "tail_cutoff",
 ]

@@ -337,6 +337,10 @@ def main(argv=None) -> int:
                 data = asdict(replace(config, **{name: value}))
                 RunConfig.from_dict(data).validate()
                 payloads.append((data, str(out_dir / f"{name}_{value:g}")))
+            dirs = [d for _, d in payloads]
+            shared = sorted({d for d in dirs if dirs.count(d) > 1})
+            if shared:
+                raise ConfigError(f"sweep values share output directories {shared}")
             with ProcessPoolExecutor(max_workers=min(len(payloads), 4)) as pool:
                 list(pool.map(_run_variant, payloads))
         else:

@@ -45,10 +45,9 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
             f"(need at least N + {2 * two_m})"
         )
     phi = build_phi_matrix(table, pot, m_big + two_m)
-    full = phi.toarray()
-    lower = np.tril(full, -1)[:m_big, :m_big]
-    upper = np.triu(full, 1)[:m_big, :m_big]
-    omega = build_omega_matrix(phi, m_big).toarray()
+    lower = np.tril(phi, -1)[:m_big, :m_big]
+    upper = np.triu(phi, 1)[:m_big, :m_big]
+    omega = build_omega_matrix(phi, m_big)
 
     evals, vecs = np.linalg.eigh(omega)
     if evals.min() <= 0.0:

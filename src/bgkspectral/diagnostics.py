@@ -19,7 +19,6 @@ class FunctionalBasis:
 
     ip_phi: np.ndarray
     ip_x: np.ndarray
-    a1: float
     harmonic: bool
 
 
@@ -43,7 +42,6 @@ def build_functional_basis(table: RecurrenceTable, n: int) -> FunctionalBasis:
     return FunctionalBasis(
         ip_phi=a0 * v[: n + 1],
         ip_x=a0 * j[: n + 1, 0],
-        a1=float(table.a[1]),
         harmonic=pot.harmonic,
     )
 
@@ -95,24 +93,17 @@ def l2_norm(state: SpectralState) -> float:
     return float(np.linalg.norm(state.C))
 
 
-def per_mode_norms(state: SpectralState) -> np.ndarray:
-    """Norms of the velocity modes C_k, k = 0..K."""
-    return np.linalg.norm(state.C, axis=1)
-
-
 @dataclass
 class DiagnosticsSeries:
-    """Per-step records of time, norm, per-mode norms and conserved values."""
+    """Per-step records of time, norm and conserved values."""
 
     times: list[float] = field(default_factory=list)
     norms: list[float] = field(default_factory=list)
-    mode_norms: list[np.ndarray] = field(default_factory=list)
     conserved: list[ConservedSet] = field(default_factory=list)
 
     def record(self, state: SpectralState, basis: FunctionalBasis) -> None:
         self.times.append(state.t)
         self.norms.append(l2_norm(state))
-        self.mode_norms.append(per_mode_norms(state))
         self.conserved.append(conserved_functionals(state, basis))
 
     def __len__(self) -> int:

@@ -1,10 +1,11 @@
 """Matrix representations of x-space operators in the orthonormal basis.
 
-The multiplication operator by phi' is a symmetric band matrix Phi whose
-strictly lower part represents the adjoint derivative d* = -d/dx + phi' and
-whose strictly upper part represents d/dx (their sum is multiplication by
-phi').  The derivative couplings and the weighted Laplacian plus identity,
-Omega = d* d + 1, follow exactly from those two triangles.
+Every operator is a dense numpy array.  The multiplication operator by phi'
+is a symmetric matrix Phi, banded on odd offsets, whose strictly lower part
+represents the adjoint derivative d* = -d/dx + phi' and whose strictly upper
+part represents d/dx (their sum is multiplication by phi').  The derivative
+couplings and the weighted Laplacian plus identity, Omega = d* d + 1, follow
+exactly from those two triangles.
 """
 
 from __future__ import annotations
@@ -19,47 +20,11 @@ from .potential import NormalizedPotential, _full_coeffs
 
 
 @dataclass(frozen=True)
-class BandedOperator:
-    """Symmetric-band storage: offset -> diagonal entries."""
-
-    size: int
-    bands: dict[int, np.ndarray]
-    symmetry: str = "general"
-
-    @property
-    def bandwidth(self) -> int:
-        return max((abs(o) for o in self.bands), default=0)
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros((self.size, self.size))
-        for off, diag in self.bands.items():
-            idx = np.arange(self.size - abs(off))
-            if off >= 0:
-                out[idx, idx + off] = diag
-            else:
-                out[idx - off, idx] = diag
-        return out
-
-
-@dataclass(frozen=True)
 class DerivCouplings:
     """Dense couplings A[r, n] = <P_r', P_n> between basis polynomials."""
 
     A: np.ndarray
     table: RecurrenceTable = field(repr=False)
-
-
-def _lower_bands_mirrored(mat: np.ndarray, offsets) -> dict[int, np.ndarray]:
-    # Assemble from one triangle so symmetry holds exactly at entry level.
-    bands: dict[int, np.ndarray] = {}
-    for off in offsets:
-        diag = np.diagonal(mat, offset=-abs(off)).copy()
-        bands[-abs(off)] = diag
-        if off != 0:
-            bands[abs(off)] = diag
-        else:
-            bands[0] = diag
-    return bands
 
 
 def jacobi_matrix(table: RecurrenceTable, size: int) -> np.ndarray:
@@ -75,16 +40,16 @@ def jacobi_matrix(table: RecurrenceTable, size: int) -> np.ndarray:
 
 
 def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
-                     size: int) -> BandedOperator:
-    """Band matrix of multiplication by phi' in the orthonormal basis.
+                     size: int) -> np.ndarray:
+    """Dense symmetric matrix of multiplication by phi' in the orthonormal basis.
 
     phi' is an odd polynomial of degree 2m-1, so the matrix is the same
     polynomial evaluated at the Jacobi matrix; assembling at `size` plus a
-    margin and truncating keeps the retained block exact.
+    margin and truncating keeps the retained block exact.  The result is
+    banded on the odd offsets 1, 3, ..., 2m-1, and is mirrored from its
+    strictly lower triangle so that symmetry holds exactly at entry level.
     """
-    two_m = pot.degree
-    margin = two_m + 2
-    big = size + margin
+    big = size + pot.degree + 2
     if table.n_max < big - 1:
         raise ValueError(
             f"recurrence table reaches {table.n_max}, need {big - 1} for size {size}"
@@ -97,21 +62,10 @@ def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
         acc = acc @ j
         if c != 0.0:
             acc[np.diag_indices(big)] += c
-    phi_full = acc[:size, :size]
-    offsets = range(1, two_m, 2)
-    return BandedOperator(size=size,
-                          bands=_lower_bands_mirrored(phi_full, offsets),
-                          symmetry="symmetric")
-
-
-def derivative_matrix(phi: BandedOperator) -> np.ndarray:
-    """Matrix of d/dx: the strictly upper part of Phi."""
-    return np.triu(phi.toarray(), 1)
-
-
-def adjoint_derivative_matrix(phi: BandedOperator) -> np.ndarray:
-    """Matrix of d* = -d/dx + phi': the strictly lower part of Phi."""
-    return np.tril(phi.toarray(), -1)
+    phi = np.tril(acc[:size, :size], -1)
+    del acc, j  # freed before the in-place mirror buffers its overlapping operand
+    phi += phi.T
+    return phi
 
 
 def build_deriv_couplings(table: RecurrenceTable, n: int) -> DerivCouplings:
@@ -124,21 +78,25 @@ def build_deriv_couplings(table: RecurrenceTable, n: int) -> DerivCouplings:
     entry an exact zero.
     """
     phi = build_phi_matrix(table, table.weight, n + 1)
-    return DerivCouplings(A=np.tril(phi.toarray(), -1), table=table)
+    return DerivCouplings(A=np.tril(phi, -1), table=table)
 
 
-def build_omega_matrix(phi: BandedOperator, size: int) -> BandedOperator:
-    """Truncation of Omega = d* d + 1 from the two triangles of Phi."""
-    if phi.size < size + phi.bandwidth:
+def build_omega_matrix(phi: np.ndarray, size: int) -> np.ndarray:
+    """Truncation of Omega = d* d + 1, with d* the strictly lower part of Phi.
+
+    Phi e_0 = phi'(J) e_0 ends at row deg(phi) - 1, the bandwidth of Phi;
+    the leading `size` block of the product is exact when Phi reaches that
+    far beyond it.
+    """
+    bandwidth = int(np.flatnonzero(phi[:, 0]).max(initial=0))
+    if len(phi) < size + bandwidth:
         raise ValueError(
-            f"phi matrix of size {phi.size} too small for omega size {size} "
-            f"(bandwidth {phi.bandwidth})"
+            f"phi matrix of size {len(phi)} too small for omega size {size} "
+            f"(bandwidth {bandwidth})"
         )
-    lower = adjoint_derivative_matrix(phi)
+    lower = np.tril(phi, -1)
+    # numpy forms lower @ lower.T with a symmetric rank-k product, so the
+    # result is exactly symmetric without mirroring.
     om = lower @ lower.T
-    om[np.diag_indices(phi.size)] += 1.0
-    om = om[:size, :size]
-    offsets = range(0, phi.bandwidth, 2)
-    return BandedOperator(size=size,
-                          bands=_lower_bands_mirrored(om, offsets),
-                          symmetry="symmetric")
+    om[np.diag_indices(len(phi))] += 1.0
+    return om[:size, :size].copy()

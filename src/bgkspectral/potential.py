@@ -35,18 +35,18 @@ def _validate_even_coeffs(coeffs) -> tuple[float, ...]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class RawPotential:
-    """Even polynomial potential as supplied by the user, before normalization."""
+class _EvenPolynomial:
+    """Evaluation shared by the potential classes, from their `coeffs` field."""
 
     coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _validate_even_coeffs(self.coeffs))
 
     @property
     def degree(self) -> int:
         return 2 * (len(self.coeffs) - 1)
+
+    @property
+    def harmonic(self) -> bool:
+        return self.degree == 2
 
     def __call__(self, x):
         return npoly.polyval(x, _full_coeffs(self.coeffs))
@@ -59,7 +59,17 @@ class RawPotential:
 
 
 @dataclass(frozen=True)
-class NormalizedPotential:
+class RawPotential(_EvenPolynomial):
+    """Even polynomial potential as supplied by the user, before normalization."""
+
+    coeffs: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _validate_even_coeffs(self.coeffs))
+
+
+@dataclass(frozen=True)
+class NormalizedPotential(_EvenPolynomial):
     """Normalized potential with the scale and shift that produced it.
 
     `scale` and `log_shift` record the substitution phi(scale * x) + log_shift,
@@ -69,23 +79,6 @@ class NormalizedPotential:
     coeffs: tuple[float, ...]
     scale: float
     log_shift: float
-    harmonic: bool
-
-    @property
-    def degree(self) -> int:
-        return 2 * (len(self.coeffs) - 1)
-
-    def __call__(self, x):
-        return npoly.polyval(x, _full_coeffs(self.coeffs))
-
-    def deriv(self, x):
-        return npoly.polyval(x, npoly.polyder(_full_coeffs(self.coeffs)))
-
-    def deriv2(self, x):
-        return npoly.polyval(x, npoly.polyder(_full_coeffs(self.coeffs), 2))
-
-    def deriv3(self, x):
-        return npoly.polyval(x, npoly.polyder(_full_coeffs(self.coeffs), 3))
 
 
 def tail_cutoff(pot, poly_degree: int = 0, threshold: float = 80.0) -> float:
@@ -142,7 +135,6 @@ def normalize_potential(raw: RawPotential, quad_tol: float = 1e-12) -> Normalize
         coeffs=tuple(coeffs),
         scale=gamma,
         log_shift=math.log(c),
-        harmonic=(raw.degree == 2),
     )
 
     check_tol = max(100.0 * quad_tol, 1e-11)

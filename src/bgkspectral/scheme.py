@@ -134,6 +134,9 @@ def purge_equilibrium_components(state: SpectralState, ip_phi: np.ndarray,
     c = state.C.copy()
     K, N = state.K, state.N
     c[0, 0] = 0.0
+    # phi is even, so ip_phi[1] = 0 and zeroing C[0,1] leaves phi_r unchanged.
+    n_ip = min(N, len(ip_phi) - 1)
+    phi_r = float(c[0, : n_ip + 1] @ ip_phi[: n_ip + 1])
     if harmonic:
         if N >= 1:
             c[0, 1] = 0.0
@@ -141,15 +144,11 @@ def purge_equilibrium_components(state: SpectralState, ip_phi: np.ndarray,
             c[1, 0] = 0.0
             if N >= 1:
                 c[1, 1] = 0.0
-        n_ip = min(N, len(ip_phi) - 1)
-        phi_r = float(c[0, : n_ip + 1] @ ip_phi[: n_ip + 1])
         if N >= 2:
             c[0, 2] -= phi_r / ip_phi[2]
         if K >= 2:
             c[2, 0] = 0.0
     else:
-        n_ip = min(N, len(ip_phi) - 1)
-        phi_r = float(c[0, : n_ip + 1] @ ip_phi[: n_ip + 1])
         if K >= 2:
             c[2, 0] = -np.sqrt(2.0) * phi_r
         elif N >= 2 and ip_phi[2] != 0.0:

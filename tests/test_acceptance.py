@@ -90,18 +90,17 @@ def test_criterion_2_growth_asymptotics():
 
 def test_criterion_3_band_structure(doublewell_table, doublewell_pot):
     phi = bk.build_phi_matrix(doublewell_table, doublewell_pot, 44)
-    mat = phi.toarray()
     a = doublewell_table.a
     g2 = doublewell_pot.coeffs[2]
     k = np.arange(1, 41)
     l_band = k / a[k]
-    l_err = np.max(np.abs(mat[k, k - 1] - l_band) / l_band)
+    l_err = np.max(np.abs(phi[k, k - 1] - l_band) / l_band)
     k3 = np.arange(3, 41)
     p_band = 4 * g2 * a[k3] * a[k3 - 1] * a[k3 - 2]
-    p_err = np.max(np.abs(mat[k3, k3 - 3] - p_band) / p_band)
+    p_err = np.max(np.abs(phi[k3, k3 - 3] - p_band) / p_band)
     assert l_err <= 1e-10 and p_err <= 1e-10
 
-    om = bk.build_omega_matrix(phi, 40).toarray()
+    om = bk.build_omega_matrix(phi, 40)
     size = 40
     l = np.zeros(size + 2)
     idx = np.arange(1, size + 2)

@@ -139,6 +139,18 @@ def test_sweep_isolated_directories(tmp_path):
     assert (out / "K_6" / "norms.csv").exists()
 
 
+def test_sweep_rejects_shared_directories(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config()))
+    # both pairs print alike under {value:g}
+    for sweep in ("quad_tol=1e-12,1.0000001e-12", "K=4,4"):
+        out = tmp_path / "sweep"
+        code = cli.main(["--config", str(cfg), "--out-dir", str(out),
+                         "--sweep", sweep])
+        assert code == 2
+        assert not out.exists()
+
+
 def test_sweep_validation():
     cfg = cli.RunConfig.from_dict(small_config())
     with pytest.raises(ConfigError):

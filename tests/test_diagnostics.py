@@ -83,16 +83,6 @@ def test_norm_matches_two_dimensional_quadrature(doublewell_table, doublewell_po
     assert math.sqrt(integral) == pytest.approx(bk.l2_norm(state), rel=1e-8)
 
 
-def test_parseval_split(harmonic_basis):
-    rng = np.random.default_rng(5)
-    series = bk.DiagnosticsSeries()
-    for i in range(4):
-        series.record(bk.SpectralState(C=rng.standard_normal((5, 9)), t=float(i)),
-                      harmonic_basis)
-    for norm, modes in zip(series.norms, series.mode_norms):
-        assert norm ** 2 == pytest.approx(float(np.sum(modes ** 2)), rel=1e-14)
-
-
 def _series_from_norms(times, norms):
     series = bk.DiagnosticsSeries()
     series.times = list(times)

@@ -59,13 +59,6 @@ def test_deriv2_matches_finite_difference(doublewell_pot):
     assert abs(fd - exact) / abs(exact) <= 1e-8
 
 
-def test_deriv3(doublewell_pot):
-    h = 1e-5
-    x = 1.3
-    fd = (doublewell_pot.deriv2(x + h) - doublewell_pot.deriv2(x - h)) / (2 * h)
-    assert doublewell_pot.deriv3(x) == pytest.approx(fd, rel=1e-6)
-
-
 @given(st.floats(min_value=-20.0, max_value=20.0))
 def test_parity(x):
     pot = bk.RawPotential(DOUBLE_WELL_COEFFS)
