@@ -8,17 +8,16 @@ perturbation non-increasing step by step.
 """
 
 from .conjecture_lab import KNReport, estimate_kn, kn_sweep
-from .diagnostics import (ConservedSet, DecayFit, DiagnosticsSeries,
-                          FunctionalBasis, build_functional_basis,
-                          conserved_functionals, fit_decay_rate, l2_norm,
-                          snapshot)
+from .diagnostics import (DecayFit, DiagnosticsSeries, FunctionalBasis,
+                          build_functional_basis, conserved_functionals,
+                          fit_decay_rate, l2_norm, snapshot)
 from .errors import (ConfigError, IntegrationFailureError,
                      InvalidPotentialError, PrecisionFailureError,
                      SolverConsistencyError)
 from .operators import (DerivCouplings, build_deriv_couplings,
                         build_omega_matrix, build_phi_matrix, jacobi_matrix)
 from .orthopoly import (QuadratureRule, RecurrenceTable, build_quadrature,
-                        build_recurrence, eval_poly, eval_poly_all,
+                        build_recurrence, eval_poly_all,
                         eval_poly_and_deriv_all, hermite_eval_all,
                         inner_products, magnus_constant)
 from .potential import (NormalizedPotential, RawPotential, normalize_potential,
@@ -31,7 +30,7 @@ from .scheme import (Generator, SpectralState, SteppingPlan,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "ConservedSet", "DecayFit", "DerivCouplings",
+    "ConfigError", "DecayFit", "DerivCouplings",
     "DiagnosticsSeries", "FunctionalBasis", "Generator",
     "IntegrationFailureError", "InvalidPotentialError", "KNReport",
     "NormalizedPotential", "PrecisionFailureError", "QuadratureRule",
@@ -39,7 +38,7 @@ __all__ = [
     "SpectralState", "SteppingPlan", "assemble_generator",
     "build_deriv_couplings", "build_functional_basis", "build_omega_matrix",
     "build_phi_matrix", "build_quadrature", "build_recurrence",
-    "conserved_functionals", "estimate_kn", "eval_poly", "eval_poly_all",
+    "conserved_functionals", "estimate_kn", "eval_poly_all",
     "eval_poly_and_deriv_all", "fit_decay_rate", "hermite_eval_all",
     "inner_products", "jacobi_matrix", "kn_sweep", "l2_norm",
     "magnus_constant", "make_stepping_plan", "normalize_potential",

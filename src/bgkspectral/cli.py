@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, scheme
-from .conjecture_lab import kn_sweep
+from .conjecture_lab import KNReport, kn_sweep
 from .errors import ConfigError, InvalidPotentialError
 from .operators import build_deriv_couplings
 # build_quadrature is not called here; benchmarks/spans.py traces it by this name.
-from .orthopoly import build_quadrature, build_recurrence  # noqa: F401
+from .orthopoly import RecurrenceTable, build_quadrature, build_recurrence  # noqa: F401
 from .potential import RawPotential, normalize_potential
 
 HARMONIC_COEFFS = [0.5 * math.log(2.0 * math.pi), 0.5]
@@ -26,6 +26,10 @@ DOUBLE_WELL_COEFFS = [1.0, -2.0, 1.0]
 KNOWN_OUTPUTS = ("norms", "conserved", "snapshots", "recurrence", "kn")
 
 MAX_STEPS = 10 ** 7
+
+# Failures of a validated run, reported by main() with exit code 3.
+NUMERICAL_ERRORS = (InvalidPotentialError, ArithmeticError, RuntimeError,
+                    np.linalg.LinAlgError)
 
 
 @dataclass
@@ -58,6 +62,21 @@ class RunConfig:
         return cls(**data)
 
     def validate(self) -> None:
+        counts = [("K", self.K), ("N", self.N)] \
+            + [("snapshot_points", p) for p in self.snapshot_points] \
+            + [("kn_n_values", n) for n in self.kn_n_values]
+        if self.n_max is not None:
+            counts.append(("n_max", self.n_max))
+        for name, value in counts:
+            if not _is_int(value):
+                raise ConfigError(f"{name}: {value!r} is not an integer")
+        reals = [("dt", self.dt), ("T", self.T), ("quad_tol", self.quad_tol)] \
+            + [("potential", c) for c in self.potential] \
+            + [("snapshot_times", t) for t in self.snapshot_times] \
+            + [("snapshot_range", v) for v in self.snapshot_range]
+        for name, value in reals:
+            if not _is_finite(value):
+                raise ConfigError(f"{name}: {value!r} is not a finite number")
         if len(self.potential) < 2:
             raise ConfigError("potential: need at least two even-power coefficients")
         if self.potential[-1] <= 0:
@@ -89,15 +108,16 @@ class RunConfig:
             for entry in self.initial:
                 if len(entry) != 3:
                     raise ConfigError(f"initial entries must be (k, n, value): {entry}")
-                k, n, _ = entry
-                if not (0 <= int(k) <= self.K and 0 <= int(n) <= self.N):
+                k, n, value = entry
+                if not (_is_int(k) and _is_int(n) and _is_finite(value)):
+                    raise ConfigError(f"initial entry {entry}: k and n must be "
+                                      "integers and the value a finite number")
+                if not (0 <= k <= self.K and 0 <= n <= self.N):
                     raise ConfigError(f"initial coefficient ({k}, {n}) out of range")
         if len(self.snapshot_range) != 4 or len(self.snapshot_points) != 2:
             raise ConfigError("snapshot_range needs 4 entries, snapshot_points 2")
         if any(p < 2 for p in self.snapshot_points):
             raise ConfigError("snapshot_points entries must be >= 2")
-        if not all(math.isfinite(v) for v in self.snapshot_range):
-            raise ConfigError("snapshot_range must be finite")
         names: dict[str, int] = {}
         for t in self.snapshot_times:
             if t < 0 or t > self.T + 1e-12:
@@ -114,6 +134,17 @@ class RunConfig:
                 raise ConfigError("fit_window must be [t_start, t_end] with t_start < t_end")
         if self.quad_tol <= 0:
             raise ConfigError("quad_tol must be positive")
+
+
+# Concrete types, not the numbers ABCs: an ABC check costs about 1 us, and
+# validate() runs them over every `initial` entry.
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _min_n_max(N: int, degree: int) -> int:
@@ -164,8 +195,6 @@ PRESETS: dict[str, dict] = {
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     return f"{value:.17g}"
 
 
@@ -176,12 +205,26 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def run(config: RunConfig, out_dir: Path) -> dict:
-    """Execute one configured experiment; returns the summary mapping."""
-    config.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+@dataclass(frozen=True)
+class RunResult:
+    """Everything one run computes: per-step `times`, `norms` and `conserved`
+    rows (columns `diagnostics.CONSERVED_COLUMNS[:m]`), the states at the
+    snapshot steps, the recurrence table and, if requested, the K_N reports.
+    """
 
+    config: RunConfig
+    times: np.ndarray
+    norms: np.ndarray
+    conserved: np.ndarray
+    snapshots: tuple[scheme.SpectralState, ...]
+    table: RecurrenceTable
+    kn: list[KNReport] | None
+    summary: dict
+
+
+def simulate(config: RunConfig) -> RunResult:
+    """Validate and run one configured experiment in memory; writes no file."""
+    config.validate()
     pot = normalize_potential(RawPotential(tuple(config.potential)),
                               quad_tol=config.quad_tol)
     n_max = config.n_max if config.n_max is not None \
@@ -193,7 +236,7 @@ def run(config: RunConfig, out_dir: Path) -> dict:
     if isinstance(config.initial, str):
         entries = INITIAL_CONDITIONS[config.initial](basis.ip_phi)
     else:
-        entries = [(int(k), int(n), float(v)) for k, n, v in config.initial]
+        entries = config.initial
     state = scheme.project_initial_condition(entries, config.K, config.N)
     if config.purge:
         state = scheme.purge_equilibrium_components(state, basis.ip_phi,
@@ -203,48 +246,19 @@ def run(config: RunConfig, out_dir: Path) -> dict:
     plan = scheme.make_stepping_plan(gen, config.dt)
     steps = round(config.T / config.dt)
 
-    snap_steps = {int(round(t / config.dt)) for t in config.snapshot_times}
-    xs = np.linspace(config.snapshot_range[0], config.snapshot_range[1],
-                     config.snapshot_points[0])
-    vs = np.linspace(config.snapshot_range[2], config.snapshot_range[3],
-                     config.snapshot_points[1])
-
-    def emit_snapshot(st: scheme.SpectralState) -> None:
-        grid = diagnostics.snapshot(st, xs, vs, table)
-        rows = ([_fmt(x), _fmt(v), _fmt(grid[i, j])]
-                for i, x in enumerate(xs) for j, v in enumerate(vs))
-        _write_csv(out_dir / f"snapshot_{st.t:g}.csv", "x,v,h", rows)
-
+    snap_steps = {int(round(t / config.dt)) for t in config.snapshot_times} \
+        if "snapshots" in config.outputs else set()
     series = diagnostics.DiagnosticsSeries()
     series.record(state, basis)
-    if "snapshots" in config.outputs and 0 in snap_steps:
-        emit_snapshot(state)
+    snapshots = [state] if 0 in snap_steps else []
     for i in range(1, steps + 1):
         state = scheme.step(plan, state)
         series.record(state, basis)
-        if "snapshots" in config.outputs and i in snap_steps:
-            emit_snapshot(state)
+        if i in snap_steps:
+            snapshots.append(state)
 
-    if "norms" in config.outputs:
-        _write_csv(out_dir / "norms.csv", "t,norm",
-                   ([_fmt(t), _fmt(n)] for t, n in zip(series.times, series.norms)))
-    if "conserved" in config.outputs:
-        _write_csv(
-            out_dir / "conserved.csv",
-            "t,mass,energy_plus,rx,m0,mx,energy_minus",
-            ([_fmt(t), _fmt(c.mass), _fmt(c.energy_plus), _fmt(c.rx),
-              _fmt(c.m0), _fmt(c.mx), _fmt(c.energy_minus)]
-             for t, c in zip(series.times, series.conserved)),
-        )
-    if "recurrence" in config.outputs:
-        _write_csv(out_dir / "recurrence.csv", "n,a_n",
-                   ([str(n), _fmt(a)] for n, a in enumerate(table.a)))
-    if "kn" in config.outputs:
-        reports = kn_sweep(pot, config.kn_n_values, table=table)
-        _write_csv(out_dir / "kn_table.csv", "N,M_big,kn0,kn1,kn2,kn3,converged",
-                   ([str(r.N), str(r.m_big), _fmt(r.kn[0]), _fmt(r.kn[1]),
-                     _fmt(r.kn[2]), _fmt(r.kn[3]), str(r.converged).lower()]
-                    for r in reports))
+    reports = kn_sweep(pot, config.kn_n_values, table=table) \
+        if "kn" in config.outputs else None
 
     window = config.fit_window or [0.2 * config.T, config.T]
     summary = {"steps": steps, "final_norm": series.norms[-1]}
@@ -255,15 +269,59 @@ def run(config: RunConfig, out_dir: Path) -> dict:
     except ValueError:
         summary["kappa"] = None
         summary["r_squared"] = None
-    drift = max((max(abs(v) for v in c.active_values()) for c in series.conserved),
-                default=0.0)
-    summary["max_conserved_drift"] = drift
+    conserved = np.array(series.conserved)
+    summary["max_conserved_drift"] = float(np.max(np.abs(conserved)))
+    return RunResult(config=config, times=np.array(series.times),
+                     norms=np.array(series.norms), conserved=conserved,
+                     snapshots=tuple(snapshots), table=table, kn=reports,
+                     summary=summary)
 
-    kappa = summary["kappa"]
-    print(f"[bgkspectral] steps={steps} "
+
+def write_artifacts(result: RunResult, out_dir: Path) -> None:
+    """Create `out_dir` and write the CSV files the config's outputs name."""
+    config = result.config
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    times = result.times.tolist()
+    if "norms" in config.outputs:
+        _write_csv(out_dir / "norms.csv", "t,norm",
+                   ([_fmt(t), _fmt(n)] for t, n in zip(times, result.norms.tolist())))
+    if "conserved" in config.outputs:
+        pad = [""] * (len(diagnostics.CONSERVED_COLUMNS) - result.conserved.shape[1])
+        _write_csv(out_dir / "conserved.csv",
+                   ",".join(("t",) + diagnostics.CONSERVED_COLUMNS),
+                   ([_fmt(t), *map(_fmt, row), *pad]
+                    for t, row in zip(times, result.conserved.tolist())))
+    xs = np.linspace(config.snapshot_range[0], config.snapshot_range[1],
+                     config.snapshot_points[0])
+    vs = np.linspace(config.snapshot_range[2], config.snapshot_range[3],
+                     config.snapshot_points[1])
+    for st in result.snapshots:
+        grid = diagnostics.snapshot(st, xs, vs, result.table)
+        _write_csv(out_dir / f"snapshot_{st.t:g}.csv", "x,v,h",
+                   ([_fmt(x), _fmt(v), _fmt(grid[i, j])]
+                    for i, x in enumerate(xs) for j, v in enumerate(vs)))
+    if "recurrence" in config.outputs:
+        _write_csv(out_dir / "recurrence.csv", "n,a_n",
+                   ([str(n), _fmt(a)] for n, a in enumerate(result.table.a)))
+    if result.kn is not None:
+        _write_csv(out_dir / "kn_table.csv", "N,M_big,kn0,kn1,kn2,kn3,converged",
+                   ([str(r.N), str(r.m_big), *map(_fmt, r.kn),
+                     str(r.converged).lower()] for r in result.kn))
+
+
+def run(config: RunConfig, out_dir: Path) -> dict:
+    """Execute one configured experiment and write its artifacts; returns the summary.
+
+    Nothing is written unless the whole computation succeeds.
+    """
+    result = simulate(config)
+    write_artifacts(result, out_dir)
+    kappa = result.summary["kappa"]
+    print(f"[bgkspectral] steps={result.summary['steps']} "
           f"kappa={_fmt(kappa) if kappa is not None else 'n/a'} "
-          f"max_conserved_drift={_fmt(drift)}")
-    return summary
+          f"max_conserved_drift={_fmt(result.summary['max_conserved_drift'])}")
+    return result.summary
 
 
 def _load_config(args) -> RunConfig:
@@ -328,7 +386,6 @@ def main(argv=None) -> int:
             print(json.dumps(asdict(cfg), indent=2))
             return 0
         config = _load_config(args)
-        config.validate()
         out_dir = Path(args.out_dir)
         if args.sweep:
             variants = _parse_sweep(args.sweep, config)
@@ -349,8 +406,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidPotentialError, ArithmeticError, RuntimeError,
-            np.linalg.LinAlgError) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
 

@@ -80,20 +80,23 @@ def kn_sweep(pot: NormalizedPotential, n_values, table: RecurrenceTable | None =
              m_factors=(1, 2, 4), rel_tol: float = 0.01) -> list[KNReport]:
     """Norm estimates over a list of truncations N, with a stabilization check.
 
-    For each N the ambient size runs through m_factors * (N + 16); the
-    reported values come from the largest ambient size and are flagged
-    converged only when the last two sizes agree to rel_tol componentwise.
+    For each N the ambient size runs through m_factors * (N + pad), with
+    pad = max(16, 2 deg(phi)) so that even the smallest size leaves the room
+    `estimate_kn` needs; the reported values come from the largest ambient
+    size and are flagged converged only when the last two sizes agree to
+    rel_tol componentwise.
     """
     n_values = list(n_values)
     if not n_values:
         return []
     two_m = pot.degree
-    max_big = max(f * (n + 16) for n in n_values for f in m_factors)
+    pad = max(16, 2 * two_m)
+    max_big = max(f * (n + pad) for n in n_values for f in m_factors)
     if table is None or table.n_max < max_big + 2 * two_m + 2:
         table = build_recurrence(pot, max_big + 2 * two_m + 2)
     reports = []
     for n in n_values:
-        bigs = sorted(f * (n + 16) for f in m_factors)
+        bigs = sorted(f * (n + pad) for f in m_factors)
         values = [estimate_kn(table, pot, n, b) for b in bigs]
         converged = len(values) >= 2 and _agree(values[-2], values[-1], rel_tol)
         reports.append(KNReport(N=n, m_big=bigs[-1],

@@ -46,29 +46,16 @@ def build_functional_basis(table: RecurrenceTable, n: int) -> FunctionalBasis:
     )
 
 
-@dataclass(frozen=True)
-class ConservedSet:
-    """Values of the conserved functionals; harmonic-only entries are None
-    for a general potential."""
-
-    mass: float
-    energy_plus: float
-    rx: float | None = None
-    m0: float | None = None
-    mx: float | None = None
-    energy_minus: float | None = None
-
-    def active_values(self) -> list[float]:
-        return [v for v in (self.mass, self.energy_plus, self.rx, self.m0,
-                            self.mx, self.energy_minus) if v is not None]
+# Column order of conserved.csv; a general potential has only the first two.
+CONSERVED_COLUMNS = ("mass", "energy_plus", "rx", "m0", "mx", "energy_minus")
 
 
-def conserved_functionals(state: SpectralState, basis: FunctionalBasis) -> ConservedSet:
-    """Evaluate the conservation-law functionals on the current coefficients.
+def conserved_functionals(state: SpectralState, basis: FunctionalBasis) -> np.ndarray:
+    """Values of the conservation-law functionals, in `CONSERVED_COLUMNS` order.
 
     The local mass, momentum and energy densities are the velocity modes
     k = 0, 1, 2; every functional is a fixed linear form in their space
-    coefficients.
+    coefficients.  Returns 6 values for a harmonic potential, 2 otherwise.
     """
     c = state.C
     n = min(state.N, len(basis.ip_phi) - 1)
@@ -79,35 +66,33 @@ def conserved_functionals(state: SpectralState, basis: FunctionalBasis) -> Conse
     phi_r = float(c[0, : n + 1] @ ip_phi)
     energy_plus = e0 / math.sqrt(2.0) + phi_r
     if not basis.harmonic:
-        return ConservedSet(mass=mass, energy_plus=energy_plus)
+        return np.array([mass, energy_plus])
     rx = float(c[0, : n + 1] @ ip_x)
     m0 = float(c[1, 0]) if state.K >= 1 else 0.0
     mx = float(c[1, : n + 1] @ ip_x) if state.K >= 1 else 0.0
     energy_minus = e0 / math.sqrt(2.0) - phi_r
-    return ConservedSet(mass=mass, energy_plus=energy_plus, rx=rx, m0=m0,
-                        mx=mx, energy_minus=energy_minus)
+    return np.array([mass, energy_plus, rx, m0, mx, energy_minus])
 
 
 def l2_norm(state: SpectralState) -> float:
     """Maxwellian-weighted L2 norm of the expansion (Parseval)."""
-    return float(np.linalg.norm(state.C))
+    norm = float(np.linalg.norm(state.C))
+    # Below 1e-150 the plain sum of squares underflows; hypot rescales.
+    return norm if norm >= 1e-150 else math.hypot(*state.C.ravel())
 
 
 @dataclass
 class DiagnosticsSeries:
-    """Per-step records of time, norm and conserved values."""
+    """Per-step time, norm and conserved values, appended by `record`."""
 
     times: list[float] = field(default_factory=list)
     norms: list[float] = field(default_factory=list)
-    conserved: list[ConservedSet] = field(default_factory=list)
+    conserved: list[np.ndarray] = field(default_factory=list)
 
     def record(self, state: SpectralState, basis: FunctionalBasis) -> None:
         self.times.append(state.t)
         self.norms.append(l2_norm(state))
         self.conserved.append(conserved_functionals(state, basis))
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -152,8 +137,6 @@ def snapshot(state: SpectralState, x_grid, v_grid,
     Returns h[i, j] = h(t, x_i, v_j), evaluated as two matrix products of the
     basis-evaluation matrices with the coefficient array.
     """
-    x_grid = np.asarray(x_grid, dtype=float)
-    v_grid = np.asarray(v_grid, dtype=float)
     p = eval_poly_all(table, state.N, x_grid)
     h = hermite_eval_all(state.K, v_grid)
     return p.T @ state.C.T @ h

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
@@ -45,9 +44,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
-
-    def integrate(self, f) -> float:
-        return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
 
 
 def _stieltjes_pass(pot, n_max: int, panels: int, cutoff: float) -> np.ndarray:
@@ -103,6 +99,7 @@ def _weight_moments_mp(pot, top: int, dps: int) -> list:
     the rest follow exactly from integration by parts against phi':
     sum_i 2 i c_i m_{k+2i-1} = k m_{k-1}.  Odd moments vanish by parity.
     """
+    import mpmath as mp
     coeffs = [mp.mpf(c) for c in pot.coeffs]
     m_half = len(coeffs) - 1
 
@@ -133,6 +130,8 @@ def _weight_moments_mp(pot, top: int, dps: int) -> list:
 
 def _chebyshev_extended(pot, n_max: int, dps: int) -> np.ndarray:
     """Moment-to-recurrence map (Chebyshev algorithm) in extended precision."""
+    # Imported here: only this cross-check path needs extended precision.
+    import mpmath as mp
     n = n_max + 1
     with mp.workdps(dps):
         mom = _weight_moments_mp(pot, 2 * n - 1, dps)
@@ -209,11 +208,6 @@ def eval_poly_all(table: RecurrenceTable, n: int, x) -> np.ndarray:
     for k in range(1, n):
         out[k + 1] = (x * out[k] - a[k] * out[k - 1]) / a[k + 1]
     return out
-
-
-def eval_poly(table: RecurrenceTable, n: int, x):
-    """Value of P_n at x by forward recurrence."""
-    return eval_poly_all(table, n, x)[n]
 
 
 def eval_poly_and_deriv_all(table: RecurrenceTable, n: int, x):

@@ -52,6 +52,20 @@ def test_validation_catches_bad_fields(tmp_path):
         # distinct steps, one file name snapshot_0.5.csv
         small_config(dt=1e-7, snapshot_times=[0.5, 0.5000001]),
         small_config(n_max=7),                  # below N + deg(phi) + 2 = 8
+        small_config(dt=math.nan),
+        small_config(T=math.nan),
+        small_config(dt=math.inf),
+        small_config(potential=[math.nan, 0.5]),
+        small_config(quad_tol=math.inf),
+        small_config(K=4.5),
+        small_config(N=5.0),
+        small_config(K=True),
+        small_config(n_max=40.5),
+        small_config(snapshot_points=[5.5, 4]),
+        small_config(kn_n_values=[4.5]),
+        small_config(initial=[[0, 1, math.nan]]),
+        small_config(initial=[[1.7, 2, 1.0]]),
+        small_config(initial=[["a", 2, 1.0]]),
     ]
     for data in cases:
         with pytest.raises(ConfigError):
@@ -168,6 +182,15 @@ def test_numerical_failure_exit_code(tmp_path):
     # leading coefficient so large the weight integral underflows to zero
     cfg.write_text(json.dumps(small_config(potential=[0.0, 1e308], N=4)))
     assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
+
+
+def test_kn_output_for_degree_ten(tmp_path):
+    data = {"potential": [0, 0, 0, 0, 0, 1], "K": 4, "N": 10, "T": 0.1,
+            "outputs": ["kn"], "kn_n_values": [4]}
+    cli.run(cli.RunConfig.from_dict(data), tmp_path)
+    kn = (tmp_path / "kn_table.csv").read_text().splitlines()
+    assert kn[1].split(",")[:2] == ["4", "96"]                # m_big = 4 (N + 20)
 
 
 def test_preset_initial_conditions_resolve(tmp_path):

@@ -81,6 +81,14 @@ def test_empty_sweep(harmonic_pot):
     assert bk.kn_sweep(harmonic_pot, []) == []
 
 
+def test_sweep_leaves_room_for_high_degree():
+    # deg(phi) = 10: estimate_kn needs m_big >= N + 20, which N + 16 lacks.
+    pot = bk.normalize_potential(bk.RawPotential((0, 0, 0, 0, 0, 1)))
+    (report,) = bk.kn_sweep(pot, [4])
+    assert report.m_big == 4 * (4 + 20)
+    assert all(math.isfinite(v) and v > 0 for v in report.kn)
+
+
 def test_sweep_builds_its_own_table(harmonic_pot):
     reports = bk.kn_sweep(harmonic_pot, [2])
     assert len(reports) == 1

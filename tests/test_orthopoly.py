@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -52,7 +56,7 @@ def test_magnus_flatness(doublewell_table):
 
 def test_eval_poly_base_cases(harmonic_table, doublewell_table):
     for table in (harmonic_table, doublewell_table):
-        assert bk.eval_poly(table, 0, 1.7) == pytest.approx(1.0, rel=1e-12)
+        assert bk.eval_poly_all(table, 0, 1.7)[0] == pytest.approx(1.0, rel=1e-12)
     # harmonic: P_1(x) = x and P_2(x) = (x^2 - 1)/sqrt(2)
     xs = np.linspace(-3, 3, 7)
     p = bk.eval_poly_all(harmonic_table, 2, xs)
@@ -62,7 +66,7 @@ def test_eval_poly_base_cases(harmonic_table, doublewell_table):
 
 def test_eval_poly_out_of_range(harmonic_table):
     with pytest.raises(IndexError):
-        bk.eval_poly(harmonic_table, harmonic_table.n_max + 1, 0.0)
+        bk.eval_poly_all(harmonic_table, harmonic_table.n_max + 1, 0.0)
 
 
 def test_poly_parity(doublewell_table):
@@ -102,8 +106,8 @@ def test_gram_matrix_to_degree_40(doublewell_table, doublewell_weddle,
 
 def test_quadrature_invariants(doublewell_gauss, doublewell_weddle, doublewell_table):
     for rule in (doublewell_gauss, doublewell_weddle):
-        assert rule.integrate(lambda x: np.ones_like(x)) == pytest.approx(1.0, abs=1e-10)
-        assert rule.integrate(lambda x: x) == pytest.approx(0.0, abs=1e-12)
+        assert np.sum(rule.weights) == pytest.approx(1.0, abs=1e-10)
+        assert rule.weights @ rule.nodes == pytest.approx(0.0, abs=1e-12)
     # <x, P_1> = a_1 follows from one step of the recurrence
     v = bk.inner_products(doublewell_table, doublewell_gauss, lambda x: x, 3)
     assert v[1] == pytest.approx(doublewell_table.a[1], rel=1e-12)
@@ -117,7 +121,7 @@ def test_inner_products_unit_vectors(doublewell_table, doublewell_gauss):
     expect[0] = 1.0
     assert np.allclose(ones, expect, atol=1e-12)
     p3 = bk.inner_products(doublewell_table, doublewell_gauss,
-                           lambda x: bk.eval_poly(doublewell_table, 3, x), 6)
+                           lambda x: bk.eval_poly_all(doublewell_table, 3, x)[3], 6)
     expect = np.zeros(7)
     expect[3] = 1.0
     assert np.allclose(p3, expect, atol=1e-10)
@@ -173,6 +177,15 @@ def test_build_recurrence_argument_validation(harmonic_pot, harmonic_table):
         bk.build_quadrature(harmonic_pot, "composite_weddle", 0)
     with pytest.raises(ValueError):
         bk.build_quadrature(harmonic_pot, "weird", 4)
+
+
+def test_import_leaves_out_mpmath():
+    # Only the extended-precision cross-check path needs mpmath.
+    env = dict(os.environ, PYTHONPATH=str(Path(bk.__file__).resolve().parents[1]))
+    code = "import sys, bgkspectral; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_hermite_eval(harmonic_table):

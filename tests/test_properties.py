@@ -1,0 +1,90 @@
+"""Properties of `cli.simulate` over the validated configuration domain.
+
+Each drawn configuration either raises a typed error (a configuration error
+or one of the numerical failures `main()` maps to exit code 3) or satisfies
+the discrete structure of the scheme: mass and energy_plus stay constant, the
+harmonic-only functionals evolve exactly as implicit Euler evolves a
+rotation, the norm never increases, and `cli.run` writes exactly what
+`write_artifacts` writes for the same configuration.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bgkspectral import cli, diagnostics
+from bgkspectral.errors import ConfigError
+
+
+def _config(potential, K, N, dt, steps, initial, purge):
+    return {
+        "potential": potential, "K": K, "N": N, "dt": dt, "T": steps * dt,
+        "initial": initial, "purge": purge,
+        "outputs": ["norms", "conserved", "snapshots", "recurrence"],
+        "snapshot_times": [0.0, steps * dt], "snapshot_points": [4, 3],
+    }
+
+
+@st.composite
+def configs(draw):
+    m = draw(st.integers(1, 4))                               # deg(phi) = 2m
+    lower = draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
+    lead = draw(st.floats(0.05, 2.0))
+    K = draw(st.integers(3, 20))
+    N = draw(st.integers(2 * m, 40))
+    entries = draw(st.lists(st.tuples(st.integers(0, K), st.integers(0, N),
+                                      st.floats(-1.0, 1.0)),
+                            min_size=1, max_size=6))
+    return _config(lower + [lead], K, N, draw(st.floats(1e-3, 1.0)),
+                   draw(st.integers(1, 40)), [list(e) for e in entries],
+                   draw(st.booleans()))
+
+
+def _rotation_error(z: np.ndarray, omega: float, dt: float) -> float:
+    """Distance of z from implicit Euler on dz/dt = -i omega z started at z[0]."""
+    n = np.arange(len(z))
+    return float(np.max(np.abs(z - z[0] * (1.0 + 1j * omega * dt) ** -n)))
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(configs())
+# Harmonic, rx != 0: rx and m0 rotate, so they are not constants of the motion.
+@example(_config([0.0, 0.05], 3, 2, 0.05, 18, [[0, 1, 0.05]], False))
+# Harmonic, purged to a state of norm ~1e-16 that still turns energy_minus.
+@example(_config([-0.8004674058998063, 0.32761674839345906], 3, 8,
+                 0.4020236808355091, 8, [[0, 2, 0.9576153357607473]], True))
+# A state of norm 5e-208: its sum of squares underflowed and the norm read 0.
+@example(_config([0.12651614792674434, 0.3459652059201921, -0.0,
+                  0.7635511981639664], 10, 19, 0.12651614792674434, 2,
+                 [[7, 17, 5.382583613943773e-208]], False))
+def test_simulate_keeps_the_discrete_structure(data):
+    try:
+        result = cli.simulate(cli.RunConfig.from_dict(data))
+    except (ConfigError, *cli.NUMERICAL_ERRORS):
+        return
+    c = result.conserved
+    limit = 1e-12 * result.norms[0]
+    assert np.max(np.abs(c[:, :2] - c[0, :2])) <= limit     # mass, energy_plus
+    if c.shape[1] == 6:
+        # The harmonic pairs rotate undamped in the continuous model, at
+        # frequency 1 (rx, m0) and 2 (mx, energy_minus less its steady mass
+        # part -<phi, P_0> mass); implicit Euler turns and damps them exactly.
+        ip0 = diagnostics.build_functional_basis(result.table, data["N"]).ip_phi[0]
+        assert _rotation_error(c[:, 2] + 1j * c[:, 3], 1.0, data["dt"]) <= limit
+        assert _rotation_error(c[:, 4] + 1j * (c[:, 5] + ip0 * c[:, 0]), 2.0,
+                               data["dt"]) <= limit
+    assert np.all(np.diff(result.norms) <= 0.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        cli.write_artifacts(result, Path(tmp) / "written")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run(cli.RunConfig.from_dict(data), Path(tmp) / "run")
+        assert _files(Path(tmp) / "written") == _files(Path(tmp) / "run")
