@@ -6,6 +6,8 @@ import argparse
 import json
 import math
 import sys
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
@@ -62,6 +64,18 @@ class RunConfig:
         return cls(**data)
 
     def validate(self) -> None:
+        lists = [("potential", self.potential), ("outputs", self.outputs),
+                 ("snapshot_times", self.snapshot_times),
+                 ("snapshot_range", self.snapshot_range),
+                 ("snapshot_points", self.snapshot_points),
+                 ("kn_n_values", self.kn_n_values)]
+        if not isinstance(self.initial, str):
+            lists.append(("initial", self.initial))
+        if self.fit_window is not None:
+            lists.append(("fit_window", self.fit_window))
+        for name, value in lists:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name}: {value!r} is not a list")
         counts = [("K", self.K), ("N", self.N)] \
             + [("snapshot_points", p) for p in self.snapshot_points] \
             + [("kn_n_values", n) for n in self.kn_n_values]
@@ -73,7 +87,8 @@ class RunConfig:
         reals = [("dt", self.dt), ("T", self.T), ("quad_tol", self.quad_tol)] \
             + [("potential", c) for c in self.potential] \
             + [("snapshot_times", t) for t in self.snapshot_times] \
-            + [("snapshot_range", v) for v in self.snapshot_range]
+            + [("snapshot_range", v) for v in self.snapshot_range] \
+            + [("fit_window", t) for t in self.fit_window or ()]
         for name, value in reals:
             if not _is_finite(value):
                 raise ConfigError(f"{name}: {value!r} is not a finite number")
@@ -98,17 +113,19 @@ class RunConfig:
         if self.n_max is not None and self.n_max < _min_n_max(self.N, degree):
             raise ConfigError(f"n_max={self.n_max} is below N + deg(phi) + 2 = "
                               f"{_min_n_max(self.N, degree)}")
-        bad = set(self.outputs) - set(KNOWN_OUTPUTS)
+        bad = [name for name in self.outputs if name not in KNOWN_OUTPUTS]
         if bad:
-            raise ConfigError(f"unknown outputs: {sorted(bad)}")
+            raise ConfigError(f"unknown outputs: {bad}")
         if isinstance(self.initial, str):
             if self.initial not in INITIAL_CONDITIONS:
                 raise ConfigError(f"unknown initial-condition preset {self.initial!r}")
         else:
             for entry in self.initial:
-                if len(entry) != 3:
-                    raise ConfigError(f"initial entries must be (k, n, value): {entry}")
-                k, n, value = entry
+                try:
+                    k, n, value = entry
+                except (TypeError, ValueError):
+                    raise ConfigError(f"initial entries must be (k, n, value): "
+                                      f"{entry!r}") from None
                 if not (_is_int(k) and _is_int(n) and _is_finite(value)):
                     raise ConfigError(f"initial entry {entry}: k and n must be "
                                       "integers and the value a finite number")
@@ -194,15 +211,25 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _fmt(value) -> str:
-    return f"{value:.17g}"
+def _write_csv(path: Path, header: str, row_template: str, rows) -> None:
+    """Write `header`, then `row_template % row` for each value tuple in `rows`.
 
-
-def _write_csv(path: Path, header: str, rows) -> None:
+    '%.17g' % x gives the same text as f"{x:.17g}"; one `%` per row instead
+    of one format call per cell is what keeps large snapshots cheap.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(row_template % row)
+
+
+def _snapshot_rows(grid: np.ndarray, xs_text: list[str]):
+    """Value tuples (x, h_0, x, h_1, ...) of one snapshot grid, one per x."""
+    cells = [None] * (2 * grid.shape[1])
+    for x_text, hrow in zip(xs_text, grid):
+        cells[::2] = (x_text,) * grid.shape[1]
+        cells[1::2] = hrow.tolist()
+        yield tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -270,7 +297,10 @@ def simulate(config: RunConfig) -> RunResult:
         summary["kappa"] = None
         summary["r_squared"] = None
     conserved = np.array(series.conserved)
-    summary["max_conserved_drift"] = float(np.max(np.abs(conserved)))
+    # Mass and energy_plus are invariants for every potential; the
+    # harmonic-only columns rotate (README, Artifacts) and are left out.
+    summary["max_conserved_drift"] = float(
+        np.max(np.abs(conserved[:, :2] - conserved[0, :2])))
     return RunResult(config=config, times=np.array(series.times),
                      norms=np.array(series.norms), conserved=conserved,
                      snapshots=tuple(snapshots), table=table, kn=reports,
@@ -284,30 +314,36 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     times = result.times.tolist()
     if "norms" in config.outputs:
-        _write_csv(out_dir / "norms.csv", "t,norm",
-                   ([_fmt(t), _fmt(n)] for t, n in zip(times, result.norms.tolist())))
+        _write_csv(out_dir / "norms.csv", "t,norm", "%.17g,%.17g\n",
+                   zip(times, result.norms.tolist()))
     if "conserved" in config.outputs:
-        pad = [""] * (len(diagnostics.CONSERVED_COLUMNS) - result.conserved.shape[1])
+        m = result.conserved.shape[1]
+        # General potentials leave the harmonic-only cells empty.
         _write_csv(out_dir / "conserved.csv",
                    ",".join(("t",) + diagnostics.CONSERVED_COLUMNS),
-                   ([_fmt(t), *map(_fmt, row), *pad]
-                    for t, row in zip(times, result.conserved.tolist())))
-    xs = np.linspace(config.snapshot_range[0], config.snapshot_range[1],
-                     config.snapshot_points[0])
-    vs = np.linspace(config.snapshot_range[2], config.snapshot_range[3],
-                     config.snapshot_points[1])
-    for st in result.snapshots:
-        grid = diagnostics.snapshot(st, xs, vs, result.table)
-        _write_csv(out_dir / f"snapshot_{st.t:g}.csv", "x,v,h",
-                   ([_fmt(x), _fmt(v), _fmt(grid[i, j])]
-                    for i, x in enumerate(xs) for j, v in enumerate(vs)))
+                   "%.17g" + ",%.17g" * m
+                   + "," * (len(diagnostics.CONSERVED_COLUMNS) - m) + "\n",
+                   ((t, *row) for t, row in zip(times, result.conserved.tolist())))
+    if result.snapshots:
+        xs = np.linspace(config.snapshot_range[0], config.snapshot_range[1],
+                         config.snapshot_points[0])
+        vs = np.linspace(config.snapshot_range[2], config.snapshot_range[3],
+                         config.snapshot_points[1])
+        # One line per v with the v cell filled in; x and h are %-slots.
+        grid_row = "".join("%%s,%.17g,%%.17g\n" % v for v in vs.tolist())
+        xs_text = ["%.17g" % x for x in xs.tolist()]
+        for st in result.snapshots:
+            grid = diagnostics.snapshot(st, xs, vs, result.table)
+            _write_csv(out_dir / f"snapshot_{st.t:g}.csv", "x,v,h", grid_row,
+                       _snapshot_rows(grid, xs_text))
     if "recurrence" in config.outputs:
-        _write_csv(out_dir / "recurrence.csv", "n,a_n",
-                   ([str(n), _fmt(a)] for n, a in enumerate(result.table.a)))
+        _write_csv(out_dir / "recurrence.csv", "n,a_n", "%d,%.17g\n",
+                   enumerate(result.table.a.tolist()))
     if result.kn is not None:
         _write_csv(out_dir / "kn_table.csv", "N,M_big,kn0,kn1,kn2,kn3,converged",
-                   ([str(r.N), str(r.m_big), *map(_fmt, r.kn),
-                     str(r.converged).lower()] for r in result.kn))
+                   "%d,%d,%.17g,%.17g,%.17g,%.17g,%s\n",
+                   ((r.N, r.m_big, *r.kn, str(r.converged).lower())
+                    for r in result.kn))
 
 
 def run(config: RunConfig, out_dir: Path) -> dict:
@@ -319,8 +355,8 @@ def run(config: RunConfig, out_dir: Path) -> dict:
     write_artifacts(result, out_dir)
     kappa = result.summary["kappa"]
     print(f"[bgkspectral] steps={result.summary['steps']} "
-          f"kappa={_fmt(kappa) if kappa is not None else 'n/a'} "
-          f"max_conserved_drift={_fmt(result.summary['max_conserved_drift'])}")
+          f"kappa={'n/a' if kappa is None else format(kappa, '.17g')} "
+          f"max_conserved_drift={result.summary['max_conserved_drift']:.17g}")
     return result.summary
 
 
@@ -341,18 +377,27 @@ def _load_config(args) -> RunConfig:
     raise ConfigError("one of --preset or --config is required")
 
 
+# Sweep value parsers by the field's declared type; other types cannot be swept.
+_BOOL_WORDS = {"true": True, "1": True, "false": False, "0": False}
+_SWEEP_CASTERS = {int: int, float: float, bool: _BOOL_WORDS.__getitem__}
+
+
 def _parse_sweep(spec: str, config: RunConfig) -> list[tuple[str, object]]:
     if "=" not in spec:
         raise ConfigError("--sweep expects <field>=<v1,v2,...>")
     name, _, raw = spec.partition("=")
     if name not in config.__dataclass_fields__:
         raise ConfigError(f"unknown sweep field {name!r}")
-    current = getattr(config, name)
-    caster = int if isinstance(current, int) and not isinstance(current, bool) \
-        else float
+    declared = typing.get_type_hints(RunConfig)[name]
+    options = typing.get_args(declared) \
+        if isinstance(declared, types.UnionType) else (declared,)
+    caster = next((_SWEEP_CASTERS[t] for t in options if t in _SWEEP_CASTERS), None)
+    if caster is None:
+        raise ConfigError(f"cannot sweep {name!r}: only int, float and bool "
+                          "fields take one value per variant")
     try:
         values = [caster(v) for v in raw.split(",") if v]
-    except ValueError as exc:
+    except (ValueError, KeyError) as exc:
         raise ConfigError(f"cannot parse sweep values {raw!r}") from exc
     if not values:
         raise ConfigError("empty sweep value list")

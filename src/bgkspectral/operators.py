@@ -46,8 +46,9 @@ def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
     phi' is an odd polynomial of degree 2m-1, so the matrix is the same
     polynomial evaluated at the Jacobi matrix; assembling at `size` plus a
     margin and truncating keeps the retained block exact.  The result is
-    banded on the odd offsets 1, 3, ..., 2m-1, and is mirrored from its
-    strictly lower triangle so that symmetry holds exactly at entry level.
+    banded on the odd offsets 1, 3, ..., 2m-1, and its strictly lower
+    triangle is copied into the upper one along those diagonals, so that
+    symmetry holds exactly at entry level.
     """
     big = size + pot.degree + 2
     if table.n_max < big - 1:
@@ -63,8 +64,9 @@ def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
         if c != 0.0:
             acc[np.diag_indices(big)] += c
     phi = np.tril(acc[:size, :size], -1)
-    del acc, j  # freed before the in-place mirror buffers its overlapping operand
-    phi += phi.T
+    for offset in range(1, pot.degree, 2):
+        idx = np.arange(size - offset)
+        phi[idx, idx + offset] = phi[idx + offset, idx]
     return phi
 
 

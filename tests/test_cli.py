@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from bgkspectral import cli
+from bgkspectral import cli, diagnostics
 from bgkspectral.errors import ConfigError
 
 
@@ -66,10 +67,31 @@ def test_validation_catches_bad_fields(tmp_path):
         small_config(initial=[[0, 1, math.nan]]),
         small_config(initial=[[1.7, 2, 1.0]]),
         small_config(initial=[["a", 2, 1.0]]),
+        small_config(initial=[5]),
+        small_config(initial=5),
+        small_config(potential=2),
+        small_config(snapshot_times=1.0),
+        small_config(snapshot_range="-1,1,-1,1"),
+        small_config(snapshot_points=5),
+        small_config(kn_n_values=8),
+        small_config(fit_window=3),
+        small_config(fit_window=["a", "b"]),
+        small_config(outputs="norms"),          # not read letter by letter
+        small_config(outputs=[["norms"]]),
     ]
     for data in cases:
         with pytest.raises(ConfigError):
             cli.RunConfig.from_dict(data).validate()
+
+
+def test_list_field_of_wrong_type_exits_2(tmp_path):
+    for i, data in enumerate((small_config(initial=[5]), small_config(potential=2),
+                              small_config(outputs="norms"))):
+        cfg = tmp_path / f"bad{i}.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / f"out{i}"
+        assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_unknown_and_missing_fields():
@@ -166,7 +188,9 @@ def test_sweep_rejects_shared_directories(tmp_path):
 
 
 def test_sweep_validation():
-    cfg = cli.RunConfig.from_dict(small_config())
+    data = small_config()
+    del data["n_max"]                       # defaults to None
+    cfg = cli.RunConfig.from_dict(data)
     with pytest.raises(ConfigError):
         cli._parse_sweep("K", cfg)
     with pytest.raises(ConfigError):
@@ -174,6 +198,31 @@ def test_sweep_validation():
     with pytest.raises(ConfigError):
         cli._parse_sweep("K=", cfg)
     assert cli._parse_sweep("dt=0.1,0.2", cfg) == [("dt", 0.1), ("dt", 0.2)]
+    with pytest.raises(ConfigError):
+        cli._parse_sweep("potential=1,2", cfg)
+    with pytest.raises(ConfigError):
+        cli._parse_sweep("K=4.5", cfg)
+    # cast by the declared type, not by the current value
+    for spec, want in (("n_max=40,50", [40, 50]), ("K=4,6", [4, 6]),
+                       ("purge=true,0", [True, False])):
+        values = [v for _, v in cli._parse_sweep(spec, cfg)]
+        assert values == want
+        assert [type(v) for v in values] == [type(v) for v in want]
+
+
+def test_sweep_of_defaulted_integer_field(tmp_path):
+    data = small_config(outputs=["recurrence"])
+    del data["n_max"]                       # defaults to None
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "sweep"
+    code = cli.main(["--config", str(cfg), "--out-dir", str(out),
+                     "--sweep", "n_max=40,50"])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["n_max_40", "n_max_50"]
+    for n_max in (40, 50):
+        rec = (out / f"n_max_{n_max}" / "recurrence.csv").read_text()
+        assert len(rec.splitlines()) == 1 + n_max + 1     # header, a_0..a_{n_max}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -204,3 +253,68 @@ def test_preset_initial_conditions_resolve(tmp_path):
     assert abs(float(first[1])) <= 1e-14            # mass
     assert abs(float(first[2])) <= 1e-12            # energy_plus
     assert first[3] == ""                           # harmonic-only: n/a
+
+
+def test_summary_drift_is_measured_from_t0():
+    # harmonic from C[0,0] = 1: energy_minus reads 1.4189 throughout, but mass
+    # and energy_plus do not move
+    data = small_config(K=10, N=4, dt=0.1, T=2.0, initial=[[0, 0, 1.0]])
+    result = cli.simulate(cli.RunConfig.from_dict(data))
+    assert abs(result.conserved[0, 5]) > 1.0
+    assert result.summary["max_conserved_drift"] <= 1e-12 * result.norms[0]
+
+
+@pytest.mark.parametrize("value", [-0.0, 5e-324, 1e300, 0.1, 4.0,
+                                   math.nan, math.inf, -math.inf])
+def test_percent_format_matches_format_spec(value):
+    assert "%.17g" % value == f"{value:.17g}"
+
+
+def _cells(*values):
+    return ",".join(f"{v:.17g}" for v in values)
+
+
+def _reference_csv(header, rows):
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def test_writer_matches_per_cell_formatting(tmp_path):
+    snap = small_config(outputs=["conserved", "snapshots"], T=0.2,
+                        snapshot_times=[0.0, 0.1],
+                        snapshot_range=[-1, 0.3, -0.7, 2.1], snapshot_points=[3, 7])
+    kn = {"potential": [1.0, -2.0, 1.0], "K": 4, "N": 6, "dt": 0.05, "T": 0.5,
+          "initial": [[0, 1, 1.0], [2, 3, -0.5]],
+          "outputs": ["norms", "conserved", "recurrence", "kn"], "kn_n_values": [4]}
+    names = []
+    for i, data in enumerate((snap, kn)):
+        result = cli.simulate(cli.RunConfig.from_dict(data))
+        cli.write_artifacts(result, tmp_path / str(i))
+        cfg, t = result.config, result.times
+        expected = {}
+        if "norms" in cfg.outputs:
+            expected["norms.csv"] = _reference_csv(
+                "t,norm", ([_cells(a, b)] for a, b in zip(t, result.norms)))
+        pad = [""] * (6 - result.conserved.shape[1])
+        expected["conserved.csv"] = _reference_csv(
+            "t,mass,energy_plus,rx,m0,mx,energy_minus",
+            ([_cells(a, *row), *pad] for a, row in zip(t, result.conserved)))
+        xs = np.linspace(-1, 0.3, 3)
+        vs = np.linspace(-0.7, 2.1, 7)
+        for st in result.snapshots:
+            grid = diagnostics.snapshot(st, xs, vs, result.table)
+            expected[f"snapshot_{st.t:g}.csv"] = _reference_csv(
+                "x,v,h", ([_cells(x, v, grid[a, b])]
+                          for a, x in enumerate(xs) for b, v in enumerate(vs)))
+        if "recurrence" in cfg.outputs:
+            expected["recurrence.csv"] = _reference_csv(
+                "n,a_n", ([str(n), _cells(a)] for n, a in enumerate(result.table.a)))
+        if result.kn is not None:
+            expected["kn_table.csv"] = _reference_csv(
+                "N,M_big,kn0,kn1,kn2,kn3,converged",
+                ([str(r.N), str(r.m_big), _cells(*r.kn), str(r.converged).lower()]
+                 for r in result.kn))
+        written = {p.name: p.read_text() for p in (tmp_path / str(i)).iterdir()}
+        assert written == expected
+        names.append(sorted(written))
+    assert names == [["conserved.csv", "snapshot_0.1.csv", "snapshot_0.csv"],
+                     ["conserved.csv", "kn_table.csv", "norms.csv", "recurrence.csv"]]
