@@ -103,6 +103,10 @@ class RunConfig:
             )
         if self.K < 0:
             raise ConfigError("K must be nonnegative")
+        if any(n < 0 for n in self.kn_n_values):
+            raise ConfigError(f"kn_n_values: {self.kn_n_values} has a negative entry")
+        if not isinstance(self.purge, bool):
+            raise ConfigError(f"purge: {self.purge!r} is not a boolean")
         if self.dt <= 0 or self.T <= 0:
             raise ConfigError("dt and T must be positive")
         steps = self.T / self.dt

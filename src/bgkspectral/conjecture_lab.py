@@ -34,10 +34,16 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
                 m_big: int) -> np.ndarray:
     """Largest singular values of the four projected compositions on X_N.
 
-    Inputs are restricted to polynomials of degree <= N; the compositions are
-    applied as dense m_big-by-(N+1) matrices with Omega powers formed from the
-    symmetric eigendecomposition of the m_big truncation.
+    With L the m_big truncation of d* (the strictly lower part of Phi, whose
+    strictly upper part is exactly L^T) and X = L[:N+1, :N+1] = P d* E, the
+    compositions are Omega^(-1/2) X, Omega^(-1) L^T X, Omega^(-1) X X and
+    Omega^(-1) P L L^T E, each applied to a block whose rows beyond N vanish.
+    One solve against Omega covers all four right-hand sides, and
+    ||Omega^(-1/2) X||^2 = ||X^T Omega^(-1) X||.  A Cholesky factorization
+    guards positive definiteness: an inconsistent Omega raises LinAlgError.
     """
+    if N < 0:
+        raise ValueError(f"N={N} is negative")
     two_m = pot.degree
     if m_big < N + 2 * two_m:
         raise ValueError(
@@ -46,30 +52,20 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
         )
     phi = build_phi_matrix(table, pot, m_big + two_m)
     lower = np.tril(phi, -1)[:m_big, :m_big]
-    upper = np.triu(phi, 1)[:m_big, :m_big]
     omega = build_omega_matrix(phi, m_big)
+    np.linalg.cholesky(omega)
 
-    evals, vecs = np.linalg.eigh(omega)
-    if evals.min() <= 0.0:
-        raise RuntimeError(
-            f"Omega truncation not positive definite (min eigenvalue {evals.min()}); "
-            "operator assembly is inconsistent"
-        )
-    om_isqrt = (vecs * evals ** -0.5) @ vecs.T
-    om_inv = (vecs / evals) @ vecs.T
-
-    proj = np.zeros((m_big, m_big))
-    proj[np.arange(N + 1), np.arange(N + 1)] = 1.0
-    embed = np.eye(m_big)[:, : N + 1]
-
-    ps = proj @ lower
-    comps = (
-        om_isqrt @ ps @ embed,
-        om_inv @ upper @ ps @ embed,
-        om_inv @ ps @ ps @ embed,
-        om_inv @ proj @ lower @ upper @ embed,
-    )
-    return np.array([np.linalg.norm(c, ord=2) for c in comps])
+    n1 = N + 1
+    x = lower[:n1, :n1]
+    rhs = np.zeros((m_big, 4 * n1))
+    rhs[:n1, :n1] = x
+    rhs[:, n1:2 * n1] = lower[:n1].T @ x
+    rhs[:n1, 2 * n1:3 * n1] = x @ x
+    rhs[:n1, 3 * n1:] = lower[:n1] @ lower[:n1].T
+    w = np.linalg.solve(omega, rhs)
+    kn0 = np.sqrt(np.linalg.norm(x.T @ w[:n1, :n1], ord=2))
+    return np.array([kn0] + [np.linalg.norm(w[:, k * n1:(k + 1) * n1], ord=2)
+                             for k in (1, 2, 3)])
 
 
 def _agree(a: np.ndarray, b: np.ndarray, rel_tol: float) -> bool:

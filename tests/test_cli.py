@@ -78,6 +78,10 @@ def test_validation_catches_bad_fields(tmp_path):
         small_config(fit_window=["a", "b"]),
         small_config(outputs="norms"),          # not read letter by letter
         small_config(outputs=[["norms"]]),
+        small_config(kn_n_values=[-3]),
+        small_config(purge="no"),               # a truthy string
+        small_config(purge=1),
+        small_config(purge=None),
     ]
     for data in cases:
         with pytest.raises(ConfigError):
@@ -104,7 +108,9 @@ def test_unknown_and_missing_fields():
 def test_invalid_config_leaves_no_artifacts(tmp_path):
     too_short_table = {"potential": [1, -2, 1], "K": 4, "N": 30, "T": 0.1,
                        "n_max": 20}
-    for i, data in enumerate((small_config(N=1), too_short_table)):
+    for i, data in enumerate((small_config(N=1), too_short_table,
+                              small_config(kn_n_values=[-3], outputs=["kn"]),
+                              small_config(purge="no"))):
         cfg = tmp_path / f"bad{i}.json"
         cfg.write_text(json.dumps(data))
         out = tmp_path / f"out{i}"

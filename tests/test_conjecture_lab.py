@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,42 @@ import pytest
 from scipy.linalg import sqrtm
 
 import bgkspectral as bk
+from bgkspectral import cli, conjecture_lab
+
+SEXTIC_COEFFS = (0.0, 0.0, 0.0, 1.0)
+OCTIC_COEFFS = (0.0, 1.0, -3.0, 0.5, 0.2)
+
+
+def _dense_eigh_kn(table, pot, N, m_big):
+    """Reference K_N: Omega powers from the symmetric eigendecomposition,
+    compositions chained through a dense projector and embedding."""
+    two_m = pot.degree
+    phi = bk.build_phi_matrix(table, pot, m_big + two_m)
+    lower = np.tril(phi, -1)[:m_big, :m_big]
+    upper = np.triu(phi, 1)[:m_big, :m_big]
+    omega = bk.build_omega_matrix(phi, m_big)
+
+    evals, vecs = np.linalg.eigh(omega)
+    if evals.min() <= 0.0:
+        raise RuntimeError(
+            f"Omega truncation not positive definite (min eigenvalue {evals.min()}); "
+            "operator assembly is inconsistent"
+        )
+    om_isqrt = (vecs * evals ** -0.5) @ vecs.T
+    om_inv = (vecs / evals) @ vecs.T
+
+    proj = np.zeros((m_big, m_big))
+    proj[np.arange(N + 1), np.arange(N + 1)] = 1.0
+    embed = np.eye(m_big)[:, : N + 1]
+
+    ps = proj @ lower
+    comps = (
+        om_isqrt @ ps @ embed,
+        om_inv @ upper @ ps @ embed,
+        om_inv @ ps @ ps @ embed,
+        om_inv @ proj @ lower @ upper @ embed,
+    )
+    return np.array([np.linalg.norm(c, ord=2) for c in comps])
 
 
 def _harmonic_closed_forms(n):
@@ -65,6 +102,38 @@ def test_doublewell_sweep_reports(doublewell_table, doublewell_pot):
     # no boundedness assertion: the N-dependence is an open question
 
 
+@pytest.mark.parametrize("coeffs", [(0.5 * math.log(2.0 * math.pi), 0.5),
+                                    (1.0, -2.0, 1.0), SEXTIC_COEFFS, OCTIC_COEFFS])
+def test_solve_matches_dense_eigh_oracle(coeffs):
+    pot = bk.normalize_potential(bk.RawPotential(coeffs))
+    pad = max(16, 2 * pot.degree)
+    table = bk.build_recurrence(pot, 4 * (64 + pad) + 2 * pot.degree + 2)
+    for n in (0, 4, 16, 64):
+        for m_big in (f * (n + pad) for f in (1, 2, 4)):
+            got = bk.estimate_kn(table, pot, n, m_big)
+            want = _dense_eigh_kn(table, pot, n, m_big)
+            # relative above 1, absolute below
+            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
+
+
+def test_indefinite_omega_is_a_typed_failure(monkeypatch, tmp_path,
+                                             doublewell_table, doublewell_pot):
+    def indefinite(phi, size):
+        omega = np.eye(size)
+        omega[-1, -1] = -1.0
+        return omega
+
+    monkeypatch.setattr(conjecture_lab, "build_omega_matrix", indefinite)
+    with pytest.raises(np.linalg.LinAlgError):
+        bk.estimate_kn(doublewell_table, doublewell_pot, 4, 40)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": [1.0, -2.0, 1.0], "K": 4, "N": 4,
+                               "T": 0.1, "outputs": ["kn"], "kn_n_values": [4]}))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_galerkin_stabilization(doublewell_table, doublewell_pot):
     values = [bk.estimate_kn(doublewell_table, doublewell_pot, 8, big)
               for big in (48, 96)]
@@ -75,6 +144,12 @@ def test_galerkin_stabilization(doublewell_table, doublewell_pot):
 def test_ambient_size_validation(harmonic_table, harmonic_pot):
     with pytest.raises(ValueError):
         bk.estimate_kn(harmonic_table, harmonic_pot, 10, 12)
+
+
+def test_negative_truncation_is_rejected(harmonic_table, harmonic_pot):
+    # N = -1 would otherwise slice empty blocks and report four zeros.
+    with pytest.raises(ValueError, match="negative"):
+        bk.estimate_kn(harmonic_table, harmonic_pot, -1, 64)
 
 
 def test_empty_sweep(harmonic_pot):

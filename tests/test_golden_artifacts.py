@@ -65,7 +65,7 @@ GOLDEN = {
         "conserved.csv":
             "d9d39b1b5b32bc6819aed2e8888ffe47f91111706ae66d0f87a4c8756740eda8",
         "kn_table.csv":
-            "64069fbe87811ca906f0a79388e79845f2fd21b4c33c19af880580a2448d2cbb",
+            "e0d042c4572d80d1ca7adf8468bd9180dd2b85576705fe0e289c3cdef5c8df92",
         "norms.csv":
             "702b028815d237a6a729b1eee126eda66f79179a4f66b7022a53542e80a5da48",
         "recurrence.csv":

@@ -17,8 +17,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bgkspectral as bk
 from bgkspectral import cli, diagnostics
-from bgkspectral.errors import ConfigError
+from bgkspectral.errors import (ConfigError, IntegrationFailureError,
+                                InvalidPotentialError, PrecisionFailureError)
 
 
 def _config(potential, K, N, dt, steps, initial, purge):
@@ -88,3 +90,27 @@ def test_simulate_keeps_the_discrete_structure(data):
         with contextlib.redirect_stdout(io.StringIO()):
             cli.run(cli.RunConfig.from_dict(data), Path(tmp) / "run")
         assert _files(Path(tmp) / "written") == _files(Path(tmp) / "run")
+
+
+@st.composite
+def potentials_and_sizes(draw):
+    m = draw(st.integers(1, 4))                               # deg(phi) = 2m
+    lower = draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
+    lead = draw(st.floats(0.05, 2.0))
+    return lower + [lead], draw(st.integers(2 * m, 150))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(potentials_and_sizes())
+def test_couplings_satisfy_freuds_identity(drawn):
+    # P_n' = (n / a_n) P_{n-1} + lower degrees, so A[n, n-1] = n / a_n exactly:
+    # a certificate of the recurrence table and of A = tril(Phi, -1) together.
+    coeffs, N = drawn
+    try:
+        pot = bk.normalize_potential(bk.RawPotential(tuple(coeffs)))
+        table = bk.build_recurrence(pot, N + pot.degree + 2)
+    except (InvalidPotentialError, IntegrationFailureError, PrecisionFailureError):
+        return
+    A = bk.build_deriv_couplings(table, N).A
+    n = np.arange(1, N + 1)
+    assert np.max(np.abs(A[n, n - 1] * table.a[n] / n - 1.0)) <= 1e-10
