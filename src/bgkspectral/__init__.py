@@ -15,9 +15,9 @@ from .errors import (ConfigError, IntegrationFailureError,
                      InvalidPotentialError, PrecisionFailureError,
                      SolverConsistencyError)
 from .operators import (DerivCouplings, build_deriv_couplings,
-                        build_omega_matrix, build_phi_matrix, jacobi_matrix)
+                        build_omega_matrix, build_phi_matrix, jacobi_horner)
 from .orthopoly import (QuadratureRule, RecurrenceTable, build_quadrature,
-                        build_recurrence, eval_poly_all,
+                        build_recurrence, chebyshev_recurrence, eval_poly_all,
                         eval_poly_and_deriv_all, hermite_eval_all,
                         inner_products, magnus_constant)
 from .potential import (NormalizedPotential, RawPotential, normalize_potential,
@@ -38,10 +38,10 @@ __all__ = [
     "SpectralState", "SteppingPlan", "assemble_generator",
     "build_deriv_couplings", "build_functional_basis", "build_omega_matrix",
     "build_phi_matrix", "build_quadrature", "build_recurrence",
-    "conserved_functionals", "estimate_kn", "eval_poly_all",
-    "eval_poly_and_deriv_all", "fit_decay_rate", "hermite_eval_all",
-    "inner_products", "jacobi_matrix", "kn_sweep", "l2_norm",
-    "magnus_constant", "make_stepping_plan", "normalize_potential",
+    "chebyshev_recurrence", "conserved_functionals", "estimate_kn",
+    "eval_poly_all", "eval_poly_and_deriv_all", "fit_decay_rate",
+    "hermite_eval_all", "inner_products", "jacobi_horner", "kn_sweep",
+    "l2_norm", "magnus_constant", "make_stepping_plan", "normalize_potential",
     "project_initial_condition", "purge_equilibrium_components", "snapshot",
     "step", "tail_cutoff",
 ]

@@ -54,6 +54,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {data!r} is not a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known
         if extra:
@@ -288,7 +290,7 @@ def simulate(config: RunConfig) -> RunResult:
         if i in snap_steps:
             snapshots.append(state)
 
-    reports = kn_sweep(pot, config.kn_n_values, table=table) \
+    reports = kn_sweep(pot, config.kn_n_values) \
         if "kn" in config.outputs else None
 
     window = config.fit_window or [0.2 * config.T, config.T]

@@ -72,15 +72,17 @@ def _agree(a: np.ndarray, b: np.ndarray, rel_tol: float) -> bool:
     return bool(np.all(np.abs(a - b) <= rel_tol * np.maximum(np.abs(b), 1e-12)))
 
 
-def kn_sweep(pot: NormalizedPotential, n_values, table: RecurrenceTable | None = None,
-             m_factors=(1, 2, 4), rel_tol: float = 0.01) -> list[KNReport]:
+def kn_sweep(pot: NormalizedPotential, n_values, m_factors=(1, 2, 4),
+             rel_tol: float = 0.01) -> list[KNReport]:
     """Norm estimates over a list of truncations N, with a stabilization check.
 
     For each N the ambient size runs through m_factors * (N + pad), with
     pad = max(16, 2 deg(phi)) so that even the smallest size leaves the room
     `estimate_kn` needs; the reported values come from the largest ambient
     size and are flagged converged only when the last two sizes agree to
-    rel_tol componentwise.
+    rel_tol componentwise.  The sweep builds its own recurrence table, long
+    enough for the largest ambient size, so the values depend only on the
+    potential and the sizes.
     """
     n_values = list(n_values)
     if not n_values:
@@ -88,8 +90,7 @@ def kn_sweep(pot: NormalizedPotential, n_values, table: RecurrenceTable | None =
     two_m = pot.degree
     pad = max(16, 2 * two_m)
     max_big = max(f * (n + pad) for n in n_values for f in m_factors)
-    if table is None or table.n_max < max_big + 2 * two_m + 2:
-        table = build_recurrence(pot, max_big + 2 * two_m + 2)
+    table = build_recurrence(pot, max_big + 2 * two_m + 2)
     reports = []
     for n in n_values:
         bigs = sorted(f * (n + pad) for f in m_factors)

@@ -27,16 +27,26 @@ class DerivCouplings:
     table: RecurrenceTable = field(repr=False)
 
 
-def jacobi_matrix(table: RecurrenceTable, size: int) -> np.ndarray:
-    """Dense truncation of the x-multiplication (Jacobi) matrix."""
-    if table.n_max < size - 1:
-        raise ValueError(f"recurrence table too short for size {size}")
-    j = np.zeros((size, size))
-    idx = np.arange(size - 1)
-    off = table.a[1:size]
-    j[idx, idx + 1] = off
-    j[idx + 1, idx] = off
-    return j
+def jacobi_horner(a: np.ndarray, coeffs, v: np.ndarray) -> np.ndarray:
+    """p(J) v by Horner's rule, J the Jacobi matrix of `a` cut to len(v) rows.
+
+    `coeffs` lists p in ascending powers.  J is never formed: (J w)_i =
+    a_i w_{i-1} + a_{i+1} w_{i+1} is two shifted, scaled copies of the rows
+    of w.  `v` may carry trailing axes, which are transformed column by column.
+    """
+    if len(a) < len(v):
+        raise ValueError(f"recurrence coefficients reach {len(a) - 1}, "
+                         f"need {len(v) - 1}")
+    off = a[1:len(v)].reshape((-1,) + (1,) * (v.ndim - 1))
+    out = coeffs[-1] * v
+    for c in coeffs[-2::-1]:
+        jw = np.zeros_like(out)
+        jw[:-1] = off * out[1:]
+        jw[1:] += off * out[:-1]
+        if c != 0.0:
+            jw += c * v
+        out = jw
+    return out
 
 
 def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
@@ -44,26 +54,20 @@ def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
     """Dense symmetric matrix of multiplication by phi' in the orthonormal basis.
 
     phi' is an odd polynomial of degree 2m-1, so the matrix is the same
-    polynomial evaluated at the Jacobi matrix; assembling at `size` plus a
-    margin and truncating keeps the retained block exact.  The result is
-    banded on the odd offsets 1, 3, ..., 2m-1, and its strictly lower
-    triangle is copied into the upper one along those diagonals, so that
-    symmetry holds exactly at entry level.
+    polynomial evaluated at the Jacobi matrix; applying it to the first `size`
+    unit vectors of a space `size` plus a margin long and truncating keeps
+    the retained block exact.  The result is banded on the odd offsets 1, 3,
+    ..., 2m-1, and its strictly lower triangle is copied into the upper one
+    along those diagonals, so that symmetry holds exactly at entry level.
     """
     big = size + pot.degree + 2
     if table.n_max < big - 1:
         raise ValueError(
             f"recurrence table reaches {table.n_max}, need {big - 1} for size {size}"
         )
-    j = jacobi_matrix(table, big)
     dcoeffs = npoly.polyder(_full_coeffs(pot.coeffs))
-    acc = np.zeros_like(j)
-    np.fill_diagonal(acc, dcoeffs[-1])
-    for c in dcoeffs[-2::-1]:
-        acc = acc @ j
-        if c != 0.0:
-            acc[np.diag_indices(big)] += c
-    phi = np.tril(acc[:size, :size], -1)
+    acc = jacobi_horner(table.a, dcoeffs, np.eye(big, size))
+    phi = np.tril(acc[:size], -1)
     for offset in range(1, pot.degree, 2):
         idx = np.arange(size - offset)
         phi[idx, idx + offset] = phi[idx + offset, idx]

@@ -5,10 +5,11 @@ The family P_0, P_1, ... is defined by the symmetric three-term recurrence
     x P_n(x) = a_{n+1} P_{n+1}(x) + a_n P_{n-1}(x),   P_0 = 1/a_0,  P_{-1} = 0,
 
 with a_0 = sqrt(integral of rho).  Two independent constructions of the
-coefficients a_n are provided: a discretized Stieltjes procedure in ordinary
-double precision (the production path) and a moment-based recurrence run in
-software extended precision (the cross-check path, exponentially
-ill-conditioned in double precision).
+coefficients a_n are provided: `build_recurrence`, a discretized Stieltjes
+procedure in ordinary double precision (the production path), and
+`chebyshev_recurrence`, a moment-based recurrence run in software extended
+precision (the cross-check oracle, exponentially ill-conditioned in double
+precision).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class RecurrenceTable:
     """Recurrence coefficients a_0..a_n_max for one normalized weight."""
 
     a: np.ndarray
-    method: str
     weight: NormalizedPotential
 
     @property
@@ -74,24 +74,6 @@ def _stieltjes_pass(pot, n_max: int, panels: int, cutoff: float) -> np.ndarray:
     return a
 
 
-def _stieltjes(pot, n_max: int, rel_tol: float) -> np.ndarray:
-    cutoff = tail_cutoff(pot, poly_degree=2 * n_max + 2)
-    panels = max(256, 2 * n_max)
-    prev = None
-    while True:
-        a = _stieltjes_pass(pot, n_max, panels, cutoff)
-        if prev is not None:
-            err = float(np.max(np.abs(a - prev) / np.maximum(a, 1e-300)))
-            if err <= rel_tol:
-                return a
-        panels *= 2
-        if 6 * panels + 1 > (1 << 22):
-            raise IntegrationFailureError(
-                f"Stieltjes discretization did not converge to rel_tol={rel_tol}"
-            )
-        prev = a
-
-
 def _weight_moments_mp(pot, top: int, dps: int) -> list:
     """Even moments m_0, m_1, ..., m_top of rho in extended precision.
 
@@ -128,8 +110,17 @@ def _weight_moments_mp(pot, top: int, dps: int) -> list:
     return moments
 
 
-def _chebyshev_extended(pot, n_max: int, dps: int) -> np.ndarray:
-    """Moment-to-recurrence map (Chebyshev algorithm) in extended precision."""
+def chebyshev_recurrence(pot: NormalizedPotential, n_max: int,
+                         dps: int = 60) -> RecurrenceTable:
+    """Recurrence coefficients a_0..a_n_max from power moments, in extended precision.
+
+    The Chebyshev algorithm maps the moments of rho = exp(-pot) to the
+    recurrence.  It is exponentially ill-conditioned, so it runs with `dps`
+    decimal digits and is meant as an independent cross-check of
+    `build_recurrence` for moderate n_max.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     # Imported here: only this cross-check path needs extended precision.
     import mpmath as mp
     n = n_max + 1
@@ -160,39 +151,33 @@ def _chebyshev_extended(pot, n_max: int, dps: int) -> np.ndarray:
                 f"Chebyshev algorithm symmetry drift {mp.nstr(drift)} at index "
                 f"{bad} exceeds the precision budget at dps={dps}", bad
             )
-        return np.array([float(mp.sqrt(b)) for b in beta])
+        a = np.array([float(mp.sqrt(b)) for b in beta])
+    return RecurrenceTable(a=a, weight=pot)
 
 
-def build_recurrence(pot: NormalizedPotential, n_max: int,
-                     method: str = "stieltjes", rel_tol: float = 1e-12,
-                     dps: int = 60) -> RecurrenceTable:
-    """Compute the recurrence coefficients a_0..a_n_max for the weight of `pot`.
+def build_recurrence(pot: NormalizedPotential, n_max: int) -> RecurrenceTable:
+    """Recurrence coefficients a_0..a_n_max for the weight rho = exp(-pot).
 
-    Parameters
-    ----------
-    pot : NormalizedPotential
-        Weight is rho = exp(-pot).
-    n_max : int
-        Largest coefficient index.
-    method : {"stieltjes", "chebyshev_extended"}
-        "stieltjes" discretizes the weight and runs the recurrence directly
-        (double precision, refined until stable).  "chebyshev_extended" maps
-        power moments to recurrence coefficients in extended precision and is
-        meant as an independent cross-check for moderate n_max.
-    rel_tol : float
-        Stagnation tolerance for the Stieltjes refinement loop.
-    dps : int
-        Decimal digits carried by the extended-precision path.
+    A discretized Stieltjes procedure in double precision: the weight is
+    sampled on a composite rule over the truncated support, and the panel
+    count doubles until two passes agree to a relative 1e-12.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if method == "stieltjes":
-        a = _stieltjes(pot, n_max, rel_tol)
-    elif method == "chebyshev_extended":
-        a = _chebyshev_extended(pot, n_max, dps)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return RecurrenceTable(a=a, method=method, weight=pot)
+    cutoff = tail_cutoff(pot, poly_degree=2 * n_max + 2)
+    panels = max(256, 2 * n_max)
+    prev = None
+    while True:
+        a = _stieltjes_pass(pot, n_max, panels, cutoff)
+        if prev is not None:
+            err = float(np.max(np.abs(a - prev) / np.maximum(a, 1e-300)))
+            if err <= 1e-12:
+                return RecurrenceTable(a=a, weight=pot)
+        panels *= 2
+        if 6 * panels + 1 > (1 << 22):
+            raise IntegrationFailureError(
+                "Stieltjes discretization did not converge to 1e-12")
+        prev = a
 
 
 def eval_poly_all(table: RecurrenceTable, n: int, x) -> np.ndarray:

@@ -62,7 +62,7 @@ def test_criterion_1_orthonormal_engine():
     gram_err = np.max(np.abs(gram - np.eye(41)))
     assert gram_err <= 1e-9
 
-    cheb = bk.build_recurrence(dw, 20, method="chebyshev_extended")
+    cheb = bk.chebyshev_recurrence(dw, 20)
     agree = np.max(np.abs(cheb.a - dtab.a[:21]) / cheb.a)
     assert agree <= 1e-10
 
@@ -263,7 +263,7 @@ def test_criterion_8_first_order_convergence(harmonic_pot, harmonic_table):
 
 
 def test_criterion_9_operator_norm_lab(harmonic_pot, harmonic_table,
-                                       doublewell_pot, doublewell_table):
+                                       doublewell_pot):
     start = time.monotonic()
     # Harmonic closed form for the first composition: the adjoint derivative
     # raises the index with weight sqrt(n+1), Omega is diagonal with entries
@@ -275,7 +275,7 @@ def test_criterion_9_operator_norm_lab(harmonic_pot, harmonic_table,
         worst = max(worst, abs(kn[0] - math.sqrt(n / (n + 1.0))))
     assert worst <= 1e-10
 
-    reports = bk.kn_sweep(doublewell_pot, [4, 8, 16, 32], table=doublewell_table)
+    reports = bk.kn_sweep(doublewell_pot, [4, 8, 16, 32])
     assert all(r.converged for r in reports)
     table_txt = "; ".join(
         f"N={r.N}: {r.kn[0]:.4f},{r.kn[1]:.4f},{r.kn[2]:.4f},{r.kn[3]:.4f}"

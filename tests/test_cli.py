@@ -103,6 +103,9 @@ def test_unknown_and_missing_fields():
         cli.RunConfig.from_dict(small_config(bogus=1))
     with pytest.raises(ConfigError, match="missing"):
         cli.RunConfig.from_dict({"K": 2})
+    for data in ("abc", [1, 2]):
+        with pytest.raises(ConfigError, match="not a JSON object"):
+            cli.RunConfig.from_dict(data)
 
 
 def test_invalid_config_leaves_no_artifacts(tmp_path):
@@ -110,7 +113,9 @@ def test_invalid_config_leaves_no_artifacts(tmp_path):
                        "n_max": 20}
     for i, data in enumerate((small_config(N=1), too_short_table,
                               small_config(kn_n_values=[-3], outputs=["kn"]),
-                              small_config(purge="no"))):
+                              small_config(purge="no"),
+                              # Not a JSON object at all.
+                              5, None, "abc", [1, 2])):
         cfg = tmp_path / f"bad{i}.json"
         cfg.write_text(json.dumps(data))
         out = tmp_path / f"out{i}"
@@ -158,6 +163,15 @@ def test_recurrence_and_kn_outputs(tmp_path):
     assert fields[0] == "4" and fields[6] == "true"
     # harmonic closed form for the first column
     assert float(fields[2]) == pytest.approx(math.sqrt(4.0 / 5.0), abs=1e-10)
+
+
+def test_kn_values_do_not_depend_on_n_max():
+    data = {"potential": [1.0, -2.0, 1.0], "K": 4, "N": 4, "T": 0.1,
+            "outputs": ["kn"], "kn_n_values": [4, 8, 16, 32]}
+    default = cli.simulate(cli.RunConfig.from_dict(data))
+    longer = cli.simulate(cli.RunConfig.from_dict(dict(data, n_max=300)))
+    assert longer.table.n_max == 300
+    assert [r.kn for r in longer.kn] == [r.kn for r in default.kn]
 
 
 def test_snapshot_output(tmp_path):

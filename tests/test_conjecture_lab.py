@@ -68,8 +68,8 @@ def test_constant_input_edge_case(harmonic_table, harmonic_pot):
     assert np.max(kn) <= 1e-14
 
 
-def test_harmonic_sweep_monotone(harmonic_table, harmonic_pot):
-    reports = bk.kn_sweep(harmonic_pot, list(range(1, 33)), table=harmonic_table)
+def test_harmonic_sweep_monotone(harmonic_pot):
+    reports = bk.kn_sweep(harmonic_pot, list(range(1, 33)))
     kn0 = [r.kn[0] for r in reports]
     assert all(b > a for a, b in zip(kn0, kn0[1:]))
     assert all(v < 1.0 for v in kn0)
@@ -92,8 +92,8 @@ def test_omega_spectrum_bounded_below(doublewell_table, doublewell_pot):
     assert np.linalg.eigvalsh(omega).min() >= 1.0 - 1e-8
 
 
-def test_doublewell_sweep_reports(doublewell_table, doublewell_pot):
-    reports = bk.kn_sweep(doublewell_pot, [4, 8, 16, 32], table=doublewell_table)
+def test_doublewell_sweep_reports(doublewell_pot):
+    reports = bk.kn_sweep(doublewell_pot, [4, 8, 16, 32])
     assert [r.N for r in reports] == [4, 8, 16, 32]
     for r in reports:
         assert r.converged

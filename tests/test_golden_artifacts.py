@@ -41,33 +41,33 @@ GOLDEN = {
         "conserved.csv":
             "de65d1a87602e3c491366bf2772b2c633e8f21c3d2d955668ebb21f77feb3941",
         "norms.csv":
-            "6409f0fbb4299dbb56469a6c74212e23e3b0663df292eb35abbcb14ff6da5947",
+            "870d285a98e1ca4722a84fcdc55017d67a879ee807299e30b98e5f0eb101c9fe",
     },
     "doublewell_fig4": {
         "conserved.csv":
-            "92e47c35138e20e23d2a51330919951dedef7e6e4e652b6a55e910b9c707a630",
+            "e2d0982d0317aa2d7378b00523de77db2fdbf6937285e0fd9b3400d32d4b07f4",
         "norms.csv":
-            "512c465f990dcfa566255fdab5e97267e9b72f76f48c1c1728cf1ff0e041b34c",
+            "9b7138c6b5dc9279f98bbbb04dd8a6c70aeba51eaa08f745ca38e64546d7f683",
         "snapshot_0.csv":
             "efaae18c8de022a9bbd2a3b50384360d3f73b60e7ad0283d7453333722351877",
         "snapshot_10.csv":
-            "58ecd0d1cbfa877e933142a03168e8fe13cf84aeaed8cf22e347229bb15bb4cd",
+            "9d6d50ebc7bb6d61e37393fe50d4e95a55127d29151442ea87f065e6fd04943f",
         "snapshot_12.csv":
-            "f1cb3b674c7c2c6b8b66e333be417c04e427b9cf4321920ad1cca50ce0963257",
+            "e5cc114e8008c0d44196b4bd533a73705c9bdf46a94e3cfe567dc00f8ed8fd35",
         "snapshot_2.5.csv":
-            "6c79cce57459a8274841f6c7d5d7e65e0397afae7cea2685e44d6fda8669ceb6",
+            "becf171b985e67805f55bf16698a950b79580d4a3bab196c596c90a3258ba6bf",
         "snapshot_5.csv":
-            "96b4f57369858b109706674aac8412154cfd0696c19ac8dd320b9966aaa5388a",
+            "ff71fe0f7f2eac6486c16e801594d86fd706d6918d596b4451813ef7d80e2546",
         "snapshot_7.5.csv":
-            "8ee373465261dcad6cecdafd5e800d8adc91b5c3d13beb33725932f6ab1a5b96",
+            "003accf471d0cc88a7523e5786ae2675139625170dfe1b8fd065a046fe1ffdb6",
     },
     "doublewell_kn": {
         "conserved.csv":
-            "d9d39b1b5b32bc6819aed2e8888ffe47f91111706ae66d0f87a4c8756740eda8",
+            "b3fbdbf5e6b1eecfe17dd995c58977bb5ddb547e3ae55310543aff39341fd31e",
         "kn_table.csv":
-            "e0d042c4572d80d1ca7adf8468bd9180dd2b85576705fe0e289c3cdef5c8df92",
+            "6852056f4456a1bed095042aebf10b32ab0ad4b98a592c0b66a7045b3a9727d2",
         "norms.csv":
-            "702b028815d237a6a729b1eee126eda66f79179a4f66b7022a53542e80a5da48",
+            "569498bc81df3698463f9a3e3bebb404c0c2e76445ed4638b3262349e25da029",
         "recurrence.csv":
             "35b52531aa609f7d8afca377d4059158ab6d9501ce3afc67f554c259f0d6ddad",
     },

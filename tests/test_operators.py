@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import bgkspectral as bk
+from bgkspectral.potential import _full_coeffs
+
+KERNEL_POTENTIALS = [(0.5 * math.log(2.0 * math.pi), 0.5), (1.0, -2.0, 1.0),
+                     (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, -3.0, 0.5, 0.2)]
 
 
 @pytest.fixture(scope="module")
@@ -12,8 +19,45 @@ def dw_phi(doublewell_table, doublewell_pot):
 def test_harmonic_phi_is_jacobi(harmonic_table, harmonic_pot):
     # phi' = x, so the multiplication matrix is the Jacobi matrix itself.
     phi = bk.build_phi_matrix(harmonic_table, harmonic_pot, 30)
-    expect = bk.jacobi_matrix(harmonic_table, 30)
+    off = harmonic_table.a[1:30]
+    expect = np.diag(off, 1) + np.diag(off, -1)
     assert np.max(np.abs(phi - expect)) <= 1e-12
+
+
+def _dense_horner(table, coeffs, size):
+    """p(J) by Horner's rule with dense products on an explicit tridiagonal J."""
+    off = table.a[1:size]
+    j = np.diag(off, 1) + np.diag(off, -1)
+    acc = np.zeros_like(j)
+    np.fill_diagonal(acc, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc @ j
+        acc[np.diag_indices(size)] += c
+    return acc
+
+
+@pytest.mark.parametrize("coeffs", KERNEL_POTENTIALS)
+def test_jacobi_horner_matches_dense_horner(coeffs):
+    pot = bk.normalize_potential(bk.RawPotential(coeffs))
+    table = bk.build_recurrence(pot, 576 + pot.degree + 1)
+    full = _full_coeffs(pot.coeffs)
+    for size in (4, 16, 64, 576):
+        big = size + pot.degree + 2
+        dense = _dense_horner(table, npoly.polyder(full), big)[:size, :size]
+        phi = bk.build_phi_matrix(table, pot, size)
+        assert np.max(np.abs(phi - dense)) <= 1e-12 * np.max(np.abs(dense))
+        basis = bk.build_functional_basis(table, size - 1)
+        ip_phi = table.a[0] * _dense_horner(table, full, big)[:size, 0]
+        assert np.max(np.abs(basis.ip_phi - ip_phi)) \
+            <= 1e-14 * np.max(np.abs(ip_phi))
+        assert np.array_equal(basis.ip_x,
+                              np.eye(size)[1] * table.a[0] * table.a[1])
+
+
+def test_jacobi_horner_requires_long_table(harmonic_table):
+    too_long = np.eye(harmonic_table.n_max + 2, 3)
+    with pytest.raises(ValueError):
+        bk.jacobi_horner(harmonic_table.a, [0.0, 1.0], too_long)
 
 
 def test_quartic_band_closed_forms(dw_phi, doublewell_table, doublewell_pot):

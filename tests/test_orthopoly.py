@@ -140,8 +140,8 @@ def test_harmonic_potential_expansion(harmonic_table, harmonic_gauss, harmonic_p
                                     (1.0, -2.0, 1.0)])
 def test_stieltjes_vs_extended_chebyshev(coeffs):
     pot = bk.normalize_potential(bk.RawPotential(coeffs))
-    st = bk.build_recurrence(pot, 20, method="stieltjes")
-    ch = bk.build_recurrence(pot, 20, method="chebyshev_extended")
+    st = bk.build_recurrence(pot, 20)
+    ch = bk.chebyshev_recurrence(pot, 20)
     rel = np.abs(st.a - ch.a) / ch.a
     assert np.max(rel) <= 1e-10
 
@@ -162,7 +162,7 @@ def test_moment_ladder_against_direct_quadrature(doublewell_pot):
 
 def test_chebyshev_breakdown_reports_index(doublewell_pot):
     with pytest.raises(PrecisionFailureError) as err:
-        bk.build_recurrence(doublewell_pot, 30, method="chebyshev_extended", dps=8)
+        bk.chebyshev_recurrence(doublewell_pot, 30, dps=8)
     assert err.value.index >= 1
 
 
@@ -170,7 +170,7 @@ def test_build_recurrence_argument_validation(harmonic_pot, harmonic_table):
     with pytest.raises(ValueError):
         bk.build_recurrence(harmonic_pot, 0)
     with pytest.raises(ValueError):
-        bk.build_recurrence(harmonic_pot, 5, method="nope")
+        bk.chebyshev_recurrence(harmonic_pot, 0)
     with pytest.raises(ValueError):
         bk.build_quadrature(harmonic_pot, "gauss_from_jacobi", 10)
     with pytest.raises(ValueError):

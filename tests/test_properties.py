@@ -93,11 +93,11 @@ def test_simulate_keeps_the_discrete_structure(data):
 
 
 @st.composite
-def potentials_and_sizes(draw):
+def potentials_and_sizes(draw, max_size=150):
     m = draw(st.integers(1, 4))                               # deg(phi) = 2m
     lower = draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
     lead = draw(st.floats(0.05, 2.0))
-    return lower + [lead], draw(st.integers(2 * m, 150))
+    return lower + [lead], draw(st.integers(2 * m, max_size))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -114,3 +114,16 @@ def test_couplings_satisfy_freuds_identity(drawn):
     A = bk.build_deriv_couplings(table, N).A
     n = np.arange(1, N + 1)
     assert np.max(np.abs(A[n, n - 1] * table.a[n] / n - 1.0)) <= 1e-10
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(potentials_and_sizes(max_size=40))
+def test_stieltjes_matches_extended_precision_oracle(drawn):
+    coeffs, n_max = drawn
+    try:
+        pot = bk.normalize_potential(bk.RawPotential(tuple(coeffs)))
+        stieltjes = bk.build_recurrence(pot, n_max)
+        oracle = bk.chebyshev_recurrence(pot, n_max)
+    except (InvalidPotentialError, IntegrationFailureError, PrecisionFailureError):
+        return
+    assert np.max(np.abs(stieltjes.a - oracle.a) / oracle.a) <= 1e-10
