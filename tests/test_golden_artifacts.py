@@ -41,33 +41,33 @@ GOLDEN = {
         "conserved.csv":
             "de65d1a87602e3c491366bf2772b2c633e8f21c3d2d955668ebb21f77feb3941",
         "norms.csv":
-            "870d285a98e1ca4722a84fcdc55017d67a879ee807299e30b98e5f0eb101c9fe",
+            "6d5761e92eb780e5665e14a20bf43c64bdd0d55685c3ed728ce2ed254f9d195b",
     },
     "doublewell_fig4": {
         "conserved.csv":
-            "e2d0982d0317aa2d7378b00523de77db2fdbf6937285e0fd9b3400d32d4b07f4",
+            "3a2793082b102e6d974a9a3f74817c0952e3d3fc153b72fe638b5ddf7224c928",
         "norms.csv":
-            "9b7138c6b5dc9279f98bbbb04dd8a6c70aeba51eaa08f745ca38e64546d7f683",
+            "7775f1e9be3a3a4cc1dd7036ea733236bf0c64cc57f7997ce21428693083f7a0",
         "snapshot_0.csv":
             "efaae18c8de022a9bbd2a3b50384360d3f73b60e7ad0283d7453333722351877",
         "snapshot_10.csv":
-            "9d6d50ebc7bb6d61e37393fe50d4e95a55127d29151442ea87f065e6fd04943f",
+            "8f325c0c68eab8df448f0854477ea7b224e1eec009cbc42b03e0cbaa15b70899",
         "snapshot_12.csv":
-            "e5cc114e8008c0d44196b4bd533a73705c9bdf46a94e3cfe567dc00f8ed8fd35",
+            "1f5052e938ea9e3910b682060960a2b0aba21db0a03e971c5199bb06a01a677e",
         "snapshot_2.5.csv":
-            "becf171b985e67805f55bf16698a950b79580d4a3bab196c596c90a3258ba6bf",
+            "67fe5f6257f64b44b80940cdfe0a3c6fb020a67b445a2e780bbd3d037d3cbe3d",
         "snapshot_5.csv":
-            "ff71fe0f7f2eac6486c16e801594d86fd706d6918d596b4451813ef7d80e2546",
+            "bdc545f5ca071f426c502f305785dce8dfe2c7332cdfe404da634d134b085568",
         "snapshot_7.5.csv":
-            "003accf471d0cc88a7523e5786ae2675139625170dfe1b8fd065a046fe1ffdb6",
+            "1f6ed60c300736017cbb394698a02f528576e1cb8f792c7e4861ddd272896004",
     },
     "doublewell_kn": {
         "conserved.csv":
-            "b3fbdbf5e6b1eecfe17dd995c58977bb5ddb547e3ae55310543aff39341fd31e",
+            "af75193f48a632d08741356e942c6142a31b52bf8ba439e51de05b8dead39e5b",
         "kn_table.csv":
             "6852056f4456a1bed095042aebf10b32ab0ad4b98a592c0b66a7045b3a9727d2",
         "norms.csv":
-            "569498bc81df3698463f9a3e3bebb404c0c2e76445ed4638b3262349e25da029",
+            "9ea1b21100be3c500f58a166a1bbc11cd5587dc21187d804061cfa4d76922767",
         "recurrence.csv":
             "35b52531aa609f7d8afca377d4059158ab6d9501ce3afc67f554c259f0d6ddad",
     },
@@ -75,7 +75,7 @@ GOLDEN = {
         "conserved.csv":
             "c325d01ae223558596a1e328a75ad43dca42918d70d4e6eb1a60e38189fc3dc6",
         "norms.csv":
-            "5269c7aec67edc19a42986edb78d61dae5fde0ed8d5b1f6f45e11e0754791646",
+            "c129a7b92bfc28310bda2adb13f7210fe432b008c13a218a0d688fe0d9768714",
     },
 }
 

@@ -1,4 +1,4 @@
-"""Properties of `cli.simulate` over the validated configuration domain.
+"""Properties of `cli.simulate` and its layers over the validated domain.
 
 Each drawn configuration either raises a typed error (a configuration error
 or one of the numerical failures `main()` maps to exit code 3) or satisfies
@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 import bgkspectral as bk
 from bgkspectral import cli, diagnostics
@@ -127,3 +128,26 @@ def test_stieltjes_matches_extended_precision_oracle(drawn):
     except (InvalidPotentialError, IntegrationFailureError, PrecisionFailureError):
         return
     assert np.max(np.abs(stieltjes.a - oracle.a) / oracle.a) <= 1e-10
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(potentials_and_sizes(), st.integers(3, 60), st.floats(-4.0, 2.0),
+       st.integers(0, 2 ** 32 - 1))
+# The corner of the domain: degree 8, the largest K and N, the largest dt.
+@example(([0.0, 1.0, -3.0, 0.5, 0.2], 150), 60, 2.0, 0)
+def test_pivot_free_step_meets_the_gate_and_the_pivoting_oracle(drawn, K,
+                                                                 log_dt, seed):
+    coeffs, N = drawn
+    try:
+        pot = bk.normalize_potential(bk.RawPotential(tuple(coeffs)))
+        table = bk.build_recurrence(pot, N + pot.degree + 2)
+    except (InvalidPotentialError, IntegrationFailureError, PrecisionFailureError):
+        return
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N), K, N)
+    plan = bk.make_stepping_plan(gen, 10.0 ** log_dt)
+    assert np.array_equal(plan.lu.perm_r, plan.lu.perm_c)
+    b = np.random.default_rng(seed).standard_normal((K + 1) * (N + 1))
+    x = bk.step(plan, bk.SpectralState(C=b.reshape(K + 1, N + 1))).C.ravel()
+    assert np.linalg.norm(plan.system @ x - b) <= 1e-12 * np.linalg.norm(b)
+    oracle = splu(plan.system).solve(b)
+    assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.sparse.linalg import splu
 
 import bgkspectral as bk
 
@@ -107,6 +108,59 @@ def test_dt_must_be_positive(harmonic_setup):
     _, gen, _ = harmonic_setup(4, 3)
     with pytest.raises(ValueError):
         bk.make_stepping_plan(gen, 0.0)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_dt_must_be_finite(harmonic_setup, dt):
+    _, gen, _ = harmonic_setup(4, 3)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        bk.make_stepping_plan(gen, dt)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_state_fails_the_residual_gate(harmonic_setup, bad):
+    _, gen, _ = harmonic_setup(4, 3)
+    plan = bk.make_stepping_plan(gen, 0.1)
+    state = bk.project_initial_condition([(1, 2, 1.0), (0, 0, bad)], 4, 3)
+    with pytest.raises(bk.SolverConsistencyError):
+        bk.step(plan, state)
+
+
+def test_lu_is_pivot_free_and_structural(doublewell_setup):
+    # I - dt M is positive real, so the factorization keeps its symmetric
+    # ordering on the diagonal, every pivot is >= 1, and the fill depends on
+    # the sparsity pattern alone: not on dt, not on the last bit of an entry.
+    _, gen, _ = doublewell_setup(20, 30)
+    nudged = gen.matrix.copy()
+    nudged.data = np.nextafter(nudged.data, np.inf)
+    nudged_gen = bk.Generator(matrix=nudged, K=gen.K, N=gen.N)
+    fills = set()
+    for dt in (1e-4, 1e-2, 1.0, 100.0):
+        lu = bk.make_stepping_plan(gen, dt).lu
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert np.min(lu.U.diagonal()) >= 1.0 - 1e-12
+        nudged_lu = bk.make_stepping_plan(nudged_gen, dt).lu
+        fills |= {lu.L.nnz + lu.U.nnz, nudged_lu.L.nnz + nudged_lu.U.nnz}
+    assert len(fills) == 1
+
+
+def test_refinement_rescues_a_solve_that_misses_the_gate():
+    # Sextic, K=20, N=150, dt=100: the pivot-free solve of this right-hand
+    # side misses the 1e-12 residual gate; one refinement step meets it.
+    pot = bk.normalize_potential(bk.RawPotential((0.0, 0.0, 0.0, 1.0)))
+    K, N = 20, 150
+    table = bk.build_recurrence(pot, N + pot.degree + 2)
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N), K, N)
+    plan = bk.make_stepping_plan(gen, 100.0)
+    b = np.random.default_rng(3).standard_normal((K + 1) * (N + 1))
+    b_norm = np.linalg.norm(b)
+    unrefined = plan.lu.solve(b)
+    assert np.linalg.norm(plan.system @ unrefined - b) > 1e-12 * b_norm
+    x = bk.step(plan, bk.SpectralState(C=b.reshape(K + 1, N + 1))).C.ravel()
+    assert np.linalg.norm(plan.system @ x - b) <= 1e-12 * b_norm
+    oracle = splu(plan.system).solve(b)
+    assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 @settings(max_examples=25, deadline=None)
