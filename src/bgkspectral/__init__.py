@@ -15,11 +15,12 @@ from .errors import (ConfigError, IntegrationFailureError,
                      InvalidPotentialError, PrecisionFailureError,
                      SolverConsistencyError)
 from .operators import (DerivCouplings, build_deriv_couplings,
-                        build_omega_matrix, build_phi_matrix, jacobi_horner)
+                        build_omega_matrix, build_phi_matrix)
 from .orthopoly import (QuadratureRule, RecurrenceTable, build_quadrature,
                         build_recurrence, chebyshev_recurrence, eval_poly_all,
-                        eval_poly_and_deriv_all, hermite_eval_all,
-                        inner_products, magnus_constant)
+                        eval_poly_and_deriv_all, freud_residual,
+                        hermite_eval_all, inner_products, jacobi_horner,
+                        magnus_constant)
 from .potential import (NormalizedPotential, RawPotential, normalize_potential,
                         tail_cutoff)
 from .scheme import (Generator, SpectralState, SteppingPlan,
@@ -40,8 +41,8 @@ __all__ = [
     "build_phi_matrix", "build_quadrature", "build_recurrence",
     "chebyshev_recurrence", "conserved_functionals", "estimate_kn",
     "eval_poly_all", "eval_poly_and_deriv_all", "fit_decay_rate",
-    "hermite_eval_all", "inner_products", "jacobi_horner", "kn_sweep",
-    "l2_norm", "magnus_constant", "make_stepping_plan", "normalize_potential",
-    "project_initial_condition", "purge_equilibrium_components", "snapshot",
-    "step", "tail_cutoff",
+    "freud_residual", "hermite_eval_all", "inner_products", "jacobi_horner",
+    "kn_sweep", "l2_norm", "magnus_constant", "make_stepping_plan",
+    "normalize_potential", "project_initial_condition",
+    "purge_equilibrium_components", "snapshot", "step", "tail_cutoff",
 ]

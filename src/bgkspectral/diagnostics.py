@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import jacobi_horner
-from .orthopoly import RecurrenceTable, eval_poly_all, hermite_eval_all
+from .orthopoly import (RecurrenceTable, eval_poly_all, hermite_eval_all,
+                        jacobi_horner)
 from .potential import _full_coeffs
 from .scheme import SpectralState
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .orthopoly import RecurrenceTable
+from .orthopoly import RecurrenceTable, jacobi_horner
 from .potential import NormalizedPotential, _full_coeffs
 
 
@@ -25,28 +25,6 @@ class DerivCouplings:
 
     A: np.ndarray
     table: RecurrenceTable = field(repr=False)
-
-
-def jacobi_horner(a: np.ndarray, coeffs, v: np.ndarray) -> np.ndarray:
-    """p(J) v by Horner's rule, J the Jacobi matrix of `a` cut to len(v) rows.
-
-    `coeffs` lists p in ascending powers.  J is never formed: (J w)_i =
-    a_i w_{i-1} + a_{i+1} w_{i+1} is two shifted, scaled copies of the rows
-    of w.  `v` may carry trailing axes, which are transformed column by column.
-    """
-    if len(a) < len(v):
-        raise ValueError(f"recurrence coefficients reach {len(a) - 1}, "
-                         f"need {len(v) - 1}")
-    off = a[1:len(v)].reshape((-1,) + (1,) * (v.ndim - 1))
-    out = coeffs[-1] * v
-    for c in coeffs[-2::-1]:
-        jw = np.zeros_like(out)
-        jw[:-1] = off * out[1:]
-        jw[1:] += off * out[:-1]
-        if c != 0.0:
-            jw += c * v
-        out = jw
-    return out
 
 
 def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,

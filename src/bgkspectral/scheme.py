@@ -17,6 +17,7 @@ when a solve misses the residual gate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,14 +114,18 @@ def make_stepping_plan(gen: Generator, dt: float) -> SteppingPlan:
 def step(plan: SteppingPlan, state: SpectralState) -> SpectralState:
     """One implicit Euler step: solve (I - dt M) C_next = C.
 
-    A solve whose residual misses the gate gets one refinement step; a
-    residual that still misses it, or is not finite, raises.
+    A state that is not finite raises before any solve.  A solve whose
+    residual misses the gate gets one refinement step; a residual that still
+    misses it, or is not finite, raises.
     """
     if state.C.shape != (plan.K + 1, plan.N + 1):
         raise ValueError("state shape does not match the stepping plan")
     b = state.C.ravel()
-    x = plan.lu.solve(b)
     tol = plan.solve_rel_tol * np.linalg.norm(b)
+    if not math.isfinite(tol):
+        raise SolverConsistencyError(
+            "implicit Euler step on a state that is not finite")
+    x = plan.lu.solve(b)
     r = plan.system @ x - b
     resid = np.linalg.norm(r)
     if not resid <= tol:

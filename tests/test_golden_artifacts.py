@@ -45,37 +45,37 @@ GOLDEN = {
     },
     "doublewell_fig4": {
         "conserved.csv":
-            "3a2793082b102e6d974a9a3f74817c0952e3d3fc153b72fe638b5ddf7224c928",
+            "49543df6d2481e9516c035b223442d153a1a017e824cd6a0f73dc3022b1d9c09",
         "norms.csv":
-            "7775f1e9be3a3a4cc1dd7036ea733236bf0c64cc57f7997ce21428693083f7a0",
+            "449a2beb40902802febd52186da91928af19fd182c32d70e974c55d9ff8112a4",
         "snapshot_0.csv":
-            "efaae18c8de022a9bbd2a3b50384360d3f73b60e7ad0283d7453333722351877",
+            "0996659714a7c3d63ebb1784f81835a1383a5e7bd9a277ae159f8b49405b5dc5",
         "snapshot_10.csv":
-            "8f325c0c68eab8df448f0854477ea7b224e1eec009cbc42b03e0cbaa15b70899",
+            "760325ce87b171560d06ca0527fc5e0b424f9ab5080239d54f8fbed17114c9eb",
         "snapshot_12.csv":
-            "1f5052e938ea9e3910b682060960a2b0aba21db0a03e971c5199bb06a01a677e",
+            "0e3b199ed14e5c99a26e195d9adad331295a59d47b15319086bd6c90f4ff0909",
         "snapshot_2.5.csv":
-            "67fe5f6257f64b44b80940cdfe0a3c6fb020a67b445a2e780bbd3d037d3cbe3d",
+            "0a7a1e18c01661e093ad1f664cfced0f4de254652ab57a76b039a91cc8945b38",
         "snapshot_5.csv":
-            "bdc545f5ca071f426c502f305785dce8dfe2c7332cdfe404da634d134b085568",
+            "b3ad4b0458e4aa733a9f689c60cfea735e51303c0e073693c6504b10a50ec60a",
         "snapshot_7.5.csv":
-            "1f6ed60c300736017cbb394698a02f528576e1cb8f792c7e4861ddd272896004",
+            "a9d7427aebd7ee305f7cd9d5a8af00a7448b8daf6c8606a0901f618217fc89e5",
     },
     "doublewell_kn": {
         "conserved.csv":
             "af75193f48a632d08741356e942c6142a31b52bf8ba439e51de05b8dead39e5b",
         "kn_table.csv":
-            "6852056f4456a1bed095042aebf10b32ab0ad4b98a592c0b66a7045b3a9727d2",
+            "a0e957390a8c9d5f41671b807f09270baa9cb456b759fd0639bc9e0a1fd104e6",
         "norms.csv":
             "9ea1b21100be3c500f58a166a1bbc11cd5587dc21187d804061cfa4d76922767",
         "recurrence.csv":
-            "35b52531aa609f7d8afca377d4059158ab6d9501ce3afc67f554c259f0d6ddad",
+            "54f3b8aaa0721d23f15e37149033137c83671db2fce67a1f6722db25075f72f9",
     },
     "harmonic_fig1": {
         "conserved.csv":
             "c325d01ae223558596a1e328a75ad43dca42918d70d4e6eb1a60e38189fc3dc6",
         "norms.csv":
-            "c129a7b92bfc28310bda2adb13f7210fe432b008c13a218a0d688fe0d9768714",
+            "2e3a0f5a59ce94c5b04af31f7c8c9bebe19c7537e1e49679220246f87a4e71ca",
     },
 }
 

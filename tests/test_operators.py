@@ -54,6 +54,35 @@ def test_jacobi_horner_matches_dense_horner(coeffs):
                               np.eye(size)[1] * table.a[0] * table.a[1])
 
 
+def _allocating_horner(a, coeffs, v):
+    """Horner's loop with a fresh array per step, the in-place kernel's reference."""
+    off = a[1:len(v)].reshape((-1,) + (1,) * (v.ndim - 1))
+    out = coeffs[-1] * v
+    for c in coeffs[-2::-1]:
+        jw = np.zeros_like(out)
+        jw[:-1] = off * out[1:]
+        jw[1:] += off * out[:-1]
+        if c != 0.0:
+            jw += c * v
+        out = jw
+    return out
+
+
+@pytest.mark.parametrize("coeffs", KERNEL_POTENTIALS)
+def test_jacobi_horner_is_the_allocating_loop_bit_for_bit(coeffs,
+                                                          doublewell_table):
+    full = _full_coeffs(coeffs)
+    vs = (np.eye(60, 40), np.eye(60)[0], np.eye(1),
+          np.random.default_rng(3).standard_normal((50, 3)))
+    for v in vs:
+        kept = v.copy()
+        for p in (full, npoly.polyder(full)):
+            got = bk.jacobi_horner(doublewell_table.a, p, v)
+            want = _allocating_horner(doublewell_table.a, p, v)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert v.tobytes() == kept.tobytes()
+
+
 def test_jacobi_horner_requires_long_table(harmonic_table):
     too_long = np.eye(harmonic_table.n_max + 2, 3)
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 
 import bgkspectral as bk
 from bgkspectral.errors import PrecisionFailureError
-from bgkspectral.orthopoly import _weight_moments_mp
+from bgkspectral.orthopoly import _stieltjes_pass, _weight_moments_mp
 from bgkspectral.weddle import panel_rule
 
 
@@ -144,6 +144,64 @@ def test_stieltjes_vs_extended_chebyshev(coeffs):
     ch = bk.chebyshev_recurrence(pot, 20)
     rel = np.abs(st.a - ch.a) / ch.a
     assert np.max(rel) <= 1e-10
+
+
+FREUD_POTENTIALS = [(0.5 * math.log(2.0 * math.pi), 0.5), (1.0, -2.0, 1.0),
+                    (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, -3.0, 0.5, 0.2)]
+
+
+@pytest.fixture(scope="module")
+def certified_tables():
+    pots = [bk.normalize_potential(bk.RawPotential(c)) for c in FREUD_POTENTIALS]
+    return [bk.build_recurrence(pot, 586) for pot in pots]
+
+
+def test_freud_residual_of_the_harmonic_closed_form(harmonic_pot):
+    a = np.sqrt(np.arange(601.0))
+    a[0] = 1.0
+    assert bk.freud_residual(a, harmonic_pot) <= 1e-14
+
+
+def test_freud_residual_detects_one_perturbed_coefficient(certified_tables):
+    for table in certified_tables:
+        n_max = table.n_max
+        assert bk.freud_residual(table.a, table.weight) <= 1e-12
+        for n in (1, n_max // 2, n_max - 1, n_max):
+            a = table.a.copy()
+            a[n] *= 1.0 + 1e-10
+            assert bk.freud_residual(a, table.weight) > 1e-12, (table.weight, n)
+
+
+def test_freud_residual_reads_only_rows_the_truncation_keeps_exact():
+    # Degree 10 and n_max = 2: no row n <= n_max + 1 - deg/2 exists, so there
+    # is nothing to certify, and the table is returned from the first pass.
+    pot = bk.normalize_potential(bk.RawPotential((0, 0, 0, 0, 0, 1)))
+    assert bk.freud_residual(np.ones(3), pot) == 0.0
+    st = bk.build_recurrence(pot, 2)
+    ch = bk.chebyshev_recurrence(pot, 2)
+    assert np.max(np.abs(st.a - ch.a) / ch.a) <= 1e-12
+
+
+def test_freud_residual_rejects_an_underresolved_pass(doublewell_pot):
+    cutoff = bk.tail_cutoff(doublewell_pot, poly_degree=2 * 586 + 2)
+    coarse = _stieltjes_pass(doublewell_pot, 586, 1172, cutoff)
+    fine = _stieltjes_pass(doublewell_pot, 586, 2344, cutoff)
+    assert bk.freud_residual(coarse, doublewell_pot) > 1e-12
+    assert bk.freud_residual(fine, doublewell_pot) <= 1e-12
+
+
+def test_build_recurrence_refines_an_uncertified_first_pass():
+    # A deep double well: the first pass, on 4 n_max panels, resolves the
+    # narrow wells to about 1e-7 only and fails the certificate.
+    pot = bk.normalize_potential(bk.RawPotential((0.0, -30.0, 1.0)))
+    n_max = 100
+    cutoff = bk.tail_cutoff(pot, poly_degree=2 * n_max + 2)
+    first = _stieltjes_pass(pot, n_max, 4 * n_max, cutoff)
+    assert bk.freud_residual(first, pot) > 1e-12
+    table = bk.build_recurrence(pot, n_max)
+    assert bk.freud_residual(table.a, pot) <= 1e-12
+    fine = _stieltjes_pass(pot, n_max, 16 * n_max + 1024, cutoff)
+    assert np.max(np.abs(table.a - fine) / fine) <= 1e-12
 
 
 def test_moment_ladder_against_direct_quadrature(doublewell_pot):

@@ -22,6 +22,7 @@ import bgkspectral as bk
 from bgkspectral import cli, diagnostics
 from bgkspectral.errors import (ConfigError, IntegrationFailureError,
                                 InvalidPotentialError, PrecisionFailureError)
+from bgkspectral.orthopoly import _stieltjes_pass
 
 
 def _config(potential, K, N, dt, steps, initial, purge):
@@ -115,6 +116,23 @@ def test_couplings_satisfy_freuds_identity(drawn):
     A = bk.build_deriv_couplings(table, N).A
     n = np.arange(1, N + 1)
     assert np.max(np.abs(A[n, n - 1] * table.a[n] / n - 1.0)) <= 1e-10
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(potentials_and_sizes(max_size=400))
+def test_certified_recurrence_matches_a_finer_pass(drawn):
+    # Freud's identity does not constrain a_0, so the whole table, a_0
+    # included, is checked against a pass on four or more times the panels.
+    coeffs, n_max = drawn
+    try:
+        pot = bk.normalize_potential(bk.RawPotential(tuple(coeffs)))
+        table = bk.build_recurrence(pot, n_max)
+    except (InvalidPotentialError, IntegrationFailureError, PrecisionFailureError):
+        return
+    assert bk.freud_residual(table.a, pot) <= 1e-12
+    cutoff = bk.tail_cutoff(pot, poly_degree=2 * n_max + 2)
+    fine = _stieltjes_pass(pot, n_max, 16 * n_max + 1024, cutoff)
+    assert np.max(np.abs(table.a - fine) / fine) <= 1e-12
 
 
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,14 +118,16 @@ def test_dt_must_be_finite(harmonic_setup, dt):
         bk.make_stepping_plan(gen, dt)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_state_fails_the_residual_gate(harmonic_setup, bad):
     _, gen, _ = harmonic_setup(4, 3)
     plan = bk.make_stepping_plan(gen, 0.1)
     state = bk.project_initial_condition([(1, 2, 1.0), (0, 0, bad)], 4, 3)
-    with pytest.raises(bk.SolverConsistencyError):
-        bk.step(plan, state)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(bk.SolverConsistencyError):
+            bk.step(plan, state)
+    assert caught == []
 
 
 def test_lu_is_pivot_free_and_structural(doublewell_setup):
