@@ -307,6 +307,8 @@ def simulate(config: RunConfig) -> RunResult:
     # harmonic-only columns rotate (README, Artifacts) and are left out.
     summary["max_conserved_drift"] = float(
         np.max(np.abs(conserved[:, :2] - conserved[0, :2])))
+    summary["freud_residual"] = table.freud_residual
+    summary["recurrence_panels"] = table.panels
     return RunResult(config=config, times=np.array(series.times),
                      norms=np.array(series.norms), conserved=conserved,
                      snapshots=tuple(snapshots), table=table, kn=reports,

@@ -11,9 +11,12 @@ mechanism available: nothing here is proven.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .operators import build_omega_matrix, build_phi_matrix
 from .orthopoly import RecurrenceTable, build_recurrence
@@ -30,6 +33,12 @@ class KNReport:
     converged: bool
 
 
+def _sqrt_top_eigenvalue(gram: np.ndarray) -> float:
+    # The largest eigenvalue of a Gram matrix is >= 0; rounding need not keep
+    # a zero one non-negative.
+    return math.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1]))
+
+
 def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
                 m_big: int) -> np.ndarray:
     """Largest singular values of the four projected compositions on X_N.
@@ -37,10 +46,14 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
     With L the m_big truncation of d* (the strictly lower part of Phi, whose
     strictly upper part is exactly L^T) and X = L[:N+1, :N+1] = P d* E, the
     compositions are Omega^(-1/2) X, Omega^(-1) L^T X, Omega^(-1) X X and
-    Omega^(-1) P L L^T E, each applied to a block whose rows beyond N vanish.
-    One solve against Omega covers all four right-hand sides, and
-    ||Omega^(-1/2) X||^2 = ||X^T Omega^(-1) X||.  A Cholesky factorization
-    guards positive definiteness: an inconsistent Omega raises LinAlgError.
+    Omega^(-1) P L L^T E, each applied to a block whose rows beyond N vanish;
+    L^T X and P L L^T E are X^T X and X X^T there.  Phi and Omega stay in
+    band storage, and no m_big x m_big array is formed.  A banded Cholesky
+    factorization of Omega guards positive definiteness (an inconsistent
+    Omega raises LinAlgError), and one banded solve with it covers all four
+    right-hand sides, sparse products of the band of X.  Each norm is the
+    square root of the largest eigenvalue of an (N+1)-sized Gram matrix,
+    with ||Omega^(-1/2) X||^2 = lambda_max(X^T Omega^(-1) X).
     """
     if N < 0:
         raise ValueError(f"N={N} is negative")
@@ -51,21 +64,18 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
             f"(need at least N + {2 * two_m})"
         )
     phi = build_phi_matrix(table, pot, m_big + two_m)
-    lower = np.tril(phi, -1)[:m_big, :m_big]
-    omega = build_omega_matrix(phi, m_big)
-    np.linalg.cholesky(omega)
+    factor = cholesky_banded(build_omega_matrix(phi, m_big), lower=True)
 
     n1 = N + 1
-    x = lower[:n1, :n1]
-    rhs = np.zeros((m_big, 4 * n1))
-    rhs[:n1, :n1] = x
-    rhs[:, n1:2 * n1] = lower[:n1].T @ x
-    rhs[:n1, 2 * n1:3 * n1] = x @ x
-    rhs[:n1, 3 * n1:] = lower[:n1] @ lower[:n1].T
-    w = np.linalg.solve(omega, rhs)
-    kn0 = np.sqrt(np.linalg.norm(x.T @ w[:n1, :n1], ord=2))
-    return np.array([kn0] + [np.linalg.norm(w[:, k * n1:(k + 1) * n1], ord=2)
-                             for k in (1, 2, 3)])
+    x = sp.dia_array((phi[:, :n1], -np.arange(len(phi))), shape=(n1, n1)).tocsr()
+    rhs = np.zeros((m_big, 4 * n1), order="F")
+    for k, block in enumerate((x, x.T @ x, x @ x, x @ x.T)):
+        rhs[:n1, k * n1:(k + 1) * n1] = block.toarray()
+    w = cho_solve_banded((factor, True), rhs, overwrite_b=True)
+    kn0 = _sqrt_top_eigenvalue(x.T @ w[:n1, :n1])
+    return np.array([kn0] + [_sqrt_top_eigenvalue(block.T @ block)
+                             for block in (w[:, k * n1:(k + 1) * n1]
+                                           for k in (1, 2, 3))])
 
 
 def _agree(a: np.ndarray, b: np.ndarray, rel_tol: float) -> bool:

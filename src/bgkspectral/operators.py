@@ -1,11 +1,12 @@
 """Matrix representations of x-space operators in the orthonormal basis.
 
-Every operator is a dense numpy array.  The multiplication operator by phi'
-is a symmetric matrix Phi, banded on odd offsets, whose strictly lower part
-represents the adjoint derivative d* = -d/dx + phi' and whose strictly upper
-part represents d/dx (their sum is multiplication by phi').  The derivative
-couplings and the weighted Laplacian plus identity, Omega = d* d + 1, follow
-exactly from those two triangles.
+The multiplication operator by phi' is a symmetric matrix Phi, banded on odd
+offsets below deg(phi), whose strictly lower part represents the adjoint
+derivative d* = -d/dx + phi' and whose strictly upper part represents d/dx
+(their sum is multiplication by phi').  The derivative couplings and the
+weighted Laplacian plus identity, Omega = d* d + 1, follow exactly from those
+two triangles.  Phi and Omega are held in LAPACK lower band storage,
+band[k, j] = M[j + k, j]; the couplings are a dense array.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .orthopoly import RecurrenceTable, jacobi_horner
+from .orthopoly import RecurrenceTable, jacobi_band
 from .potential import NormalizedPotential, _full_coeffs
 
 
@@ -29,14 +30,15 @@ class DerivCouplings:
 
 def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
                      size: int) -> np.ndarray:
-    """Dense symmetric matrix of multiplication by phi' in the orthonormal basis.
+    """Lower band of the leading `size` block of Phi, multiplication by phi'.
 
-    phi' is an odd polynomial of degree 2m-1, so the matrix is the same
-    polynomial evaluated at the Jacobi matrix; applying it to the first `size`
-    unit vectors of a space `size` plus a margin long and truncating keeps
-    the retained block exact.  The result is banded on the odd offsets 1, 3,
-    ..., 2m-1, and its strictly lower triangle is copied into the upper one
-    along those diagonals, so that symmetry holds exactly at entry level.
+    Returns `band` of shape (deg(phi), size) with band[k, j] = Phi[j + k, j]:
+    the diagonal and the even rows are zero, the odd rows 1, 3, ...,
+    deg(phi) - 1 hold the strictly lower odd diagonals, and entries below
+    row size - 1 are zero.  Phi is symmetric, so this is all of it.  phi' is
+    an odd polynomial of degree deg(phi) - 1, so Phi is that polynomial of
+    the Jacobi matrix; evaluating it on J cut to `size` plus a margin rows
+    keeps the retained block exact.
     """
     big = size + pot.degree + 2
     if table.n_max < big - 1:
@@ -44,12 +46,10 @@ def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
             f"recurrence table reaches {table.n_max}, need {big - 1} for size {size}"
         )
     dcoeffs = npoly.polyder(_full_coeffs(pot.coeffs))
-    acc = jacobi_horner(table.a, dcoeffs, np.eye(big, size))
-    phi = np.tril(acc[:size], -1)
-    for offset in range(1, pot.degree, 2):
-        idx = np.arange(size - offset)
-        phi[idx, idx + offset] = phi[idx + offset, idx]
-    return phi
+    band = jacobi_band(table.a, dcoeffs, big)[:, :size]
+    for k in range(1, len(band), 2):
+        band[k, max(size - k, 0):] = 0.0
+    return band
 
 
 def build_deriv_couplings(table: RecurrenceTable, n: int) -> DerivCouplings:
@@ -61,26 +61,34 @@ def build_deriv_couplings(table: RecurrenceTable, n: int) -> DerivCouplings:
     Phi: banded on the odd offsets 1, 3, ..., deg(phi) - 1, with every other
     entry an exact zero.
     """
-    phi = build_phi_matrix(table, table.weight, n + 1)
-    return DerivCouplings(A=np.tril(phi, -1), table=table)
+    band = build_phi_matrix(table, table.weight, n + 1)
+    A = np.zeros((n + 1, n + 1))
+    for k in range(1, min(len(band), n + 1), 2):
+        j = np.arange(n + 1 - k)
+        A[j + k, j] = band[k, :n + 1 - k]
+    return DerivCouplings(A=A, table=table)
 
 
 def build_omega_matrix(phi: np.ndarray, size: int) -> np.ndarray:
-    """Truncation of Omega = d* d + 1, with d* the strictly lower part of Phi.
+    """Lower band of the leading `size` block of Omega = d* d + 1.
 
-    Phi e_0 = phi'(J) e_0 ends at row deg(phi) - 1, the bandwidth of Phi;
-    the leading `size` block of the product is exact when Phi reaches that
-    far beyond it.
+    `phi` is a band from `build_phi_matrix`, and d* = L is its strictly
+    lower part.  Omega = L L^T + 1 lives on the even offsets up to
+    deg(phi) - 2; the result has shape (deg(phi) - 1, size) in the same
+    storage, band[d, j] = Omega[j + d, j], formed diagonal by diagonal from
+    Omega[j + d, j] = sum over odd s of L[j + d, j - s] L[j, j - s].  `phi`
+    must reach a bandwidth deg(phi) - 1 beyond `size`.
     """
-    bandwidth = int(np.flatnonzero(phi[:, 0]).max(initial=0))
-    if len(phi) < size + bandwidth:
+    bandwidth = len(phi) - 1
+    if phi.shape[1] < size + bandwidth:
         raise ValueError(
-            f"phi matrix of size {len(phi)} too small for omega size {size} "
+            f"phi band of size {phi.shape[1]} too small for omega size {size} "
             f"(bandwidth {bandwidth})"
         )
-    lower = np.tril(phi, -1)
-    # numpy forms lower @ lower.T with a symmetric rank-k product, so the
-    # result is exactly symmetric without mirroring.
-    om = lower @ lower.T
-    om[np.diag_indices(len(phi))] += 1.0
-    return om[:size, :size].copy()
+    om = np.zeros((bandwidth, size))
+    for s in range(1, len(phi), 2):
+        for d in range(0, len(phi) - s, 2):
+            cols = max(size - s - d, 0)
+            om[d, s:s + cols] += phi[s + d, :cols] * phi[s, :cols]
+    om[0] += 1.0
+    return om

@@ -14,8 +14,9 @@ precision).
 `build_recurrence` certifies its table a posteriori with Freud's identity
 [phi'(J)]_{n,n-1} = n / a_n, read off the Jacobi matrix J by `jacobi_horner`
 (`freud_residual`), to 1e-12.  Its first pass samples the weight on
-max(256, 4 n_max) panels; an uncertified pass doubles the panel count, and a
-table that no pass within 2^22 nodes certifies raises IntegrationFailureError.
+max(256, 4 n_max) panels; an uncertified pass doubles the panel count.  A
+doubled pass that fails to halve the residual, or one past 2^22 nodes,
+raises IntegrationFailureError.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ class RecurrenceTable:
 
     a: np.ndarray
     weight: NormalizedPotential
+    # Certificate of the Stieltjes pass `build_recurrence` returned; None for
+    # tables from other constructions.
+    freud_residual: float | None = None
+    panels: int | None = None
 
     @property
     def n_max(self) -> int:
@@ -190,6 +195,32 @@ def jacobi_horner(a: np.ndarray, coeffs, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def jacobi_band(a: np.ndarray, coeffs, rows: int) -> np.ndarray:
+    """Lower band of p(J) for an odd polynomial p, J cut to `rows` rows.
+
+    Returns `band` with band[k, j] = [p(J)]_{j+k, j} for k = 0 .. deg(p), the
+    LAPACK lower band storage; entries past the last row are zero.  p must
+    be odd (exact zeros at the even powers of `coeffs`), so p(J) lives on the
+    odd offsets and the even rows of `band` stay zero.  The band is read from
+    p(J) applied to deg(p) + 2 probe columns, column j summing the unit
+    vectors e_i with i = j mod (deg(p) + 2).  Every Horner partial sum
+    reaches rows of one parity only from each unit vector, and neighbours in
+    a column lie deg(p) + 2 apart, an odd number, so at most one of them
+    puts a nonzero in any row; unit vectors further apart reach no common
+    row.  Each entry thus equals the one `jacobi_horner` gives on its unit
+    vector alone, bit for bit.  No dense p(J) is formed.
+    """
+    width = len(coeffs)
+    probes = (np.arange(rows)[:, None] % (width + 1)
+              == np.arange(width + 1)).astype(float)
+    applied = jacobi_horner(a, coeffs, probes)
+    band = np.zeros((width, rows))
+    for k in range(1, width, 2):
+        j = np.arange(max(rows - k, 0))
+        band[k, j] = applied[j + k, j % (width + 1)]
+    return band
+
+
 def freud_residual(a: np.ndarray, pot: NormalizedPotential) -> float:
     """Worst relative defect of Freud's identity [phi'(J)]_{n,n-1} = n / a_n.
 
@@ -197,21 +228,14 @@ def freud_residual(a: np.ndarray, pot: NormalizedPotential) -> float:
     <phi' P_n, P_{n-1}> by parts, so every exact table satisfies the identity
     for n >= 1 (Freud, Proc. R. Irish Acad. 76A, 1976).  J cut to the
     len(a) rows of the table keeps entry (n, n-1) of phi'(J) exact for
-    n <= n_max + 1 - deg/2, and only those rows are read; a table too short
-    for any such row reads 0.  The sub-diagonal comes from phi'(J) applied to
-    deg + 1 probe columns, column j summing the unit vectors e_i with
-    i = j mod (deg + 1).  phi'(J) lives on the odd offsets of size below deg,
-    and no two of them differ by the odd number deg + 1, so each probe column
-    picks up at most one entry of each row.  No dense phi'(J) is formed.
+    n <= n_max + 1 - deg/2, and only those rows are read, from the first
+    sub-diagonal of `jacobi_band`; a table too short for any such row
+    reads 0.
     """
-    deg = pot.degree
-    rows = np.arange(len(a))
-    probes = (rows[:, None] % (deg + 1) == np.arange(deg + 1)).astype(float)
     dphi = npoly.polyder(_full_coeffs(pot.coeffs))
-    band = jacobi_horner(a, dphi, probes)
-    n = np.arange(1, len(a) - deg // 2 + 1)
-    sub = band[n, (n - 1) % (deg + 1)]
-    return float(np.max(np.abs(sub * a[n] / n - 1.0), initial=0.0))
+    sub = jacobi_band(a, dphi, len(a))[1]
+    n = np.arange(1, len(a) - pot.degree // 2 + 1)
+    return float(np.max(np.abs(sub[n - 1] * a[n] / n - 1.0), initial=0.0))
 
 
 def build_recurrence(pot: NormalizedPotential, n_max: int) -> RecurrenceTable:
@@ -220,17 +244,29 @@ def build_recurrence(pot: NormalizedPotential, n_max: int) -> RecurrenceTable:
     A discretized Stieltjes procedure in double precision: the weight is
     sampled on a composite rule over the truncated support, starting at
     max(256, 4 n_max) panels.  The first pass whose `freud_residual` is at
-    most 1e-12 is returned; otherwise the panel count doubles, and a pass
-    that would need more than 2^22 nodes raises IntegrationFailureError.
+    most 1e-12 is returned, with that residual and its panel count;
+    otherwise the panel count doubles.  A doubled pass that does not halve
+    the residual of the pass before it has reached the rounding floor of the
+    sampled weight, and raises IntegrationFailureError, as does a pass that
+    would need more than 2^22 nodes.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     cutoff = tail_cutoff(pot, poly_degree=2 * n_max + 2)
     panels = max(256, 4 * n_max)
+    previous = math.inf
     while True:
         a = _stieltjes_pass(pot, n_max, panels, cutoff)
-        if freud_residual(a, pot) <= 1e-12:
-            return RecurrenceTable(a=a, weight=pot)
+        residual = freud_residual(a, pot)
+        if residual <= 1e-12:
+            return RecurrenceTable(a=a, weight=pot, freud_residual=residual,
+                                   panels=panels)
+        if not residual <= 0.5 * previous:
+            raise IntegrationFailureError(
+                f"Stieltjes discretization stalled at Freud residual "
+                f"{residual:.3g} on {panels} panels (previous pass "
+                f"{previous:.3g}); not certified to 1e-12")
+        previous = residual
         panels *= 2
         if 6 * panels + 1 > (1 << 22):
             raise IntegrationFailureError(

@@ -112,16 +112,26 @@ def normalize_potential(raw: RawPotential, quad_tol: float = 1e-12) -> Normalize
     The scale c and gamma follow the closed formulas
     c = sqrt(I0 * I2), gamma = sqrt(I0 / I2) with I0 = integral of exp(-phi)
     and I2 = integral of phi'' exp(-phi); both are evaluated by adaptive
-    composite quadrature on a truncated interval.
+    composite quadrature on a truncated interval.  A potential so deep
+    inside the cutoff that exp(-phi) overflows raises InvalidPotentialError.
     """
     if not isinstance(raw, RawPotential):
         raw = RawPotential(tuple(raw))
 
     L0 = tail_cutoff(raw, poly_degree=0)
     L2 = tail_cutoff(raw, poly_degree=raw.degree - 2)
-    i0 = integrate_adaptive(lambda x: np.exp(-raw(x)), -L0, L0, rel_tol=quad_tol)
-    i2 = integrate_adaptive(lambda x: raw.deriv2(x) * np.exp(-raw(x)),
-                            -L2, L2, rel_tol=quad_tol)
+    try:
+        with np.errstate(over="raise"):
+            i0 = integrate_adaptive(lambda x: np.exp(-raw(x)), -L0, L0,
+                                    rel_tol=quad_tol)
+            i2 = integrate_adaptive(lambda x: raw.deriv2(x) * np.exp(-raw(x)),
+                                    -L2, L2, rel_tol=quad_tol)
+    except FloatingPointError:
+        floor = float(np.min(raw(np.linspace(0.0, max(L0, L2), 4097))))
+        raise InvalidPotentialError(
+            f"exp(-phi) overflows double precision: phi dips to about "
+            f"{floor:.6g} inside the cutoff"
+        ) from None
     if i0 <= 0.0 or i2 <= 0.0:
         raise InvalidPotentialError(
             f"normalization integrals must be positive, got {i0}, {i2}"

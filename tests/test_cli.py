@@ -6,6 +6,7 @@ import pytest
 
 from bgkspectral import cli, diagnostics
 from bgkspectral.errors import ConfigError
+from bgkspectral.orthopoly import freud_residual
 
 
 def small_config(**overrides):
@@ -252,6 +253,29 @@ def test_numerical_failure_exit_code(tmp_path):
     cfg.write_text(json.dumps(small_config(potential=[0.0, 1e308], N=4)))
     assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    # exp(-phi) overflows inside the cutoff
+    {"potential": [0.0, -2.0, 2.0, -2.0, 0.05], "N": 8, "initial": []},
+    # the K_N sweep needs a recurrence to n = 710, past the Stieltjes floor
+    {"N": 6, "initial": [], "outputs": ["kn"], "kn_n_values": [160]},
+])
+def test_unrepresentable_runs_exit_3(tmp_path, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config(**overrides)))
+    assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
+
+
+def test_summary_records_the_recurrence_certificate():
+    result = cli.simulate(cli.RunConfig.from_dict(small_config()))
+    table = result.table
+    assert result.summary["freud_residual"] == table.freud_residual \
+        == freud_residual(table.a, table.weight)
+    assert result.summary["freud_residual"] <= 1e-12
+    # n_max = 60 certifies on the first pass, max(256, 4 n_max) panels.
+    assert result.summary["recurrence_panels"] == table.panels == 256
 
 
 def test_kn_output_for_degree_ten(tmp_path):

@@ -1,25 +1,48 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import sqrtm
+from numpy.polynomial import polynomial as npoly
+from scipy.linalg import eigvals_banded, sqrtm
 
 import bgkspectral as bk
 from bgkspectral import cli, conjecture_lab
+from bgkspectral.potential import _full_coeffs
 
 SEXTIC_COEFFS = (0.0, 0.0, 0.0, 1.0)
 OCTIC_COEFFS = (0.0, 1.0, -3.0, 0.5, 0.2)
+
+
+def _dense_phi_matrix(table, pot, size):
+    """Reference Phi: phi'(J) on every unit vector, mirrored into a dense array."""
+    big = size + pot.degree + 2
+    dcoeffs = npoly.polyder(_full_coeffs(pot.coeffs))
+    acc = bk.jacobi_horner(table.a, dcoeffs, np.eye(big, size))
+    phi = np.tril(acc[:size], -1)
+    for offset in range(1, pot.degree, 2):
+        idx = np.arange(size - offset)
+        phi[idx, idx + offset] = phi[idx + offset, idx]
+    return phi
+
+
+def _dense_omega_matrix(phi, size):
+    """Reference Omega: the dense product of the triangles of a dense Phi."""
+    lower = np.tril(phi, -1)
+    om = lower @ lower.T
+    om[np.diag_indices(len(phi))] += 1.0
+    return om[:size, :size].copy()
 
 
 def _dense_eigh_kn(table, pot, N, m_big):
     """Reference K_N: Omega powers from the symmetric eigendecomposition,
     compositions chained through a dense projector and embedding."""
     two_m = pot.degree
-    phi = bk.build_phi_matrix(table, pot, m_big + two_m)
+    phi = _dense_phi_matrix(table, pot, m_big + two_m)
     lower = np.tril(phi, -1)[:m_big, :m_big]
     upper = np.triu(phi, 1)[:m_big, :m_big]
-    omega = bk.build_omega_matrix(phi, m_big)
+    omega = _dense_omega_matrix(phi, m_big)
 
     evals, vecs = np.linalg.eigh(omega)
     if evals.min() <= 0.0:
@@ -78,8 +101,8 @@ def test_harmonic_sweep_monotone(harmonic_pot):
 
 def test_square_root_construction_paths_agree(doublewell_table, doublewell_pot):
     # eigendecomposition vs inverse followed by principal matrix square root
-    phi = bk.build_phi_matrix(doublewell_table, doublewell_pot, 60)
-    omega = bk.build_omega_matrix(phi, 50)
+    phi = _dense_phi_matrix(doublewell_table, doublewell_pot, 60)
+    omega = _dense_omega_matrix(phi, 50)
     evals, vecs = np.linalg.eigh(omega)
     via_eig = (vecs * evals ** -0.5) @ vecs.T
     via_sqrtm = np.real(sqrtm(np.linalg.inv(omega)))
@@ -89,7 +112,7 @@ def test_square_root_construction_paths_agree(doublewell_table, doublewell_pot):
 def test_omega_spectrum_bounded_below(doublewell_table, doublewell_pot):
     phi = bk.build_phi_matrix(doublewell_table, doublewell_pot, 80)
     omega = bk.build_omega_matrix(phi, 70)
-    assert np.linalg.eigvalsh(omega).min() >= 1.0 - 1e-8
+    assert eigvals_banded(omega, lower=True).min() >= 1.0 - 1e-8
 
 
 def test_doublewell_sweep_reports(doublewell_pot):
@@ -116,11 +139,27 @@ def test_solve_matches_dense_eigh_oracle(coeffs):
             assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
 
 
+def test_estimate_allocates_no_ambient_square(doublewell_pot):
+    # An m_big x m_big float array alone is 2.5 MiB at m_big = 576; the
+    # dense path peaked at 12.8 MiB.  The band path holds one m_big x 4(N+1)
+    # right-hand side, 2.3 MiB, which the solve overwrites.
+    table = bk.build_recurrence(doublewell_pot, 586)
+    bk.estimate_kn(table, doublewell_pot, 128, 576)
+    tracemalloc.start()
+    try:
+        bk.estimate_kn(table, doublewell_pot, 128, 576)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+
+
 def test_indefinite_omega_is_a_typed_failure(monkeypatch, tmp_path,
                                              doublewell_table, doublewell_pot):
     def indefinite(phi, size):
-        omega = np.eye(size)
-        omega[-1, -1] = -1.0
+        omega = np.zeros((len(phi) - 1, size))
+        omega[0] = 1.0
+        omega[0, -1] = -1.0
         return omega
 
     monkeypatch.setattr(conjecture_lab, "build_omega_matrix", indefinite)

@@ -65,7 +65,7 @@ GOLDEN = {
         "conserved.csv":
             "af75193f48a632d08741356e942c6142a31b52bf8ba439e51de05b8dead39e5b",
         "kn_table.csv":
-            "a0e957390a8c9d5f41671b807f09270baa9cb456b759fd0639bc9e0a1fd104e6",
+            "f16690fdb4fbef64b269afb4e65953207338bc603444be7480a38b83bc189c01",
         "norms.csv":
             "9ea1b21100be3c500f58a166a1bbc11cd5587dc21187d804061cfa4d76922767",
         "recurrence.csv":

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg import eigvals_banded
 
 import bgkspectral as bk
 from bgkspectral.potential import _full_coeffs
@@ -18,10 +19,19 @@ def dw_phi(doublewell_table, doublewell_pot):
 
 def test_harmonic_phi_is_jacobi(harmonic_table, harmonic_pot):
     # phi' = x, so the multiplication matrix is the Jacobi matrix itself.
-    phi = bk.build_phi_matrix(harmonic_table, harmonic_pot, 30)
-    off = harmonic_table.a[1:30]
-    expect = np.diag(off, 1) + np.diag(off, -1)
-    assert np.max(np.abs(phi - expect)) <= 1e-12
+    band = bk.build_phi_matrix(harmonic_table, harmonic_pot, 30)
+    assert band.shape == (2, 30)
+    assert np.all(band[0] == 0.0) and band[1, -1] == 0.0
+    assert np.max(np.abs(band[1, :29] - harmonic_table.a[1:30])) <= 1e-12
+
+
+def _dense_lower(band):
+    """The strictly lower triangle a lower band stores, as a dense array."""
+    size = band.shape[1]
+    lower = np.zeros((size, size))
+    for k in range(1, min(len(band), size)):
+        lower += np.diag(band[k, :size - k], -k)
+    return lower
 
 
 def _dense_horner(table, coeffs, size):
@@ -44,7 +54,15 @@ def test_jacobi_horner_matches_dense_horner(coeffs):
     for size in (4, 16, 64, 576):
         big = size + pot.degree + 2
         dense = _dense_horner(table, npoly.polyder(full), big)[:size, :size]
-        phi = bk.build_phi_matrix(table, pot, size)
+        band = bk.build_phi_matrix(table, pot, size)
+        assert band.shape == (pot.degree, size) and np.all(band[::2] == 0.0)
+        phi = _dense_lower(band)
+        # The probe columns read the entries phi'(J) gives on each unit
+        # vector, bit for bit, so the couplings expanded from the band are
+        # the arrays the eye-column construction produced.
+        columns = bk.jacobi_horner(table.a, npoly.polyder(full), np.eye(big, size))
+        assert phi.tobytes() == np.tril(columns[:size], -1).tobytes()
+        phi += phi.T
         assert np.max(np.abs(phi - dense)) <= 1e-12 * np.max(np.abs(dense))
         basis = bk.build_functional_basis(table, size - 1)
         ip_phi = table.a[0] * _dense_horner(table, full, big)[:size, 0]
@@ -94,22 +112,21 @@ def test_quartic_band_closed_forms(dw_phi, doublewell_table, doublewell_pot):
     g2 = doublewell_pot.coeffs[2]
     k = np.arange(1, 41)
     l_k = k / a[k]
-    assert np.max(np.abs(dw_phi[k, k - 1] - l_k) / l_k) <= 1e-10
+    assert np.max(np.abs(dw_phi[1, k - 1] - l_k) / l_k) <= 1e-10
     k3 = np.arange(3, 41)
     p_band = 4 * g2 * a[k3] * a[k3 - 1] * a[k3 - 2]
-    assert np.max(np.abs(dw_phi[k3, k3 - 3] - p_band) / p_band) <= 1e-10
-    assert np.all(np.diag(dw_phi) == 0.0)
+    assert np.max(np.abs(dw_phi[3, k3 - 3] - p_band) / p_band) <= 1e-10
+    assert np.all(dw_phi[0] == 0.0)
 
 
 def test_phi_symmetry_and_sparsity(dw_phi):
-    assert np.max(np.abs(dw_phi - dw_phi.T)) == 0.0
-    # entries vanish off the odd offsets 1 and 3
-    for off in range(len(dw_phi)):
-        diag = np.diagonal(dw_phi, offset=off)
-        if off in (1, 3):
-            assert np.any(diag != 0.0)
-        else:
-            assert np.all(diag == 0.0)
+    # The band stores the lower triangle; the upper one is its mirror.  The
+    # entries vanish off the odd offsets 1 and 3 and below the last row.
+    assert dw_phi.shape == (4, 44)
+    assert np.all(dw_phi[(0, 2), :] == 0.0)
+    for off in (1, 3):
+        assert np.all(dw_phi[off, :44 - off] != 0.0)
+        assert np.all(dw_phi[off, 44 - off:] == 0.0)
 
 
 def test_phi_requires_long_table(doublewell_pot, doublewell_table):
@@ -137,7 +154,8 @@ def test_couplings_match_phi_upper(doublewell_table, dw_phi):
     dc = bk.build_deriv_couplings(doublewell_table, 12)
     for r in range(13):
         for n in range(r):
-            assert dc.A[r, n] == dw_phi[n, r]
+            off = r - n
+            assert dc.A[r, n] == (dw_phi[off, n] if off < len(dw_phi) else 0.0)
 
 
 def test_coupling_spot_check_composite(doublewell_table, doublewell_weddle):
@@ -150,17 +168,19 @@ def test_coupling_spot_check_composite(doublewell_table, doublewell_weddle):
 
 
 def test_omega_corner_and_positivity(dw_phi):
-    mat = bk.build_omega_matrix(dw_phi, 40)
-    assert mat[0, 0] == 1.0
-    assert np.max(np.abs(mat - mat.T)) == 0.0
-    assert np.linalg.eigvalsh(mat).min() >= 1.0 - 1e-8
+    band = bk.build_omega_matrix(dw_phi, 40)
+    assert band.shape == (3, 40)
+    assert band[0, 0] == 1.0
+    # Omega lives on the even offsets, inside the leading block.
+    assert np.all(band[1] == 0.0) and np.all(band[2, -2:] == 0.0)
+    assert eigvals_banded(band, lower=True).min() >= 1.0 - 1e-8
 
 
 def test_omega_harmonic_is_diagonal(harmonic_table, harmonic_pot):
     phi = bk.build_phi_matrix(harmonic_table, harmonic_pot, 35)
     om = bk.build_omega_matrix(phi, 30)
-    assert np.allclose(np.diag(om), np.arange(1, 31), atol=1e-12)
-    assert np.max(np.abs(om - np.diag(np.diag(om)))) <= 1e-13
+    assert om.shape == (1, 30)
+    assert np.allclose(om[0], np.arange(1, 31), atol=1e-12)
 
 
 def test_omega_quartic_pattern(dw_phi, doublewell_table, doublewell_pot):
@@ -179,17 +199,18 @@ def test_omega_quartic_pattern(dw_phi, doublewell_table, doublewell_pot):
     p[j] = 4 * g2 * a[j + 2] * a[j + 1] * a[j]
     diag = 1.0 + l[:size] ** 2
     diag[2:] += p[:size - 2] ** 2
-    assert np.max(np.abs(np.diag(om) - diag)) <= 1e-10
+    assert np.max(np.abs(om[0] - diag)) <= 1e-10
     i = np.arange(1, size - 2)
     off = l[i] * p[i]
-    assert np.max(np.abs(om[i, i + 2] - off)) <= 1e-10
+    assert np.max(np.abs(om[2, i] - off)) <= 1e-10
     # explicit product of truncated factors as an independent path
-    lower = np.tril(dw_phi, -1)
-    direct = (lower @ lower.T + np.eye(len(dw_phi)))[:size, :size]
-    assert np.max(np.abs(om - direct)) == 0.0
-    assert om[3, 1] == pytest.approx(l[1] * p[1], rel=1e-12)
+    lower = _dense_lower(dw_phi)
+    direct = (lower @ lower.T + np.eye(len(lower)))[:size, :size]
+    assert np.max(np.abs(_dense_lower(om) + np.diag(om[0]) - np.tril(direct))) \
+        <= 1e-15 * np.max(np.abs(direct))
+    assert om[2, 1] == pytest.approx(l[1] * p[1], rel=1e-12)
 
 
 def test_omega_requires_margin(dw_phi):
     with pytest.raises(ValueError):
-        bk.build_omega_matrix(dw_phi, len(dw_phi))
+        bk.build_omega_matrix(dw_phi, dw_phi.shape[1])

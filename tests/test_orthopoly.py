@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import bgkspectral as bk
-from bgkspectral.errors import PrecisionFailureError
+from bgkspectral import orthopoly
+from bgkspectral.errors import IntegrationFailureError, PrecisionFailureError
 from bgkspectral.orthopoly import _stieltjes_pass, _weight_moments_mp
 from bgkspectral.weddle import panel_rule
 
@@ -202,6 +203,23 @@ def test_build_recurrence_refines_an_uncertified_first_pass():
     assert bk.freud_residual(table.a, pot) <= 1e-12
     fine = _stieltjes_pass(pot, n_max, 16 * n_max + 1024, cutoff)
     assert np.max(np.abs(table.a - fine) / fine) <= 1e-12
+
+
+def test_build_recurrence_fails_fast_once_the_residual_stalls(harmonic_pot,
+                                                           monkeypatch):
+    # Near n_max = 700 the sampled weight underflows in its tail, and doubling
+    # the panels stops improving the table: the residual reads about 4e-10,
+    # 1e-10, 2e-10, ... instead of reaching 1e-12.
+    panels = []
+
+    def counting_pass(pot, n_max, count, cutoff):
+        panels.append(count)
+        return _stieltjes_pass(pot, n_max, count, cutoff)
+
+    monkeypatch.setattr(orthopoly, "_stieltjes_pass", counting_pass)
+    with pytest.raises(IntegrationFailureError, match="Freud residual"):
+        bk.build_recurrence(harmonic_pot, 700)
+    assert len(panels) <= 3
 
 
 def test_moment_ladder_against_direct_quadrature(doublewell_pot):

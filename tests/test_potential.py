@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import bgkspectral as bk
@@ -59,6 +60,7 @@ def test_deriv2_matches_finite_difference(doublewell_pot):
     assert abs(fd - exact) / abs(exact) <= 1e-8
 
 
+@settings(derandomize=True, database=None)
 @given(st.floats(min_value=-20.0, max_value=20.0))
 def test_parity(x):
     pot = bk.RawPotential(DOUBLE_WELL_COEFFS)
@@ -89,3 +91,11 @@ def test_tail_cutoff_bounds(harmonic_pot):
     assert harmonic_pot(cut) >= 80.0
     larger = bk.tail_cutoff(harmonic_pot, poly_degree=100)
     assert larger > cut
+
+
+def test_overflowing_weight_is_a_typed_error():
+    # phi dips to about -11,799 inside the cutoff, where exp(-phi) overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidPotentialError, match="-11799"):
+            bk.normalize_potential(bk.RawPotential((0.0, -2.0, 2.0, -2.0, 0.05)))
