@@ -6,7 +6,6 @@ import argparse
 import json
 import math
 import sys
-import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
@@ -48,8 +47,6 @@ class RunConfig:
     snapshot_range: list[float] = field(default_factory=lambda: [-4.0, 4.0, -4.0, 4.0])
     snapshot_points: list[int] = field(default_factory=lambda: [201, 201])
     fit_window: list[float] | None = None
-    quad_tol: float = 1e-12
-    n_max: int | None = None
     kn_n_values: list[int] = field(default_factory=lambda: [4, 8, 16, 32])
 
     @classmethod
@@ -81,12 +78,10 @@ class RunConfig:
         counts = [("K", self.K), ("N", self.N)] \
             + [("snapshot_points", p) for p in self.snapshot_points] \
             + [("kn_n_values", n) for n in self.kn_n_values]
-        if self.n_max is not None:
-            counts.append(("n_max", self.n_max))
         for name, value in counts:
             if not _is_int(value):
                 raise ConfigError(f"{name}: {value!r} is not an integer")
-        reals = [("dt", self.dt), ("T", self.T), ("quad_tol", self.quad_tol)] \
+        reals = [("dt", self.dt), ("T", self.T)] \
             + [("potential", c) for c in self.potential] \
             + [("snapshot_times", t) for t in self.snapshot_times] \
             + [("snapshot_range", v) for v in self.snapshot_range] \
@@ -116,9 +111,6 @@ class RunConfig:
             raise ConfigError(f"T/dt = {steps} is not an integer step count")
         if round(steps) > MAX_STEPS:
             raise ConfigError(f"step count {round(steps)} exceeds {MAX_STEPS}")
-        if self.n_max is not None and self.n_max < _min_n_max(self.N, degree):
-            raise ConfigError(f"n_max={self.n_max} is below N + deg(phi) + 2 = "
-                              f"{_min_n_max(self.N, degree)}")
         bad = [name for name in self.outputs if name not in KNOWN_OUTPUTS]
         if bad:
             raise ConfigError(f"unknown outputs: {bad}")
@@ -155,8 +147,6 @@ class RunConfig:
         if self.fit_window is not None:
             if len(self.fit_window) != 2 or not self.fit_window[0] < self.fit_window[1]:
                 raise ConfigError("fit_window must be [t_start, t_end] with t_start < t_end")
-        if self.quad_tol <= 0:
-            raise ConfigError("quad_tol must be positive")
 
 
 # Concrete types, not the numbers ABCs: an ABC check costs about 1 us, and
@@ -168,11 +158,6 @@ def _is_int(value) -> bool:
 def _is_finite(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) \
         and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _min_n_max(N: int, degree: int) -> int:
-    # build_phi_matrix at size N + 1 reads a_0..a_{N + deg + 2}.
-    return N + degree + 2
 
 
 def _fig4_initial(ip_phi: np.ndarray) -> list:
@@ -258,11 +243,9 @@ class RunResult:
 def simulate(config: RunConfig) -> RunResult:
     """Validate and run one configured experiment in memory; writes no file."""
     config.validate()
-    pot = normalize_potential(RawPotential(tuple(config.potential)),
-                              quad_tol=config.quad_tol)
-    n_max = config.n_max if config.n_max is not None \
-        else _min_n_max(config.N, pot.degree)
-    table = build_recurrence(pot, n_max)
+    pot = normalize_potential(RawPotential(tuple(config.potential)))
+    # build_phi_matrix at size N + 1 reads a_0..a_{N + deg + 2}.
+    table = build_recurrence(pot, config.N + pot.degree + 2)
     couplings = build_deriv_couplings(table, config.N)
     basis = diagnostics.build_functional_basis(table, config.N)
 
@@ -396,10 +379,7 @@ def _parse_sweep(spec: str, config: RunConfig) -> list[tuple[str, object]]:
     name, _, raw = spec.partition("=")
     if name not in config.__dataclass_fields__:
         raise ConfigError(f"unknown sweep field {name!r}")
-    declared = typing.get_type_hints(RunConfig)[name]
-    options = typing.get_args(declared) \
-        if isinstance(declared, types.UnionType) else (declared,)
-    caster = next((_SWEEP_CASTERS[t] for t in options if t in _SWEEP_CASTERS), None)
+    caster = _SWEEP_CASTERS.get(typing.get_type_hints(RunConfig)[name])
     if caster is None:
         raise ConfigError(f"cannot sweep {name!r}: only int, float and bool "
                           "fields take one value per variant")

@@ -22,6 +22,9 @@ from .operators import build_omega_matrix, build_phi_matrix
 from .orthopoly import RecurrenceTable, build_recurrence
 from .potential import NormalizedPotential
 
+# Ambient sizes of `kn_sweep`, in multiples of N + pad.
+_M_FACTORS = (1, 2, 4)
+
 
 @dataclass(frozen=True)
 class KNReport:
@@ -78,35 +81,29 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
                                            for k in (1, 2, 3))])
 
 
-def _agree(a: np.ndarray, b: np.ndarray, rel_tol: float) -> bool:
-    return bool(np.all(np.abs(a - b) <= rel_tol * np.maximum(np.abs(b), 1e-12)))
-
-
-def kn_sweep(pot: NormalizedPotential, n_values, m_factors=(1, 2, 4),
-             rel_tol: float = 0.01) -> list[KNReport]:
+def kn_sweep(pot: NormalizedPotential, n_values) -> list[KNReport]:
     """Norm estimates over a list of truncations N, with a stabilization check.
 
-    For each N the ambient size runs through m_factors * (N + pad), with
+    For each N the ambient size runs through (1, 2, 4) * (N + pad), with
     pad = max(16, 2 deg(phi)) so that even the smallest size leaves the room
     `estimate_kn` needs; the reported values come from the largest ambient
     size and are flagged converged only when the last two sizes agree to
-    rel_tol componentwise.  The sweep builds its own recurrence table, long
+    1% componentwise.  The sweep builds its own recurrence table, long
     enough for the largest ambient size, so the values depend only on the
-    potential and the sizes.
+    potential and N.
     """
     n_values = list(n_values)
     if not n_values:
         return []
     two_m = pot.degree
     pad = max(16, 2 * two_m)
-    max_big = max(f * (n + pad) for n in n_values for f in m_factors)
+    max_big = max(f * (n + pad) for n in n_values for f in _M_FACTORS)
     table = build_recurrence(pot, max_big + 2 * two_m + 2)
     reports = []
     for n in n_values:
-        bigs = sorted(f * (n + pad) for f in m_factors)
-        values = [estimate_kn(table, pot, n, b) for b in bigs]
-        converged = len(values) >= 2 and _agree(values[-2], values[-1], rel_tol)
-        reports.append(KNReport(N=n, m_big=bigs[-1],
-                                kn=tuple(float(v) for v in values[-1]),
-                                converged=converged))
+        bigs = [f * (n + pad) for f in _M_FACTORS]
+        *_, prev, last = [estimate_kn(table, pot, n, b) for b in bigs]
+        converged = np.all(np.abs(prev - last) <= 0.01 * np.maximum(np.abs(last), 1e-12))
+        reports.append(KNReport(N=n, m_big=bigs[-1], kn=tuple(last.tolist()),
+                                converged=bool(converged)))
     return reports

@@ -274,12 +274,10 @@ def build_recurrence(pot: NormalizedPotential, n_max: int) -> RecurrenceTable:
                 "to 1e-12")
 
 
-def eval_poly_all(table: RecurrenceTable, n: int, x) -> np.ndarray:
-    """Values of P_0..P_n at x; shape (n+1,) + shape(x)."""
-    if not 0 <= n <= table.n_max:
-        raise IndexError(f"polynomial index {n} outside table range {table.n_max}")
+def _three_term_all(a: np.ndarray, n: int, x) -> np.ndarray:
+    """Values of p_0..p_n at x for x p_k = a_{k+1} p_{k+1} + a_k p_{k-1},
+    p_0 = 1 / a_0; shape (n+1,) + shape(x)."""
     x = np.asarray(x, dtype=float)
-    a = table.a
     out = np.empty((n + 1,) + x.shape)
     out[0] = 1.0 / a[0]
     if n >= 1:
@@ -287,6 +285,13 @@ def eval_poly_all(table: RecurrenceTable, n: int, x) -> np.ndarray:
     for k in range(1, n):
         out[k + 1] = (x * out[k] - a[k] * out[k - 1]) / a[k + 1]
     return out
+
+
+def eval_poly_all(table: RecurrenceTable, n: int, x) -> np.ndarray:
+    """Values of P_0..P_n at x; shape (n+1,) + shape(x)."""
+    if not 0 <= n <= table.n_max:
+        raise IndexError(f"polynomial index {n} outside table range {table.n_max}")
+    return _three_term_all(table.a, n, x)
 
 
 def eval_poly_and_deriv_all(table: RecurrenceTable, n: int, x):
@@ -303,15 +308,11 @@ def eval_poly_and_deriv_all(table: RecurrenceTable, n: int, x):
 
 
 def hermite_eval_all(k_max: int, v) -> np.ndarray:
-    """Orthonormal Hermite values H_0..H_k_max for the unit Gaussian weight."""
-    v = np.asarray(v, dtype=float)
-    out = np.empty((k_max + 1,) + v.shape)
-    out[0] = np.ones_like(v)
-    if k_max >= 1:
-        out[1] = v
-    for k in range(1, k_max):
-        out[k + 1] = (v * out[k] - math.sqrt(k) * out[k - 1]) / math.sqrt(k + 1)
-    return out
+    """Orthonormal Hermite values H_0..H_k_max for the unit Gaussian weight,
+    whose recurrence has a_0 = 1 and a_n = sqrt(n)."""
+    a = np.sqrt(np.arange(k_max + 1.0))
+    a[0] = 1.0
+    return _three_term_all(a, k_max, v)
 
 
 def build_quadrature(pot: NormalizedPotential, kind: str, resolution: int,

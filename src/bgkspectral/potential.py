@@ -15,7 +15,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import InvalidPotentialError
-from .weddle import integrate_adaptive
+from .weddle import _MAX_NODES, _REL_TOL, integrate_adaptive
+
+# Log-weight drop, from the potential's minimum, that counts as negligible.
+_TAIL_MARGIN = 80.0
 
 
 def _full_coeffs(even_coeffs) -> np.ndarray:
@@ -81,51 +84,64 @@ class NormalizedPotential(_EvenPolynomial):
     log_shift: float
 
 
-def tail_cutoff(pot, poly_degree: int = 0, threshold: float = 80.0) -> float:
+def tail_cutoff(pot, poly_degree: int = 0) -> float:
     """Radius L beyond which |x|^poly_degree * exp(-pot(x)) is negligible.
 
     The bound is taken relative to the minimum of the potential, so an
     arbitrary constant offset in the coefficients does not shrink the
-    integration window.
+    integration window.  A potential that overflows double precision in the
+    search, or whose weight lies within 1 / _MAX_NODES of the origin, between
+    two nodes of every rule `integrate_adaptive` can afford on [-0.5, 0.5],
+    raises InvalidPotentialError.
     """
-    hi = 8.0
-    while pot.deriv(hi) <= 0.0 or pot(hi) <= pot(0.0):
-        hi *= 2.0
-        if hi > 1e8:
-            raise InvalidPotentialError("potential does not grow at infinity")
-    floor = float(np.min(pot(np.linspace(0.0, hi, 2049))))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            hi = 8.0
+            while pot.deriv(hi) <= 0.0 or pot(hi) <= pot(0.0):
+                hi *= 2.0
+                if hi > 1e8:
+                    raise InvalidPotentialError("potential does not grow at infinity")
+            floor = float(np.min(pot(np.linspace(0.0, hi, 2049))))
 
-    L = 0.5
-    while True:
-        margin = pot(L) - floor - poly_degree * math.log(max(L, math.e))
-        growing = pot.deriv(L) - poly_degree / L > 0.0
-        if margin >= threshold and growing:
+            def negligible(L: float) -> bool:
+                margin = pot(L) - floor - poly_degree * math.log(max(L, math.e))
+                return margin >= _TAIL_MARGIN and pot.deriv(L) - poly_degree / L > 0.0
+
+            inner = 0.5
+            while negligible(inner):
+                inner *= 0.5
+                if inner < 1.0 / _MAX_NODES:
+                    raise InvalidPotentialError(f"potential {pot.coeffs}: exp(-phi) "
+                                                "is too narrow to integrate")
+            L = 0.5
+            while not negligible(L):
+                L *= 1.0625
+                if L > 1e9:
+                    raise InvalidPotentialError("failed to locate an integration cutoff")
             return L
-        L *= 1.0625
-        if L > 1e9:
-            raise InvalidPotentialError("failed to locate an integration cutoff")
+    except FloatingPointError:
+        raise InvalidPotentialError(
+            f"potential {pot.coeffs} overflows double precision") from None
 
 
-def normalize_potential(raw: RawPotential, quad_tol: float = 1e-12) -> NormalizedPotential:
+def normalize_potential(raw: RawPotential) -> NormalizedPotential:
     """Rescale and shift `raw` so that <1> = <phi''> = 1 under rho = exp(-phi).
 
     The scale c and gamma follow the closed formulas
     c = sqrt(I0 * I2), gamma = sqrt(I0 / I2) with I0 = integral of exp(-phi)
     and I2 = integral of phi'' exp(-phi); both are evaluated by adaptive
-    composite quadrature on a truncated interval.  A potential so deep
-    inside the cutoff that exp(-phi) overflows raises InvalidPotentialError.
+    composite quadrature on a truncated interval, to relative tolerance
+    1e-12, and the normalized moments are checked to 1e-10.  A potential so
+    deep inside the cutoff that exp(-phi) overflows raises
+    InvalidPotentialError, as does a potential `tail_cutoff` rejects.
     """
-    if not isinstance(raw, RawPotential):
-        raw = RawPotential(tuple(raw))
-
     L0 = tail_cutoff(raw, poly_degree=0)
     L2 = tail_cutoff(raw, poly_degree=raw.degree - 2)
     try:
         with np.errstate(over="raise"):
-            i0 = integrate_adaptive(lambda x: np.exp(-raw(x)), -L0, L0,
-                                    rel_tol=quad_tol)
+            i0 = integrate_adaptive(lambda x: np.exp(-raw(x)), -L0, L0)
             i2 = integrate_adaptive(lambda x: raw.deriv2(x) * np.exp(-raw(x)),
-                                    -L2, L2, rel_tol=quad_tol)
+                                    -L2, L2)
     except FloatingPointError:
         floor = float(np.min(raw(np.linspace(0.0, max(L0, L2), 4097))))
         raise InvalidPotentialError(
@@ -147,11 +163,10 @@ def normalize_potential(raw: RawPotential, quad_tol: float = 1e-12) -> Normalize
         log_shift=math.log(c),
     )
 
-    check_tol = max(100.0 * quad_tol, 1e-11)
+    check_tol = max(100.0 * _REL_TOL, 1e-11)
     L = tail_cutoff(pot, poly_degree=pot.degree - 2)
-    r0 = integrate_adaptive(lambda x: np.exp(-pot(x)), -L, L, rel_tol=quad_tol)
-    r2 = integrate_adaptive(lambda x: pot.deriv2(x) * np.exp(-pot(x)),
-                            -L, L, rel_tol=quad_tol)
+    r0 = integrate_adaptive(lambda x: np.exp(-pot(x)), -L, L)
+    r2 = integrate_adaptive(lambda x: pot.deriv2(x) * np.exp(-pot(x)), -L, L)
     if abs(r0 - 1.0) > check_tol or abs(r2 - 1.0) > check_tol:
         raise InvalidPotentialError(
             f"normalization residuals too large: <1>-1={r0 - 1.0:.3e}, "

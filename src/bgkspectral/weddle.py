@@ -8,6 +8,10 @@ from .errors import IntegrationFailureError
 # normalized so that the panel integral is h * PANEL_WEIGHTS @ f.
 PANEL_WEIGHTS = np.array([41.0, 216.0, 27.0, 272.0, 27.0, 216.0, 41.0]) / 140.0
 
+# Convergence tolerance and node budget of `integrate_adaptive`.
+_REL_TOL = 1e-12
+_MAX_NODES = 1 << 22
+
 
 def panel_rule(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for `panels` composite panels over [lo, hi]."""
@@ -25,20 +29,20 @@ def panel_rule(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarra
     return x, w * h
 
 
-def integrate_adaptive(f, lo: float, hi: float, rel_tol: float = 1e-12,
-                       max_nodes: int = 1 << 22, min_panels: int = 16) -> float:
-    """Integrate f over [lo, hi], doubling panels until successive values agree."""
-    panels = min_panels
+def integrate_adaptive(f, lo: float, hi: float) -> float:
+    """Integrate f over [lo, hi], doubling panels from 16 until successive
+    values agree to _REL_TOL; past _MAX_NODES nodes, raise IntegrationFailureError."""
+    panels = 16
     prev = None
     while True:
         x, w = panel_rule(lo, hi, panels)
         val = float(w @ np.asarray(f(x), dtype=float))
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
+        if prev is not None and abs(val - prev) <= _REL_TOL * max(abs(val), 1e-300):
             return val
         panels *= 2
-        if 6 * panels + 1 > max_nodes:
+        if 6 * panels + 1 > _MAX_NODES:
             raise IntegrationFailureError(
-                f"composite quadrature on [{lo}, {hi}] did not reach rel_tol={rel_tol} "
-                f"within {max_nodes} nodes"
+                f"composite quadrature on [{lo}, {hi}] did not reach rel_tol={_REL_TOL} "
+                f"within {_MAX_NODES} nodes"
             )
         prev = val

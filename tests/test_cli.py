@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,18 @@ def small_config(**overrides):
         "dt": 0.05,
         "T": 1.0,
         "initial": [[1, 2, 1.0], [2, 1, 1.0]],
-        "n_max": 60,
     }
     data.update(overrides)
     return data
+
+
+def test_readme_documents_every_config_field():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme.split("### Configuration fields", 1)[1].split("\n\n")[1]
+    # The paragraph also backticks values such as `[k, n, value]`.
+    ticked = set(re.findall(r"`([^`]+)`", paragraph))
+    assert set(cli.RunConfig.__dataclass_fields__) <= ticked
+    assert not {"n_max", "quad_tol"} & ticked
 
 
 def test_dump_preset_round_trips(capsys):
@@ -53,16 +63,13 @@ def test_validation_catches_bad_fields(tmp_path):
         small_config(snapshot_times=[0.125]),   # not a multiple of dt
         # distinct steps, one file name snapshot_0.5.csv
         small_config(dt=1e-7, snapshot_times=[0.5, 0.5000001]),
-        small_config(n_max=7),                  # below N + deg(phi) + 2 = 8
         small_config(dt=math.nan),
         small_config(T=math.nan),
         small_config(dt=math.inf),
         small_config(potential=[math.nan, 0.5]),
-        small_config(quad_tol=math.inf),
         small_config(K=4.5),
         small_config(N=5.0),
         small_config(K=True),
-        small_config(n_max=40.5),
         small_config(snapshot_points=[5.5, 4]),
         small_config(kn_n_values=[4.5]),
         small_config(initial=[[0, 1, math.nan]]),
@@ -100,8 +107,11 @@ def test_list_field_of_wrong_type_exits_2(tmp_path):
 
 
 def test_unknown_and_missing_fields():
-    with pytest.raises(ConfigError, match="unknown"):
-        cli.RunConfig.from_dict(small_config(bogus=1))
+    # The recurrence length follows from N and the potential, and the
+    # quadrature tolerance is fixed, so neither is a config field.
+    for extra in ({"bogus": 1}, {"n_max": 60}, {"quad_tol": 1e-12}):
+        with pytest.raises(ConfigError, match="unknown"):
+            cli.RunConfig.from_dict(small_config(**extra))
     with pytest.raises(ConfigError, match="missing"):
         cli.RunConfig.from_dict({"K": 2})
     for data in ("abc", [1, 2]):
@@ -110,9 +120,8 @@ def test_unknown_and_missing_fields():
 
 
 def test_invalid_config_leaves_no_artifacts(tmp_path):
-    too_short_table = {"potential": [1, -2, 1], "K": 4, "N": 30, "T": 0.1,
-                       "n_max": 20}
-    for i, data in enumerate((small_config(N=1), too_short_table,
+    for i, data in enumerate((small_config(N=1), small_config(n_max=60),
+                              small_config(quad_tol=1e-12),
                               small_config(kn_n_values=[-3], outputs=["kn"]),
                               small_config(purge="no"),
                               # Not a JSON object at all.
@@ -157,22 +166,13 @@ def test_recurrence_and_kn_outputs(tmp_path):
     cli.run(cli.RunConfig.from_dict(data), tmp_path)
     rec = (tmp_path / "recurrence.csv").read_text().splitlines()
     assert rec[0] == "n,a_n"
-    assert len(rec) == 62
+    assert len(rec) == 1 + 4 + 2 + 3      # header, a_0..a_{N+deg+2}
     kn = (tmp_path / "kn_table.csv").read_text().splitlines()
     assert kn[0] == "N,M_big,kn0,kn1,kn2,kn3,converged"
     fields = kn[1].split(",")
     assert fields[0] == "4" and fields[6] == "true"
     # harmonic closed form for the first column
     assert float(fields[2]) == pytest.approx(math.sqrt(4.0 / 5.0), abs=1e-10)
-
-
-def test_kn_values_do_not_depend_on_n_max():
-    data = {"potential": [1.0, -2.0, 1.0], "K": 4, "N": 4, "T": 0.1,
-            "outputs": ["kn"], "kn_n_values": [4, 8, 16, 32]}
-    default = cli.simulate(cli.RunConfig.from_dict(data))
-    longer = cli.simulate(cli.RunConfig.from_dict(dict(data, n_max=300)))
-    assert longer.table.n_max == 300
-    assert [r.kn for r in longer.kn] == [r.kn for r in default.kn]
 
 
 def test_snapshot_output(tmp_path):
@@ -197,10 +197,13 @@ def test_sweep_isolated_directories(tmp_path):
 
 
 def test_sweep_rejects_shared_directories(tmp_path):
+    data = small_config(dt=2e-7)
+    for T in (1.0, 1.0000002):              # both variants validate on their own
+        cli.RunConfig.from_dict(dict(data, T=T)).validate()
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(small_config()))
+    cfg.write_text(json.dumps(data))
     # both pairs print alike under {value:g}
-    for sweep in ("quad_tol=1e-12,1.0000001e-12", "K=4,4"):
+    for sweep in ("T=1,1.0000002", "K=4,4"):
         out = tmp_path / "sweep"
         code = cli.main(["--config", str(cfg), "--out-dir", str(out),
                          "--sweep", sweep])
@@ -209,50 +212,51 @@ def test_sweep_rejects_shared_directories(tmp_path):
 
 
 def test_sweep_validation():
-    data = small_config()
-    del data["n_max"]                       # defaults to None
-    cfg = cli.RunConfig.from_dict(data)
+    cfg = cli.RunConfig.from_dict(small_config())
     with pytest.raises(ConfigError):
         cli._parse_sweep("K", cfg)
-    with pytest.raises(ConfigError):
-        cli._parse_sweep("bogus=1,2", cfg)
+    for name in ("bogus", "n_max", "quad_tol"):
+        with pytest.raises(ConfigError, match="unknown sweep field"):
+            cli._parse_sweep(f"{name}=1,2", cfg)
     with pytest.raises(ConfigError):
         cli._parse_sweep("K=", cfg)
     assert cli._parse_sweep("dt=0.1,0.2", cfg) == [("dt", 0.1), ("dt", 0.2)]
-    with pytest.raises(ConfigError):
-        cli._parse_sweep("potential=1,2", cfg)
+    for name in ("potential", "fit_window"):
+        with pytest.raises(ConfigError, match="cannot sweep"):
+            cli._parse_sweep(f"{name}=1,2", cfg)
     with pytest.raises(ConfigError):
         cli._parse_sweep("K=4.5", cfg)
     # cast by the declared type, not by the current value
-    for spec, want in (("n_max=40,50", [40, 50]), ("K=4,6", [4, 6]),
+    for spec, want in (("T=1,2", [1.0, 2.0]), ("K=4,6", [4, 6]),
                        ("purge=true,0", [True, False])):
         values = [v for _, v in cli._parse_sweep(spec, cfg)]
         assert values == want
         assert [type(v) for v in values] == [type(v) for v in want]
 
 
-def test_sweep_of_defaulted_integer_field(tmp_path):
-    data = small_config(outputs=["recurrence"])
-    del data["n_max"]                       # defaults to None
+def test_sweep_of_N_sizes_the_recurrence(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
+    cfg.write_text(json.dumps(small_config(outputs=["recurrence"])))
     out = tmp_path / "sweep"
     code = cli.main(["--config", str(cfg), "--out-dir", str(out),
-                     "--sweep", "n_max=40,50"])
+                     "--sweep", "N=4,10"])
     assert code == 0
-    assert sorted(p.name for p in out.iterdir()) == ["n_max_40", "n_max_50"]
-    for n_max in (40, 50):
-        rec = (out / f"n_max_{n_max}" / "recurrence.csv").read_text()
-        assert len(rec.splitlines()) == 1 + n_max + 1     # header, a_0..a_{n_max}
+    assert sorted(p.name for p in out.iterdir()) == ["N_10", "N_4"]
+    for n in (4, 10):
+        rec = (out / f"N_{n}" / "recurrence.csv").read_text()
+        assert len(rec.splitlines()) == 1 + n + 2 + 3   # header, a_0..a_{N+deg+2}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_numerical_failure_exit_code(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    # leading coefficient so large the weight integral underflows to zero
-    cfg.write_text(json.dumps(small_config(potential=[0.0, 1e308], N=4)))
-    assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
-    assert not (tmp_path / "o").exists()
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    # 1e308 overflows phi' and phi; at 1e300 the weight is a spike about
+    # 1e-150 wide, which no composite rule within the node budget resolves.
+    for lead in (1e308, 1e300):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config(potential=[0.0, lead], N=4)))
+        assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert "InvalidPotentialError" in err and f"(0.0, {lead})" in err
 
 
 @pytest.mark.parametrize("overrides", [
@@ -274,7 +278,8 @@ def test_summary_records_the_recurrence_certificate():
     assert result.summary["freud_residual"] == table.freud_residual \
         == freud_residual(table.a, table.weight)
     assert result.summary["freud_residual"] <= 1e-12
-    # n_max = 60 certifies on the first pass, max(256, 4 n_max) panels.
+    # n_max = N + deg(phi) + 2 = 8 certifies on the first pass, on
+    # max(256, 4 n_max) panels.
     assert result.summary["recurrence_panels"] == table.panels == 256
 
 
@@ -290,7 +295,7 @@ def test_preset_initial_conditions_resolve(tmp_path):
     # fig4 initial data balances the energy functional exactly
     data = dict(cli.PRESETS["doublewell_fig4"])
     data.update({"T": 0.1, "dt": 0.05, "snapshot_times": [], "N": 10,
-                 "outputs": ["conserved"], "n_max": 60})
+                 "outputs": ["conserved"]})
     cli.run(cli.RunConfig.from_dict(data), tmp_path)
     lines = (tmp_path / "conserved.csv").read_text().splitlines()
     first = lines[1].split(",")

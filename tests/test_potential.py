@@ -91,6 +91,11 @@ def test_tail_cutoff_bounds(harmonic_pot):
     assert harmonic_pot(cut) >= 80.0
     larger = bk.tail_cutoff(harmonic_pot, poly_degree=100)
     assert larger > cut
+    # A weight narrower than the search start keeps the cutoff there.
+    steep = bk.RawPotential((0.0, 1000.0))
+    assert bk.tail_cutoff(steep) == 0.5
+    assert bk.normalize_potential(steep).scale == pytest.approx(
+        1.0 / math.sqrt(2000.0), rel=1e-12)
 
 
 def test_overflowing_weight_is_a_typed_error():
