@@ -40,7 +40,7 @@ class RunConfig:
     N: int
     dt: float = 1e-2
     T: float = 10.0
-    initial: list | str = field(default_factory=list)
+    initial: list = field(default_factory=list)
     purge: bool = False
     outputs: list[str] = field(default_factory=lambda: ["norms", "conserved"])
     snapshot_times: list[float] = field(default_factory=list)
@@ -67,9 +67,7 @@ class RunConfig:
                  ("snapshot_times", self.snapshot_times),
                  ("snapshot_range", self.snapshot_range),
                  ("snapshot_points", self.snapshot_points),
-                 ("kn_n_values", self.kn_n_values)]
-        if not isinstance(self.initial, str):
-            lists.append(("initial", self.initial))
+                 ("kn_n_values", self.kn_n_values), ("initial", self.initial)]
         if self.fit_window is not None:
             lists.append(("fit_window", self.fit_window))
         for name, value in lists:
@@ -114,21 +112,17 @@ class RunConfig:
         bad = [name for name in self.outputs if name not in KNOWN_OUTPUTS]
         if bad:
             raise ConfigError(f"unknown outputs: {bad}")
-        if isinstance(self.initial, str):
-            if self.initial not in INITIAL_CONDITIONS:
-                raise ConfigError(f"unknown initial-condition preset {self.initial!r}")
-        else:
-            for entry in self.initial:
-                try:
-                    k, n, value = entry
-                except (TypeError, ValueError):
-                    raise ConfigError(f"initial entries must be (k, n, value): "
-                                      f"{entry!r}") from None
-                if not (_is_int(k) and _is_int(n) and _is_finite(value)):
-                    raise ConfigError(f"initial entry {entry}: k and n must be "
-                                      "integers and the value a finite number")
-                if not (0 <= k <= self.K and 0 <= n <= self.N):
-                    raise ConfigError(f"initial coefficient ({k}, {n}) out of range")
+        for entry in self.initial:
+            try:
+                k, n, value = entry
+            except (TypeError, ValueError):
+                raise ConfigError(f"initial entries must be (k, n, value): "
+                                  f"{entry!r}") from None
+            if not (_is_int(k) and _is_int(n) and _is_finite(value)):
+                raise ConfigError(f"initial entry {entry}: k and n must be "
+                                  "integers and the value a finite number")
+            if not (0 <= k <= self.K and 0 <= n <= self.N):
+                raise ConfigError(f"initial coefficient ({k}, {n}) out of range")
         if len(self.snapshot_range) != 4 or len(self.snapshot_points) != 2:
             raise ConfigError("snapshot_range needs 4 entries, snapshot_points 2")
         if any(p < 2 for p in self.snapshot_points):
@@ -160,40 +154,26 @@ def _is_finite(value) -> bool:
         and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _fig4_initial(ip_phi: np.ndarray) -> list:
-    # Energy-balanced mass/energy perturbation: the C[2,0] slot offsets the
-    # phi-moment of C[0,:] so every conserved functional starts at zero.
-    return [
-        (0, 1, 1.0),
-        (0, 2, 1.0),
-        (2, 0, -math.sqrt(2.0) * float(ip_phi[2])),
-        (2, 1, 1.0),
-    ]
-
-
-INITIAL_CONDITIONS = {
-    "harmonic_fig1": lambda ip_phi: [(1, 2, 1.0), (2, 1, 1.0)],
-    "doublewell_fig3": lambda ip_phi: [(2, 1, 1.0)],
-    "doublewell_fig4": _fig4_initial,
-}
-
 PRESETS: dict[str, dict] = {
     "harmonic_fig1": {
         "potential": HARMONIC_COEFFS,
         "K": 20, "N": 5, "dt": 1e-2, "T": 10.0,
-        "initial": "harmonic_fig1",
+        "initial": [[1, 2, 1.0], [2, 1, 1.0]],
         "outputs": ["norms", "conserved"],
     },
     "doublewell_fig3": {
         "potential": DOUBLE_WELL_COEFFS,
         "K": 20, "N": 5, "dt": 1e-2, "T": 10.0,
-        "initial": "doublewell_fig3",
+        "initial": [[2, 1, 1.0]],
         "outputs": ["norms", "conserved"],
     },
     "doublewell_fig4": {
         "potential": DOUBLE_WELL_COEFFS,
         "K": 20, "N": 30, "dt": 1e-2, "T": 12.0,
-        "initial": "doublewell_fig4",
+        # The purge offsets C[2,0] against the phi-moment of C[0,:], so every
+        # conserved functional starts at zero.
+        "initial": [[0, 1, 1.0], [0, 2, 1.0], [2, 1, 1.0]],
+        "purge": True,
         "outputs": ["norms", "conserved", "snapshots"],
         # Sampling instants sit on the decay envelope, clear of the
         # oscillatory ripple of the slow modes.
@@ -249,11 +229,7 @@ def simulate(config: RunConfig) -> RunResult:
     couplings = build_deriv_couplings(table, config.N)
     basis = diagnostics.build_functional_basis(table, config.N)
 
-    if isinstance(config.initial, str):
-        entries = INITIAL_CONDITIONS[config.initial](basis.ip_phi)
-    else:
-        entries = config.initial
-    state = scheme.project_initial_condition(entries, config.K, config.N)
+    state = scheme.project_initial_condition(config.initial, config.K, config.N)
     if config.purge:
         state = scheme.purge_equilibrium_components(state, basis.ip_phi,
                                                     basis.harmonic)

@@ -38,13 +38,10 @@ def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
     row size - 1 are zero.  Phi is symmetric, so this is all of it.  phi' is
     an odd polynomial of degree deg(phi) - 1, so Phi is that polynomial of
     the Jacobi matrix; evaluating it on J cut to `size` plus a margin rows
-    keeps the retained block exact.
+    keeps the retained block exact; `jacobi_horner` raises ValueError when
+    the table is too short for that margin.
     """
     big = size + pot.degree + 2
-    if table.n_max < big - 1:
-        raise ValueError(
-            f"recurrence table reaches {table.n_max}, need {big - 1} for size {size}"
-        )
     dcoeffs = npoly.polyder(_full_coeffs(pot.coeffs))
     band = jacobi_band(table.a, dcoeffs, big)[:, :size]
     for k in range(1, len(band), 2):

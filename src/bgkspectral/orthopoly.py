@@ -68,13 +68,7 @@ def _stieltjes_pass(pot, n_max: int, panels: int, cutoff: float) -> np.ndarray:
     q /= a[0]
     q_prev = np.zeros_like(q)
     for n in range(n_max):
-        y = x * q
-        if n > 0:
-            y -= a[n] * q_prev
-        # One local reorthogonalization sweep keeps drift at rounding level.
-        y -= (w @ (y * q)) * q
-        if n > 0:
-            y -= (w @ (y * q_prev)) * q_prev
+        y = x * q - a[n] * q_prev
         nrm = math.sqrt(float(w @ (y * y)))
         if not nrm > 0.0:
             raise PrecisionFailureError(

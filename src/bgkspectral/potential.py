@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import InvalidPotentialError
+from .errors import IntegrationFailureError, InvalidPotentialError
 from .weddle import _MAX_NODES, _REL_TOL, integrate_adaptive
 
 # Log-weight drop, from the potential's minimum, that counts as negligible.
@@ -133,7 +133,8 @@ def normalize_potential(raw: RawPotential) -> NormalizedPotential:
     composite quadrature on a truncated interval, to relative tolerance
     1e-12, and the normalized moments are checked to 1e-10.  A potential so
     deep inside the cutoff that exp(-phi) overflows raises
-    InvalidPotentialError, as does a potential `tail_cutoff` rejects.
+    InvalidPotentialError, as do a potential `tail_cutoff` rejects and one
+    whose weight no rule within the node budget resolves.
     """
     L0 = tail_cutoff(raw, poly_degree=0)
     L2 = tail_cutoff(raw, poly_degree=raw.degree - 2)
@@ -148,19 +149,24 @@ def normalize_potential(raw: RawPotential) -> NormalizedPotential:
             f"exp(-phi) overflows double precision: phi dips to about "
             f"{floor:.6g} inside the cutoff"
         ) from None
+    except IntegrationFailureError as exc:
+        raise InvalidPotentialError(
+            f"potential {raw.coeffs}: exp(-phi) is not resolved within "
+            f"{_MAX_NODES} quadrature nodes") from exc
     if i0 <= 0.0 or i2 <= 0.0:
         raise InvalidPotentialError(
             f"normalization integrals must be positive, got {i0}, {i2}"
         )
 
-    c = math.sqrt(i0 * i2)
+    # log c, not c = sqrt(I0 I2): the product overflows for deep wells.
+    log_c = 0.5 * (math.log(i0) + math.log(i2))
     gamma = math.sqrt(i0 / i2)
     coeffs = [g * gamma ** (2 * i) for i, g in enumerate(raw.coeffs)]
-    coeffs[0] += math.log(c)
+    coeffs[0] += log_c
     pot = NormalizedPotential(
         coeffs=tuple(coeffs),
         scale=gamma,
-        log_shift=math.log(c),
+        log_shift=log_c,
     )
 
     check_tol = max(100.0 * _REL_TOL, 1e-11)

@@ -33,12 +33,22 @@ def test_readme_documents_every_config_field():
     assert not {"n_max", "quad_tol"} & ticked
 
 
-def test_dump_preset_round_trips(capsys):
-    assert cli.main(["--dump-preset", "harmonic_fig1"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    cfg = cli.RunConfig.from_dict(data)
-    cfg.validate()
-    assert cfg.K == 20 and cfg.N == 5
+def test_dump_preset_round_trips(tmp_path, capsys):
+    # A preset is plain data: its dump, run through --config, writes the
+    # same bytes as the preset itself.
+    for name in cli.PRESETS:
+        assert cli.main(["--dump-preset", name]) == 0
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(capsys.readouterr().out)
+        dumped, preset = tmp_path / name / "config", tmp_path / name / "preset"
+        assert cli.main(["--config", str(cfg), "--out-dir", str(dumped)]) == 0
+        assert cli.main(["--preset", name, "--out-dir", str(preset)]) == 0
+        capsys.readouterr()
+        files = sorted(p.name for p in preset.iterdir())
+        assert files == sorted(p.name for p in dumped.iterdir())
+        assert "norms.csv" in files
+        for f in files:
+            assert (dumped / f).read_bytes() == (preset / f).read_bytes(), (name, f)
 
 
 def test_unknown_preset_is_config_error():
@@ -97,8 +107,10 @@ def test_validation_catches_bad_fields(tmp_path):
 
 
 def test_list_field_of_wrong_type_exits_2(tmp_path):
+    # `initial` takes [k, n, value] triples only, not a preset's name.
     for i, data in enumerate((small_config(initial=[5]), small_config(potential=2),
-                              small_config(outputs="norms"))):
+                              small_config(outputs="norms"),
+                              small_config(initial="doublewell_fig4"))):
         cfg = tmp_path / f"bad{i}.json"
         cfg.write_text(json.dumps(data))
         out = tmp_path / f"out{i}"
@@ -249,8 +261,10 @@ def test_sweep_of_N_sizes_the_recurrence(tmp_path):
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # 1e308 overflows phi' and phi; at 1e300 the weight is a spike about
-    # 1e-150 wide, which no composite rule within the node budget resolves.
-    for lead in (1e308, 1e300):
+    # 1e-150 wide, narrower than any rule within the node budget can place
+    # a node in; at 1e12 it is about 1e-6 wide, and the adaptive rule runs
+    # out of nodes before it converges.
+    for lead in (1e308, 1e300, 1e12):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(small_config(potential=[0.0, lead], N=4)))
         assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3

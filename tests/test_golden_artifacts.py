@@ -45,37 +45,37 @@ GOLDEN = {
     },
     "doublewell_fig4": {
         "conserved.csv":
-            "49543df6d2481e9516c035b223442d153a1a017e824cd6a0f73dc3022b1d9c09",
+            "f06f8c136fbc8c8e407d920de06a06e8ac951c68bfe9806a316641fc4503c6ef",
         "norms.csv":
-            "449a2beb40902802febd52186da91928af19fd182c32d70e974c55d9ff8112a4",
+            "4f51261676333ad7b4f6de7c922cf01e82c597c8c434a185c530703ad67bdc09",
         "snapshot_0.csv":
-            "0996659714a7c3d63ebb1784f81835a1383a5e7bd9a277ae159f8b49405b5dc5",
+            "efaae18c8de022a9bbd2a3b50384360d3f73b60e7ad0283d7453333722351877",
         "snapshot_10.csv":
-            "760325ce87b171560d06ca0527fc5e0b424f9ab5080239d54f8fbed17114c9eb",
+            "42cd16362dfaee1f9051411ed6e51f8b3cf5b81f77d398c4173b9514e5057a02",
         "snapshot_12.csv":
-            "0e3b199ed14e5c99a26e195d9adad331295a59d47b15319086bd6c90f4ff0909",
+            "8231c720976a14a72f1cd5460b95cbca2c25d9e67d42ed63b2e15ad5e1f68dd2",
         "snapshot_2.5.csv":
-            "0a7a1e18c01661e093ad1f664cfced0f4de254652ab57a76b039a91cc8945b38",
+            "7ebbc1b73d1b060a313e5c50582b698deb2621cec8acfc4b5ef0f8d09d57b87f",
         "snapshot_5.csv":
-            "b3ad4b0458e4aa733a9f689c60cfea735e51303c0e073693c6504b10a50ec60a",
+            "c0701996993964a36ad2e54f1e3c00af4501f2ec3ee6a177be750db923d3c16e",
         "snapshot_7.5.csv":
-            "a9d7427aebd7ee305f7cd9d5a8af00a7448b8daf6c8606a0901f618217fc89e5",
+            "b7e7beed12d84cb2a3ddc1949a3b9ade75bf4c8dd8b9d9aaf70d6d905c7a4c1f",
     },
     "doublewell_kn": {
         "conserved.csv":
             "af75193f48a632d08741356e942c6142a31b52bf8ba439e51de05b8dead39e5b",
         "kn_table.csv":
-            "f16690fdb4fbef64b269afb4e65953207338bc603444be7480a38b83bc189c01",
+            "abbda4cf9720fd9276a9dc4aa38f91b41b7f4cbf87e2e65b73941462d904b1b4",
         "norms.csv":
             "9ea1b21100be3c500f58a166a1bbc11cd5587dc21187d804061cfa4d76922767",
         "recurrence.csv":
-            "54f3b8aaa0721d23f15e37149033137c83671db2fce67a1f6722db25075f72f9",
+            "cfb275663d9f70d66f91396ceb0ea7f41a7318736914ecea335404c9bd020dac",
     },
     "harmonic_fig1": {
         "conserved.csv":
             "c325d01ae223558596a1e328a75ad43dca42918d70d4e6eb1a60e38189fc3dc6",
         "norms.csv":
-            "2e3a0f5a59ce94c5b04af31f7c8c9bebe19c7537e1e49679220246f87a4e71ca",
+            "c129a7b92bfc28310bda2adb13f7210fe432b008c13a218a0d688fe0d9768714",
     },
 }
 

@@ -133,6 +133,11 @@ def test_phi_requires_long_table(doublewell_pot, doublewell_table):
     with pytest.raises(ValueError):
         bk.build_phi_matrix(doublewell_table, doublewell_pot,
                             doublewell_table.n_max + 10)
+    # The block of size s reads a_0 .. a_{s + deg + 1}.
+    longest = doublewell_table.n_max - doublewell_pot.degree - 1
+    bk.build_phi_matrix(doublewell_table, doublewell_pot, longest)
+    with pytest.raises(ValueError):
+        bk.build_phi_matrix(doublewell_table, doublewell_pot, longest + 1)
 
 
 def test_harmonic_couplings(harmonic_table):

@@ -32,7 +32,7 @@ def test_adaptive_integration_gives_up():
 
 
 def test_harmonic_coefficients_are_sqrt_k(harmonic_table):
-    k = np.arange(1, 41)
+    k = np.arange(1, harmonic_table.n_max + 1)
     rel = np.abs(harmonic_table.a[k] - np.sqrt(k)) / np.sqrt(k)
     assert np.max(rel) <= 1e-12
     assert harmonic_table.a[0] == pytest.approx(1.0, abs=1e-12)
@@ -155,6 +155,14 @@ FREUD_POTENTIALS = [(0.5 * math.log(2.0 * math.pi), 0.5), (1.0, -2.0, 1.0),
 def certified_tables():
     pots = [bk.normalize_potential(bk.RawPotential(c)) for c in FREUD_POTENTIALS]
     return [bk.build_recurrence(pot, 586) for pot in pots]
+
+
+def test_certified_tables_come_from_the_first_pass(certified_tables):
+    # The plain three-term pass certifies at n_max = 586 on its first
+    # max(256, 4 n_max) panels for every potential here.
+    for table in certified_tables:
+        assert table.panels == 4 * 586 == 2344, table.weight
+        assert table.freud_residual <= 1e-12
 
 
 def test_freud_residual_of_the_harmonic_closed_form(harmonic_pot):

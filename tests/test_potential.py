@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import bgkspectral as bk
-from bgkspectral.errors import InvalidPotentialError
+from bgkspectral.errors import IntegrationFailureError, InvalidPotentialError
 
 from conftest import DOUBLE_WELL_COEFFS, HARMONIC_COEFFS
 
@@ -104,3 +105,28 @@ def test_overflowing_weight_is_a_typed_error():
         warnings.simplefilter("error")
         with pytest.raises(InvalidPotentialError, match="-11799"):
             bk.normalize_potential(bk.RawPotential((0.0, -2.0, 2.0, -2.0, 0.05)))
+
+
+def test_deep_well_normalizes():
+    # phi dips to about -500: I0 is about 4e214 and I2 1e221, so their
+    # product overflows, but log c = (log I0 + log I2) / 2 does not.
+    raw = bk.RawPotential((2000.0, -1e6, 1e8))
+    pot = bk.normalize_potential(raw)
+    assert pot.log_shift == pytest.approx(501.612, abs=1e-3)
+    L = bk.tail_cutoff(pot, poly_degree=pot.degree - 2)
+    mass, _ = quad(lambda x: math.exp(-pot(x)), -L, L, points=[-1.0, 1.0], limit=200)
+    curv, _ = quad(lambda x: pot.deriv2(x) * math.exp(-pot(x)), -L, L,
+                   points=[-1.0, 1.0], limit=200)
+    assert mass == pytest.approx(1.0, abs=1e-10)
+    assert curv == pytest.approx(1.0, abs=1e-10)
+
+
+def test_steep_potentials_at_the_node_budget():
+    # [0, 1e10] still normalizes; the two steeper weights exhaust the
+    # adaptive rule's nodes, which is reported against the coefficients.
+    pot = bk.normalize_potential(bk.RawPotential((0.0, 1e10)))
+    assert pot.scale == pytest.approx(1.0 / math.sqrt(2e10), rel=1e-12)
+    for coeffs in ((0.0, 1e12), (0.0, 0.0, 1e20)):
+        with pytest.raises(InvalidPotentialError, match=re.escape(str(coeffs))) as err:
+            bk.normalize_potential(bk.RawPotential(coeffs))
+        assert isinstance(err.value.__cause__, IntegrationFailureError)
