@@ -268,6 +268,9 @@ def simulate(config: RunConfig) -> RunResult:
         np.max(np.abs(conserved[:, :2] - conserved[0, :2])))
     summary["freud_residual"] = table.freud_residual
     summary["recurrence_panels"] = table.panels
+    summary["dim"] = plan.system.shape[0]
+    summary["generator_nnz"] = gen.matrix.nnz
+    summary["factor_nnz"] = plan.lu.U.nnz
     return RunResult(config=config, times=np.array(series.times),
                      norms=np.array(series.norms), conserved=conserved,
                      snapshots=tuple(snapshots), table=table, kn=reports,

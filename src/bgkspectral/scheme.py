@@ -6,13 +6,34 @@ neighbouring velocity modes through the derivative couplings A and damps the
 modes k >= 3; its transport part is exactly skew-symmetric, so the implicit
 Euler step is unconditionally norm non-increasing.
 
-The same structure makes the system I - dt M positive real: its symmetric part
-is diagonal with entries 1 or 1 + dt.  Gaussian elimination on such a matrix,
-under any symmetric reordering, needs no pivoting and every pivot is >= 1
-(Golub & Van Loan, LAA 28, 1979), so the factorization orders only for fill
-and its structure does not depend on dt or on the last bits of M.  One step
-of fixed-precision iterative refinement (Skeel, Math. Comp. 35, 1980) runs
-when a solve misses the residual gate.
+The same structure lets the implicit Euler system be solved by exact
+elimination.  The diagonal of I - dt M is T = 1 + dt [k >= 3], and transport
+links mode k only to k - 1 and k + 1, so in the even-k/odd-k split
+
+    I - dt M = [[T_e, -G], [G^T, T_o]],    G = dt M[even k, odd k],
+
+with T_e and T_o diagonal.  Eliminating the odd unknowns leaves the Schur
+complement S = T_e + G T_o^-1 G^T on the even ones: symmetric, banded and
+S >= I, so its Cholesky factor S = U^T U needs no pivoting and has a
+diagonal >= 1 (Golub & Van Loan, *Matrix Computations*, 4.3 and 4.5; Benzi,
+Golub & Liesen, Acta Numerica 14, 2005).  The odd unknowns follow as
+x_o = T_o^-1 (b_o - G^T x_e).
+
+The reduced unknowns are ordered in closed form.  A links n only to n plus
+an odd offset below deg(phi), so k + n keeps its parity and S splits into two
+independent blocks.  S links (k, n) to (k', n') with |k - k'| <= 2 and
+|n - n'| <= 2 (deg(phi) - 1); within a block the unknowns are ranked by
+n // 2 + (deg(phi) / 2) (k / 2), which weighs a step of 2 in k like a step of
+deg(phi) in n.  On every shape measured this gives the bandwidth of reverse
+Cuthill-McKee: 1 for (deg, K, N) = (2, 10, 600), 21 for (6, 80, 60).
+
+Each `step` checks the residual against 1e-12 ||b||; a solve that misses it
+gets one step of fixed-precision iterative refinement (Skeel, Math. Comp. 35,
+1980).  The gate is relative to ||b|| while ||I - dt M|| grows with dt, and
+the elimination squares the conditioning, so the first solve loses accuracy
+at large dt: drawn configurations meet the gate up to dt = 1e4, a few miss it
+at dt = 1e5 (under a sparse LU too), and most from dt = 3e5; each miss raises
+`SolverConsistencyError`.
 """
 
 from __future__ import annotations
@@ -22,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import SolverConsistencyError
 from .operators import DerivCouplings
@@ -57,11 +78,50 @@ class Generator:
 
 
 @dataclass(frozen=True)
+class EvenOddCholesky:
+    """Solver for I - dt M through the Cholesky factor of its even-k Schur complement.
+
+    `band` holds U, S = U^T U, in LAPACK upper band storage,
+    band[kd + i - j, j] = U[i, j].  `restrict` maps b to the reduced
+    right-hand side b_e + G T_o^-1 b_o, and `extend` with `odd_scale` maps the
+    reduced solution back: x = extend x_e + odd_scale * b.  Both sparse maps
+    act on the original index order and list the reduced unknowns in band
+    order.  A Cholesky factor is the LU factor with L = U^T; both are
+    exposed as sparse matrices.
+    """
+
+    band: np.ndarray = field(repr=False)
+    restrict: sp.csr_matrix = field(repr=False)
+    extend: sp.csr_matrix = field(repr=False)
+    odd_scale: np.ndarray = field(repr=False)
+
+    @property
+    def U(self) -> sp.dia_matrix:
+        """U as a `dia_matrix` view of `band`, without a copy."""
+        kd, n = self.band.shape[0] - 1, self.band.shape[1]
+        return sp.dia_matrix((self.band, np.arange(kd, -1, -1)), shape=(n, n))
+
+    @property
+    def L(self) -> sp.dia_matrix:
+        return self.U.T
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x_e, _ = dpbtrs(self.band, self.restrict @ b)
+        return self.extend @ x_e + self.odd_scale * b
+
+
+@dataclass(frozen=True)
 class SteppingPlan:
-    """One pivot-free LU factorization of (I - dt M), reused for every step."""
+    """One factorization of (I - dt M), reused for every step.
+
+    The factor keeps the name `lu` (an `EvenOddCholesky`): the Cholesky
+    factor is an LU factorization with L = U^T, and `lu.solve`, `lu.L` and
+    `lu.U` are the interface the benchmark's `scheme.lu_fill` count and the
+    tests read.
+    """
 
     dt: float
-    lu: object = field(repr=False)
+    lu: EvenOddCholesky = field(repr=False)
     system: sp.csc_matrix = field(repr=False)
     K: int
     N: int
@@ -69,6 +129,10 @@ class SteppingPlan:
 
 def assemble_generator(couplings: DerivCouplings, K: int, N: int) -> Generator:
     """Assemble the generator for truncation parameters (K, N).
+
+    M[(k, r), (k + 1, n)] = sqrt(k + 1) A[r, n] and its negative transpose
+    couple neighbouring velocity modes, and M[(k, n), (k, n)] = -1 damps the
+    modes k >= 3; index (k, n) is k (N + 1) + n.  Only the nonzeros of A enter.
 
     Requires N >= deg(phi): otherwise phi' leaves the retained polynomial
     space and the discrete conservation identities silently break, so the
@@ -84,33 +148,88 @@ def assemble_generator(couplings: DerivCouplings, K: int, N: int) -> Generator:
         )
     if couplings.A.shape[0] < N + 1:
         raise ValueError("derivative couplings too small for N")
-    a = sp.csr_matrix(couplings.A[: N + 1, : N + 1])
-    ks = np.sqrt(np.arange(1.0, K + 1.0))
-    up = sp.diags(ks, 1, shape=(K + 1, K + 1))
-    low = sp.diags(-ks, -1, shape=(K + 1, K + 1))
-    damp = sp.diags(-(np.arange(K + 1) >= 3).astype(float), 0,
-                    shape=(K + 1, K + 1))
-    m = (sp.kron(up, a, format="csr")
-         + sp.kron(low, a.T.tocsr(), format="csr")
-         + sp.kron(damp, sp.identity(N + 1, format="csr"), format="csr"))
-    m = m.tocsr()
-    m.eliminate_zeros()
+    a = couplings.A[: N + 1, : N + 1]
+    r, n = np.nonzero(a)
+    k = np.repeat(np.arange(K), len(r))
+    up_rows = k * (N + 1) + np.tile(r, K)
+    up_cols = (k + 1) * (N + 1) + np.tile(n, K)
+    up = np.repeat(np.sqrt(np.arange(1.0, K + 1.0)), len(r)) * np.tile(a[r, n], K)
+    dim = (K + 1) * (N + 1)
+    damped = np.arange(3 * (N + 1), dim)
+    m = sp.csr_matrix(
+        (np.concatenate([up, -up, np.full(len(damped), -1.0)]),
+         (np.concatenate([up_rows, up_cols, damped]),
+          np.concatenate([up_cols, up_rows, damped]))),
+        shape=(dim, dim))
     return Generator(matrix=m, K=K, N=N)
 
 
 def make_stepping_plan(gen: Generator, dt: float) -> SteppingPlan:
     """Factor (I - dt M) once for repeated implicit Euler solves.
 
-    No row pivoting: the LU keeps the minimum-degree ordering of M + M^T on
-    its diagonal (perm_r == perm_c), and every pivot is >= 1.
+    Forms the even-k Schur complement S = T_e + W W^T, W = G T_o^-1/2, in
+    the closed-form band order of the module docstring and factors it with
+    LAPACK `dpbtrf`.  The bandwidth is read from the coupling pattern, so the
+    factor's size depends on neither dt nor the values of M.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    dim = (gen.K + 1) * (gen.N + 1)
+    K, N = gen.K, gen.N
+    dim = (K + 1) * (N + 1)
+    k, n = np.divmod(np.arange(dim), N + 1)
+    t = 1.0 + dt * (k >= 3)
+    even = k % 2 == 0
+    m = gen.matrix.tocoo()
+    # A's widest offset is deg(phi) - 1.
+    half_deg = (int(np.max(np.abs(n[m.row] - n[m.col]), initial=0)) + 1) // 2
+    ev = np.flatnonzero(even)
+    order = ev[np.lexsort((k[ev], n[ev] // 2 + half_deg * (k[ev] // 2),
+                           (k[ev] + n[ev]) % 2))]
+    n_e = len(order)
+    pos = np.zeros(dim, dtype=np.intp)
+    pos[order] = np.arange(n_e)
+
+    sel = even[m.row] & ~even[m.col]
+    g_rows, g_cols = pos[m.row[sel]], m.col[sel]
+    g = dt * m.data[sel]
+    g_over_t = g / t[g_cols]
+    w = sp.csr_matrix((g / np.sqrt(t[g_cols]), (g_rows, g_cols)),
+                      shape=(n_e, dim))
+    kd = _coupled_bandwidth(g_rows, g_cols)
+    s = (w @ w.T).tocoo()
+    upper = s.row <= s.col
+    band = np.zeros((kd + 1, n_e), order="F")
+    band[kd + s.row[upper] - s.col[upper], s.col[upper]] = s.data[upper]
+    band[kd] += t[order]
+    band, info = dpbtrf(band, overwrite_ab=1)
+    if info != 0:
+        raise SolverConsistencyError(
+            f"Cholesky factorization of the Schur complement failed (info={info})")
+
+    restrict = sp.csr_matrix(
+        (np.concatenate([np.ones(n_e), g_over_t]),
+         (np.concatenate([np.arange(n_e), g_rows]),
+          np.concatenate([order, g_cols]))), shape=(n_e, dim))
+    extend = sp.csr_matrix(
+        (np.concatenate([np.ones(n_e), -g_over_t]),
+         (np.concatenate([order, g_cols]),
+          np.concatenate([np.arange(n_e), g_rows]))), shape=(dim, n_e))
+    odd_scale = np.where(even, 0.0, 1.0 / t)
     system = (sp.identity(dim, format="csc") - dt * gen.matrix.tocsc()).tocsc()
-    lu = splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options=dict(SymmetricMode=True))
-    return SteppingPlan(dt=dt, lu=lu, system=system, K=gen.K, N=gen.N)
+    lu = EvenOddCholesky(band=band, restrict=restrict, extend=extend,
+                         odd_scale=odd_scale)
+    return SteppingPlan(dt=dt, lu=lu, system=system, K=K, N=N)
+
+
+def _coupled_bandwidth(rows: np.ndarray, cols: np.ndarray) -> int:
+    """Bandwidth of W W^T from the pattern of W: the widest row span of a column."""
+    if len(rows) == 0:
+        return 0
+    by_col = np.lexsort((rows, cols))
+    rows, cols = rows[by_col], cols[by_col]
+    starts = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
+    ends = np.r_[starts[1:], len(rows)] - 1
+    return int(np.max(rows[ends] - rows[starts]))
 
 
 def step(plan: SteppingPlan, state: SpectralState) -> SpectralState:

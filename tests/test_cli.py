@@ -297,6 +297,18 @@ def test_summary_records_the_recurrence_certificate():
     assert result.summary["recurrence_panels"] == table.panels == 256
 
 
+def test_summary_records_the_solver_size():
+    # Harmonic, K=6, N=4: 7 * 5 unknowns.  A holds its 4 subdiagonal entries,
+    # so M has 2 * 6 * 4 couplings plus 4 * 5 damped diagonal entries.  The
+    # 4 * 5 even-k unknowns reduce to a tridiagonal S: a factor of 20 + 19.
+    result = cli.simulate(cli.RunConfig.from_dict(small_config()))
+    summary = result.summary
+    assert (summary["dim"], summary["generator_nnz"],
+            summary["factor_nnz"]) == (35, 68, 39)
+    assert all(type(summary[key]) is int
+               for key in ("dim", "generator_nnz", "factor_nnz"))
+
+
 def test_kn_output_for_degree_ten(tmp_path):
     data = {"potential": [0, 0, 0, 0, 0, 1], "K": 4, "N": 10, "T": 0.1,
             "outputs": ["kn"], "kn_n_values": [4]}

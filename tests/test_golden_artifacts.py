@@ -41,33 +41,33 @@ GOLDEN = {
         "conserved.csv":
             "de65d1a87602e3c491366bf2772b2c633e8f21c3d2d955668ebb21f77feb3941",
         "norms.csv":
-            "6d5761e92eb780e5665e14a20bf43c64bdd0d55685c3ed728ce2ed254f9d195b",
+            "22b9576c8f43da5c6a4ec2d9654591a9589870cc9153ba2373312c444c0dc3eb",
     },
     "doublewell_fig4": {
         "conserved.csv":
-            "f06f8c136fbc8c8e407d920de06a06e8ac951c68bfe9806a316641fc4503c6ef",
+            "da22631023b2437e59f2eac3a866bbf2d91e2aae532612c7f6eb760256a589a5",
         "norms.csv":
-            "4f51261676333ad7b4f6de7c922cf01e82c597c8c434a185c530703ad67bdc09",
+            "1ed5b517560a86885f34564fe3022c041f76927502bf2e69f8880eac8f37455c",
         "snapshot_0.csv":
             "efaae18c8de022a9bbd2a3b50384360d3f73b60e7ad0283d7453333722351877",
         "snapshot_10.csv":
-            "42cd16362dfaee1f9051411ed6e51f8b3cf5b81f77d398c4173b9514e5057a02",
+            "9c06fd718f44f259035237375cf6358e6359df1d611b406f39586e5941f95550",
         "snapshot_12.csv":
-            "8231c720976a14a72f1cd5460b95cbca2c25d9e67d42ed63b2e15ad5e1f68dd2",
+            "c1f7754adccdc0ecb128f3ba398d8ade22363b9185c8faf30c501bcb33540bba",
         "snapshot_2.5.csv":
-            "7ebbc1b73d1b060a313e5c50582b698deb2621cec8acfc4b5ef0f8d09d57b87f",
+            "1a640cf7ed01c1d7ff34a9243295bc5bcb4b3f0bc495583cc0e9199533dac45d",
         "snapshot_5.csv":
-            "c0701996993964a36ad2e54f1e3c00af4501f2ec3ee6a177be750db923d3c16e",
+            "e5c4075833b7f19a8b012e7ff0432b41a5f9fb31dee9d24672ba70b7b5416561",
         "snapshot_7.5.csv":
-            "b7e7beed12d84cb2a3ddc1949a3b9ade75bf4c8dd8b9d9aaf70d6d905c7a4c1f",
+            "8cfa4ff7a3dce9570ec5f39e008e8ef3bf6ca1c806adad3e0362dca67b9d5012",
     },
     "doublewell_kn": {
         "conserved.csv":
-            "af75193f48a632d08741356e942c6142a31b52bf8ba439e51de05b8dead39e5b",
+            "97fb4b25838a8f2e0af06f26429bf4be0d3112affb11e9ab83fa090e22baab03",
         "kn_table.csv":
             "abbda4cf9720fd9276a9dc4aa38f91b41b7f4cbf87e2e65b73941462d904b1b4",
         "norms.csv":
-            "9ea1b21100be3c500f58a166a1bbc11cd5587dc21187d804061cfa4d76922767",
+            "c3a692db75fe7f205f95cac831b3dd9a13332eeda0f68aee4dc83cc7b82b0984",
         "recurrence.csv":
             "cfb275663d9f70d66f91396ceb0ea7f41a7318736914ecea335404c9bd020dac",
     },
@@ -75,7 +75,7 @@ GOLDEN = {
         "conserved.csv":
             "c325d01ae223558596a1e328a75ad43dca42918d70d4e6eb1a60e38189fc3dc6",
         "norms.csv":
-            "c129a7b92bfc28310bda2adb13f7210fe432b008c13a218a0d688fe0d9768714",
+            "343cf08d911fd42814eb629035eb84e41559d6b5ebbfa4c779fd6c98f3047737",
     },
 }
 

@@ -163,7 +163,7 @@ def test_pivot_free_step_meets_the_gate_and_the_pivoting_oracle(drawn, K,
         return
     gen = bk.assemble_generator(bk.build_deriv_couplings(table, N), K, N)
     plan = bk.make_stepping_plan(gen, 10.0 ** log_dt)
-    assert np.array_equal(plan.lu.perm_r, plan.lu.perm_c)
+    assert np.min(plan.lu.U.diagonal()) >= 1.0 - 1e-12
     b = np.random.default_rng(seed).standard_normal((K + 1) * (N + 1))
     x = bk.step(plan, bk.SpectralState(C=b.reshape(K + 1, N + 1))).C.ravel()
     assert np.linalg.norm(plan.system @ x - b) <= 1e-12 * np.linalg.norm(b)

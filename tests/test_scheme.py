@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import splu
 
@@ -131,9 +136,10 @@ def test_non_finite_state_fails_the_residual_gate(harmonic_setup, bad):
 
 
 def test_lu_is_pivot_free_and_structural(doublewell_setup):
-    # I - dt M is positive real, so the factorization keeps its symmetric
-    # ordering on the diagonal, every pivot is >= 1, and the fill depends on
-    # the sparsity pattern alone: not on dt, not on the last bit of an entry.
+    # The even-k Schur complement S of I - dt M satisfies S >= I, so its
+    # Cholesky factor needs no pivoting and has a diagonal >= 1, and its band
+    # depends on the sparsity pattern alone: not on dt, not on the last bit of
+    # an entry.
     _, gen, _ = doublewell_setup(20, 30)
     nudged = gen.matrix.copy()
     nudged.data = np.nextafter(nudged.data, np.inf)
@@ -141,11 +147,69 @@ def test_lu_is_pivot_free_and_structural(doublewell_setup):
     fills = set()
     for dt in (1e-4, 1e-2, 1.0, 100.0):
         lu = bk.make_stepping_plan(gen, dt).lu
-        assert np.array_equal(lu.perm_r, lu.perm_c)
         assert np.min(lu.U.diagonal()) >= 1.0 - 1e-12
         nudged_lu = bk.make_stepping_plan(nudged_gen, dt).lu
         fills |= {lu.L.nnz + lu.U.nnz, nudged_lu.L.nnz + nudged_lu.U.nnz}
     assert len(fills) == 1
+
+
+def _kron_generator(dc, K, N):
+    a = sp.csr_matrix(dc.A[: N + 1, : N + 1])
+    ks = np.sqrt(np.arange(1.0, K + 1.0))
+    up = sp.diags(ks, 1, shape=(K + 1, K + 1))
+    low = sp.diags(-ks, -1, shape=(K + 1, K + 1))
+    damp = sp.diags(-(np.arange(K + 1) >= 3).astype(float), 0,
+                    shape=(K + 1, K + 1))
+    m = (sp.kron(up, a, format="csr")
+         + sp.kron(low, a.T.tocsr(), format="csr")
+         + sp.kron(damp, sp.identity(N + 1, format="csr"), format="csr")).tocsr()
+    m.eliminate_zeros()
+    return m
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 20])
+def test_generator_matches_the_kronecker_oracle(doublewell_setup, K):
+    # M = up (x) A + low (x) A^T + damp (x) I, entry for entry and bit for bit.
+    dc, gen, _ = doublewell_setup(K, 30)
+    oracle = _kron_generator(dc, K, 30)
+    m = gen.matrix
+    assert m.has_canonical_format
+    assert np.array_equal(m.indptr, oracle.indptr)
+    assert np.array_equal(m.indices, oracle.indices)
+    assert np.array_equal(m.data, oracle.data)
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1.0, 100.0])
+def test_schur_complement_on_even_modes_is_at_least_identity(doublewell_setup,
+                                                              dt):
+    # Transport links k only to k +- 1 and the damping is diagonal, so the
+    # even/even and odd/odd blocks of I - dt M are diagonal, and eliminating
+    # the odd modes leaves S = T_e + G T_o^-1 G^T >= I.  The factor is that S
+    # in another order: U^T U has the spectrum of S.
+    _, gen, _ = doublewell_setup(9, 12)
+    plan = bk.make_stepping_plan(gen, dt)
+    system = plan.system.toarray()
+    k = np.arange(system.shape[0]) // 13
+    e, o = np.flatnonzero(k % 2 == 0), np.flatnonzero(k % 2 == 1)
+    for block in (system[np.ix_(e, e)], system[np.ix_(o, o)]):
+        assert np.array_equal(block, np.diag(np.diag(block)))
+    s = system[np.ix_(e, e)] - system[np.ix_(e, o)] @ np.linalg.solve(
+        system[np.ix_(o, o)], system[np.ix_(o, e)])
+    assert np.allclose(s, s.T, rtol=0.0, atol=1e-12 * np.max(np.abs(s)))
+    lam = np.linalg.eigvalsh(s)
+    assert lam[0] >= 1.0 - 1e-12 * lam[-1]
+    u = plan.lu.U.toarray()
+    assert np.allclose(np.linalg.eigvalsh(u.T @ u), lam, rtol=0.0,
+                       atol=1e-12 * lam[-1])
+
+
+def test_band_of_the_harmonic_schur_complement_is_tridiagonal(harmonic_pot):
+    # deg(phi) = 2: the closed-form order leaves bandwidth 1 at N = 600,
+    # where sorting by k first gives about 300.
+    table = bk.build_recurrence(harmonic_pot, 604)
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, 600), 10, 600)
+    lu = bk.make_stepping_plan(gen, 1e-2).lu
+    assert lu.U.offsets.max() == 1 and lu.band.shape == (2, 6 * 601)
 
 
 def test_refinement_rescues_a_solve_that_misses_the_gate():
@@ -164,6 +228,39 @@ def test_refinement_rescues_a_solve_that_misses_the_gate():
     assert np.linalg.norm(plan.system @ x - b) <= 1e-12 * b_norm
     oracle = splu(plan.system).solve(b)
     assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_package_imports_no_sparse_linalg():
+    # The solver needs only scipy.sparse and LAPACK; scipy.sparse.linalg (and
+    # scipy.sparse.csgraph, which imports it) would add to every run's memory.
+    src = Path(bk.__file__).resolve().parent.parent
+    code = ("import sys, bgkspectral.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.sparse.linalg', 'scipy.sparse.csgraph'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("coeffs, K, N", [
+    ((1.0, -2.0, 1.0), 20, 30),
+    ((0.0, 0.0, 0.0, 1.0), 80, 60),
+    ((0.0, 1.0, -3.0, 0.5, 0.2), 60, 150),
+])
+def test_step_meets_the_gate_at_dt_1e5(coeffs, K, N):
+    # ||I - dt M|| grows with dt while the gate stays 1e-12 ||b||.  At
+    # dt = 1e5 these systems still meet it after at most one refinement.
+    # Not every system does: on the smallest harmonic truncations (K=3, N=2;
+    # K=20, N=5) some right-hand sides miss it, under a sparse LU too, and
+    # the step raises SolverConsistencyError.
+    pot = bk.normalize_potential(bk.RawPotential(coeffs))
+    table = bk.build_recurrence(pot, N + pot.degree + 2)
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N), K, N)
+    plan = bk.make_stepping_plan(gen, 1e5)
+    for seed in range(8):
+        b = np.random.default_rng(seed).standard_normal((K + 1) * (N + 1))
+        x = bk.step(plan, bk.SpectralState(C=b.reshape(K + 1, N + 1))).C.ravel()
+        assert np.linalg.norm(plan.system @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
