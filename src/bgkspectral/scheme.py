@@ -28,11 +28,13 @@ deg(phi) in n.  On every shape measured this gives the bandwidth of reverse
 Cuthill-McKee: 1 for (deg, K, N) = (2, 10, 600), 21 for (6, 80, 60).
 
 Each `step` checks the residual against 1e-12 ||b||; a solve that misses it
-gets one step of fixed-precision iterative refinement (Skeel, Math. Comp. 35,
-1980).  The gate is relative to ||b|| while ||I - dt M|| grows with dt, and
-the elimination squares the conditioning, so the first solve loses accuracy
-at large dt: drawn configurations meet the gate up to dt = 1e4, a few miss it
-at dt = 1e5 (under a sparse LU too), and most from dt = 3e5; each miss raises
+gets up to five steps of fixed-precision iterative refinement against I - dt M
+itself (Skeel, Math. Comp. 35, 1980; five is LAPACK xGERFS's ITMAX).  The
+gate is relative to ||b|| while ||I - dt M|| grows with dt, and the
+elimination squares the conditioning of the first solve, so at large dt it
+takes two or three refinements where a sparse LU takes one.  The residual of
+I - dt M itself cannot fall far below eps dt ||M|| ||x||, so from about
+dt = 1e5 some configurations miss the gate under any solver; each miss raises
 `SolverConsistencyError`.
 """
 
@@ -43,13 +45,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .errors import SolverConsistencyError
 from .operators import DerivCouplings
 
 # Residual gate of `step`, relative to the norm of the right-hand side.
 _SOLVE_REL_TOL = 1e-12
+# Refinement steps a solve may take to meet the gate (ITMAX of LAPACK xGERFS).
+_MAX_REFINEMENTS = 5
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,9 @@ class EvenOddCholesky:
         return self.U.T
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x_e, _ = dpbtrs(self.band, self.restrict @ b)
+        # Raw dpbtrs: cho_solve_banded's argument checks cost about 3.5 us a
+        # call, more than the whole band solve on a preset-sized system.
+        x_e, _ = dpbtrs(self.band, self.restrict @ b, overwrite_b=1)
         return self.extend @ x_e + self.odd_scale * b
 
 
@@ -168,8 +175,8 @@ def make_stepping_plan(gen: Generator, dt: float) -> SteppingPlan:
     """Factor (I - dt M) once for repeated implicit Euler solves.
 
     Forms the even-k Schur complement S = T_e + W W^T, W = G T_o^-1/2, in
-    the closed-form band order of the module docstring and factors it with
-    LAPACK `dpbtrf`.  The bandwidth is read from the coupling pattern, so the
+    the closed-form band order of the module docstring and factors it in
+    upper band storage.  The bandwidth is read from the coupling pattern, so the
     factor's size depends on neither dt nor the values of M.
     """
     if not (np.isfinite(dt) and dt > 0.0):
@@ -201,10 +208,12 @@ def make_stepping_plan(gen: Generator, dt: float) -> SteppingPlan:
     band = np.zeros((kd + 1, n_e), order="F")
     band[kd + s.row[upper] - s.col[upper], s.col[upper]] = s.data[upper]
     band[kd] += t[order]
-    band, info = dpbtrf(band, overwrite_ab=1)
-    if info != 0:
+    try:
+        band = cholesky_banded(band, overwrite_ab=True, lower=False,
+                               check_finite=False)
+    except np.linalg.LinAlgError as exc:
         raise SolverConsistencyError(
-            f"Cholesky factorization of the Schur complement failed (info={info})")
+            f"Cholesky factorization of the Schur complement failed: {exc}") from exc
 
     restrict = sp.csr_matrix(
         (np.concatenate([np.ones(n_e), g_over_t]),
@@ -236,28 +245,36 @@ def step(plan: SteppingPlan, state: SpectralState) -> SpectralState:
     """One implicit Euler step: solve (I - dt M) C_next = C.
 
     A state that is not finite raises before any solve.  A solve whose
-    residual misses the gate gets one refinement step; a residual that still
-    misses it, or is not finite, raises.
+    residual misses the gate gets up to `_MAX_REFINEMENTS` refinement steps;
+    a residual that still misses it, or is not finite, raises.
     """
     if state.C.shape != (plan.K + 1, plan.N + 1):
         raise ValueError("state shape does not match the stepping plan")
     b = state.C.ravel()
-    tol = _SOLVE_REL_TOL * np.linalg.norm(b)
+    tol = _SOLVE_REL_TOL * _norm(b)
     if not math.isfinite(tol):
         raise SolverConsistencyError(
             "implicit Euler step on a state that is not finite")
     x = plan.lu.solve(b)
     r = plan.system @ x - b
-    resid = np.linalg.norm(r)
-    if not resid <= tol:
-        x -= plan.lu.solve(r)
-        resid = np.linalg.norm(plan.system @ x - b)
-        if not resid <= tol:
+    resid = _norm(r)
+    refinements = 0
+    while not resid <= tol:
+        if refinements == _MAX_REFINEMENTS or not math.isfinite(resid):
             raise SolverConsistencyError(
                 f"implicit Euler solve residual {resid:.3e} exceeds "
-                f"{_SOLVE_REL_TOL:.1e} * ||b||"
+                f"{_SOLVE_REL_TOL:.1e} * ||b|| after {refinements} refinement steps"
             )
+        x -= plan.lu.solve(r)
+        r = plan.system @ x - b
+        resid = _norm(r)
+        refinements += 1
     return SpectralState(C=x.reshape(plan.K + 1, plan.N + 1), t=state.t + plan.dt)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, as np.linalg.norm computes it, without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def project_initial_condition(entries, K: int, N: int) -> SpectralState:

@@ -242,25 +242,37 @@ def test_package_imports_no_sparse_linalg():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("coeffs, K, N", [
-    ((1.0, -2.0, 1.0), 20, 30),
-    ((0.0, 0.0, 0.0, 1.0), 80, 60),
-    ((0.0, 1.0, -3.0, 0.5, 0.2), 60, 150),
+@pytest.mark.parametrize("coeffs, K, N, dt", [
+    ((1.0, -2.0, 1.0), 20, 30, 1e5),
+    ((0.0, 0.0, 0.0, 1.0), 80, 60, 1e5),
+    ((0.0, 1.0, -3.0, 0.5, 0.2), 60, 150, 1e5),
+    ((0.0, 0.0, 0.0, 1.0), 80, 60, 3e5),
 ])
-def test_step_meets_the_gate_at_dt_1e5(coeffs, K, N):
-    # ||I - dt M|| grows with dt while the gate stays 1e-12 ||b||.  At
-    # dt = 1e5 these systems still meet it after at most one refinement.
-    # Not every system does: on the smallest harmonic truncations (K=3, N=2;
-    # K=20, N=5) some right-hand sides miss it, under a sparse LU too, and
-    # the step raises SolverConsistencyError.
+def test_step_meets_the_gate_at_large_dt(coeffs, K, N, dt):
+    # ||I - dt M|| grows with dt while the gate stays 1e-12 ||b||, and the
+    # even-k Schur complement squares the conditioning of the first solve.
+    # At dt = 1e5 one refinement step meets the gate on these systems; the
+    # sextic at dt = 3e5 needs two, as a sparse LU needs one.  Not every
+    # system does: where the rounding floor of the residual itself lies above
+    # the gate, the step raises SolverConsistencyError under any solver.
     pot = bk.normalize_potential(bk.RawPotential(coeffs))
     table = bk.build_recurrence(pot, N + pot.degree + 2)
     gen = bk.assemble_generator(bk.build_deriv_couplings(table, N), K, N)
-    plan = bk.make_stepping_plan(gen, 1e5)
+    plan = bk.make_stepping_plan(gen, dt)
     for seed in range(8):
         b = np.random.default_rng(seed).standard_normal((K + 1) * (N + 1))
         x = bk.step(plan, bk.SpectralState(C=b.reshape(K + 1, N + 1))).C.ravel()
         assert np.linalg.norm(plan.system @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_step_raises_once_refinement_cannot_meet_the_gate(doublewell_setup):
+    # At dt = 1e7 the residual of I - dt M cannot be computed to 1e-12 ||b||:
+    # refinement stops after its last step and the step raises.
+    _, gen, _ = doublewell_setup(20, 5)
+    plan = bk.make_stepping_plan(gen, 1e7)
+    b = np.random.default_rng(0).standard_normal(21 * 6)
+    with pytest.raises(bk.SolverConsistencyError, match="after 5 refinement steps"):
+        bk.step(plan, bk.SpectralState(C=b.reshape(21, 6)))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
