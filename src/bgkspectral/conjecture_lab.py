@@ -23,7 +23,7 @@ from .orthopoly import RecurrenceTable, build_recurrence
 from .potential import NormalizedPotential
 
 # Ambient sizes of `kn_sweep`, in multiples of N + pad.
-_M_FACTORS = (1, 2, 4)
+_M_FACTORS = (2, 4)
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,11 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
 def kn_sweep(pot: NormalizedPotential, n_values) -> list[KNReport]:
     """Norm estimates over a list of truncations N, with a stabilization check.
 
-    For each N the ambient size runs through (1, 2, 4) * (N + pad), with
-    pad = max(16, 2 deg(phi)) so that even the smallest size leaves the room
-    `estimate_kn` needs; the reported values come from the largest ambient
-    size and are flagged converged only when the last two sizes agree to
-    1% componentwise.  The sweep builds its own recurrence table, long
+    For each N the estimates are computed at the two ambient sizes
+    (2, 4) * (N + pad), with pad = max(16, 2 deg(phi)) so that both leave
+    the room `estimate_kn` needs; the reported values come from the larger
+    size and are flagged converged only when the two sizes agree to 1%
+    componentwise.  The sweep builds its own recurrence table, long
     enough for the largest ambient size, so the values depend only on the
     potential and N.
     """
@@ -102,7 +102,7 @@ def kn_sweep(pot: NormalizedPotential, n_values) -> list[KNReport]:
     reports = []
     for n in n_values:
         bigs = [f * (n + pad) for f in _M_FACTORS]
-        *_, prev, last = [estimate_kn(table, pot, n, b) for b in bigs]
+        prev, last = (estimate_kn(table, pot, n, b) for b in bigs)
         converged = np.all(np.abs(prev - last) <= 0.01 * np.maximum(np.abs(last), 1e-12))
         reports.append(KNReport(N=n, m_big=bigs[-1], kn=tuple(last.tolist()),
                                 converged=bool(converged)))

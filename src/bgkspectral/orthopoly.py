@@ -14,7 +14,11 @@ precision).
 `build_recurrence` certifies its table a posteriori with Freud's identity
 [phi'(J)]_{n,n-1} = n / a_n, read off the Jacobi matrix J by `jacobi_horner`
 (`freud_residual`), to 1e-12.  Its first pass samples the weight on
-max(256, 4 n_max) panels; an uncertified pass doubles the panel count.  A
+max(256, 4 n_max) panels; an uncertified pass doubles the panel count.
+The weight is even, so P_n has parity (-1)^n and every inner product of a
+pass has an even integrand: a pass samples only [0, cutoff], with half the
+panels and doubled weights, which is the symmetric composite rule exactly
+because the panel count is even (an odd count raises ValueError).  A
 doubled pass that fails to halve the residual, or one past 2^22 nodes,
 raises IntegrationFailureError.
 """
@@ -59,7 +63,16 @@ class QuadratureRule:
 
 
 def _stieltjes_pass(pot, n_max: int, panels: int, cutoff: float) -> np.ndarray:
-    x, w = panel_rule(-cutoff, cutoff, panels)
+    """a_0..a_n_max from `panels` composite panels over [-cutoff, cutoff].
+
+    Every integrand of the pass, P_n^2 rho, is even, and for an even panel
+    count the symmetric rule is exactly twice the rule on [0, cutoff] with
+    half the panels: 0 is then a shared panel boundary, weighted twice.
+    """
+    if panels % 2:
+        raise ValueError(f"panels={panels} must be even")
+    x, w = panel_rule(0.0, cutoff, panels // 2)
+    w *= 2.0
     # Work with sqrt(rho)-weighted polynomial values: same recurrence, but the
     # values stay bounded where plain P_n(x) would overflow outside the bulk.
     q = np.exp(-0.5 * pot(x))
@@ -67,16 +80,22 @@ def _stieltjes_pass(pot, n_max: int, panels: int, cutoff: float) -> np.ndarray:
     a[0] = math.sqrt(float(w @ (q * q)))
     q /= a[0]
     q_prev = np.zeros_like(q)
+    # Rows rotate through three preallocated buffers, q_prev <- q <- y.
+    y = np.empty_like(q)
+    tmp = np.empty_like(q)
     for n in range(n_max):
-        y = x * q - a[n] * q_prev
-        nrm = math.sqrt(float(w @ (y * y)))
+        np.multiply(x, q, out=y)
+        np.multiply(a[n], q_prev, out=tmp)
+        y -= tmp
+        np.multiply(y, y, out=tmp)
+        nrm = math.sqrt(float(w @ tmp))
         if not nrm > 0.0:
             raise PrecisionFailureError(
                 f"Stieltjes breakdown: vanishing norm at index {n + 1}", n + 1
             )
         a[n + 1] = nrm
-        q_prev = q
-        q = y / nrm
+        y /= nrm
+        q_prev, q, y = q, y, q_prev
     return a
 
 

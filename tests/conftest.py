@@ -1,11 +1,21 @@
 import math
 
 import pytest
+from hypothesis import strategies as st
 
 import bgkspectral as bk
 
 HARMONIC_COEFFS = (0.5 * math.log(2.0 * math.pi), 0.5)
 DOUBLE_WELL_COEFFS = (1.0, -2.0, 1.0)
+
+
+@st.composite
+def potentials_and_sizes(draw, max_size=150):
+    """Coefficients of phi, lowest power first, and a size deg(phi)..max_size."""
+    m = draw(st.integers(1, 4))                               # deg(phi) = 2m
+    lower = draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
+    lead = draw(st.floats(0.05, 2.0))
+    return lower + [lead], draw(st.integers(2 * m, max_size))
 
 
 @pytest.fixture(scope="session")

@@ -109,6 +109,27 @@ def test_square_root_construction_paths_agree(doublewell_table, doublewell_pot):
     assert np.max(np.abs(via_eig - via_sqrtm)) <= 1e-10
 
 
+def test_sweep_estimates_only_the_two_sizes_it_compares(doublewell_pot,
+                                                      monkeypatch):
+    calls = []
+
+    def counting_estimate(table, pot, N, m_big):
+        calls.append((table, N, m_big))
+        return bk.estimate_kn(table, pot, N, m_big)
+
+    monkeypatch.setattr(conjecture_lab, "estimate_kn", counting_estimate)
+    reports = conjecture_lab.kn_sweep(doublewell_pot, [4, 8, 16])
+    assert [(N, m_big) for _, N, m_big in calls] == [
+        (N, f * (N + 16)) for N in (4, 8, 16) for f in (2, 4)]
+    for report, (small, big) in zip(reports, zip(calls[::2], calls[1::2])):
+        prev, last = (bk.estimate_kn(table, doublewell_pot, N, m_big)
+                      for table, N, m_big in (small, big))
+        assert report.m_big == big[2]
+        assert report.kn == tuple(last.tolist())
+        assert report.converged == bool(np.all(
+            np.abs(prev - last) <= 0.01 * np.maximum(np.abs(last), 1e-12)))
+
+
 def test_omega_spectrum_bounded_below(doublewell_table, doublewell_pot):
     phi = bk.build_phi_matrix(doublewell_table, doublewell_pot, 80)
     omega = bk.build_omega_matrix(phi, 70)

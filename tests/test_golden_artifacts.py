@@ -45,31 +45,31 @@ GOLDEN = {
     },
     "doublewell_fig4": {
         "conserved.csv":
-            "da22631023b2437e59f2eac3a866bbf2d91e2aae532612c7f6eb760256a589a5",
+            "66a6d51b7caf02a6d56806f4b12205599c32daf9ca4bffa4094304c1fa8ef907",
         "norms.csv":
-            "1ed5b517560a86885f34564fe3022c041f76927502bf2e69f8880eac8f37455c",
+            "53a8329754380201ba85d7274517e13fca80094255108a607c04981b33ddb58b",
         "snapshot_0.csv":
-            "efaae18c8de022a9bbd2a3b50384360d3f73b60e7ad0283d7453333722351877",
+            "90f2f83821bf672d190d951b6db9a0600f9a4326069f58b59050a9b3b5bc6b15",
         "snapshot_10.csv":
-            "9c06fd718f44f259035237375cf6358e6359df1d611b406f39586e5941f95550",
+            "c6ac42e1469d0bbba99965c7c3b4160c6692bd0d916fb59f6b41666a855f9530",
         "snapshot_12.csv":
-            "c1f7754adccdc0ecb128f3ba398d8ade22363b9185c8faf30c501bcb33540bba",
+            "3df0905b37edf8c09cfed8f3de2f3d60031965a0711e0f8e2024562adc3f2b6a",
         "snapshot_2.5.csv":
-            "1a640cf7ed01c1d7ff34a9243295bc5bcb4b3f0bc495583cc0e9199533dac45d",
+            "d44ce6a0f162073cc0a5a1bd78502ab3550a984453bf99d6345ce57d5d389410",
         "snapshot_5.csv":
-            "e5c4075833b7f19a8b012e7ff0432b41a5f9fb31dee9d24672ba70b7b5416561",
+            "aceaab6407e3d8c4d965f260557080ceca1abfd0c655e7154b59461322c2abcc",
         "snapshot_7.5.csv":
-            "8cfa4ff7a3dce9570ec5f39e008e8ef3bf6ca1c806adad3e0362dca67b9d5012",
+            "be46d7f1bedad591aa89a0127269b907260dc993f6a3ae64ffa5f5768c922e0e",
     },
     "doublewell_kn": {
         "conserved.csv":
             "97fb4b25838a8f2e0af06f26429bf4be0d3112affb11e9ab83fa090e22baab03",
         "kn_table.csv":
-            "abbda4cf9720fd9276a9dc4aa38f91b41b7f4cbf87e2e65b73941462d904b1b4",
+            "ad7fdcfb7098cb09f6946d46e69d132b60772c80f703d1d774cfb968bc5cf1af",
         "norms.csv":
             "c3a692db75fe7f205f95cac831b3dd9a13332eeda0f68aee4dc83cc7b82b0984",
         "recurrence.csv":
-            "cfb275663d9f70d66f91396ceb0ea7f41a7318736914ecea335404c9bd020dac",
+            "20ca83f9d3d2dc937c4fb7793888062a392c20627680138ac7ab8e74da8ff086",
     },
     "harmonic_fig1": {
         "conserved.csv":

@@ -7,12 +7,15 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import bgkspectral as bk
 from bgkspectral import orthopoly
-from bgkspectral.errors import IntegrationFailureError, PrecisionFailureError
+from bgkspectral.errors import (IntegrationFailureError, InvalidPotentialError,
+                                PrecisionFailureError)
 from bgkspectral.orthopoly import _stieltjes_pass, _weight_moments_mp
 from bgkspectral.weddle import panel_rule
+from conftest import potentials_and_sizes
 
 
 def test_weddle_panel_exactness():
@@ -163,6 +166,57 @@ def test_certified_tables_come_from_the_first_pass(certified_tables):
     for table in certified_tables:
         assert table.panels == 4 * 586 == 2344, table.weight
         assert table.freud_residual <= 1e-12
+
+
+def _full_line_pass(pot, n_max, panels, cutoff):
+    """The Stieltjes pass on the whole symmetric rule, one fresh array a row."""
+    x, w = panel_rule(-cutoff, cutoff, panels)
+    q = np.exp(-0.5 * pot(x))
+    a = np.empty(n_max + 1)
+    a[0] = math.sqrt(float(w @ (q * q)))
+    q /= a[0]
+    q_prev = np.zeros_like(q)
+    for n in range(n_max):
+        y = x * q - a[n] * q_prev
+        a[n + 1] = math.sqrt(float(w @ (y * y)))
+        q_prev = q
+        q = y / a[n + 1]
+    return a
+
+
+def _half_vs_full_line(pot, n_max):
+    cutoff = bk.tail_cutoff(pot, poly_degree=2 * n_max + 2)
+    panels = max(256, 4 * n_max)
+    half = _stieltjes_pass(pot, n_max, panels, cutoff)
+    full = _full_line_pass(pot, n_max, panels, cutoff)
+    return float(np.max(np.abs(half - full) / full))
+
+
+def test_stieltjes_pass_needs_an_even_panel_count(doublewell_pot):
+    with pytest.raises(ValueError, match="even"):
+        _stieltjes_pass(doublewell_pot, 10, 257, 8.0)
+
+
+def test_half_line_pass_matches_the_full_line_rule(certified_tables):
+    for table in certified_tables:
+        assert _half_vs_full_line(table.weight, table.n_max) <= 4e-15, table.weight
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(potentials_and_sizes())
+def test_half_line_pass_matches_the_full_line_rule_on_drawn_potentials(drawn):
+    try:
+        pot = bk.normalize_potential(bk.RawPotential(tuple(drawn[0])))
+    except InvalidPotentialError:
+        return
+    for n_max in (10, 50, 200):
+        assert _half_vs_full_line(pot, n_max) <= 4e-15, (drawn[0], n_max)
+
+
+def test_harmonic_coefficients_are_sqrt_k_to_rounding_at_680(harmonic_pot):
+    table = bk.build_recurrence(harmonic_pot, 680)
+    k = np.arange(1, 681)
+    assert np.max(np.abs(table.a[k] - np.sqrt(k)) / np.sqrt(k)) <= 2e-15
 
 
 def test_freud_residual_of_the_harmonic_closed_form(harmonic_pot):

@@ -23,6 +23,7 @@ from bgkspectral import cli, diagnostics
 from bgkspectral.errors import (ConfigError, IntegrationFailureError,
                                 InvalidPotentialError, PrecisionFailureError)
 from bgkspectral.orthopoly import _stieltjes_pass
+from conftest import potentials_and_sizes
 
 
 def _config(potential, K, N, dt, steps, initial, purge):
@@ -92,14 +93,6 @@ def test_simulate_keeps_the_discrete_structure(data):
         with contextlib.redirect_stdout(io.StringIO()):
             cli.run(cli.RunConfig.from_dict(data), Path(tmp) / "run")
         assert _files(Path(tmp) / "written") == _files(Path(tmp) / "run")
-
-
-@st.composite
-def potentials_and_sizes(draw, max_size=150):
-    m = draw(st.integers(1, 4))                               # deg(phi) = 2m
-    lower = draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
-    lead = draw(st.floats(0.05, 2.0))
-    return lower + [lead], draw(st.integers(2 * m, max_size))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
