@@ -271,6 +271,9 @@ def simulate(config: RunConfig) -> RunResult:
     summary["dim"] = plan.system.shape[0]
     summary["generator_nnz"] = gen.matrix.nnz
     summary["factor_nnz"] = plan.lu.U.nnz
+    if reports is not None:
+        summary["kn_freud_residual"] = max(
+            (r.freud_residual for r in reports), default=None)
     return RunResult(config=config, times=np.array(series.times),
                      norms=np.array(series.norms), conserved=conserved,
                      snapshots=tuple(snapshots), table=table, kn=reports,

@@ -7,6 +7,12 @@ the space truncation N grows is an open question.  This module estimates the
 norms through Galerkin truncations of Omega at an ambient size M_big and
 reports how they stabilize as M_big grows, which is the only honesty
 mechanism available: nothing here is proven.
+
+phi is even, so Omega keeps the parity of the basis index and d* flips it.
+Each estimate therefore works in two parity blocks: Omega_p, banded with
+deg(phi)/2 diagonals, is factored and solved once against its own unit
+columns, and every norm is the larger of two per-parity top eigenvalues of
+Gram matrices, such as B^T (Z^T Z) B, of at most ceil((N+1)/2) rows.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .operators import build_omega_matrix, build_phi_matrix
@@ -28,18 +33,21 @@ _M_FACTORS = (2, 4)
 
 @dataclass(frozen=True)
 class KNReport:
-    """Norm estimates for one space truncation N at ambient size m_big."""
+    """Norm estimates for one space truncation N at ambient size m_big, with
+    the Freud residual that certifies the sweep's recurrence table."""
 
     N: int
     m_big: int
     kn: tuple[float, float, float, float]
     converged: bool
+    freud_residual: float
 
 
 def _sqrt_top_eigenvalue(gram: np.ndarray) -> float:
     # The largest eigenvalue of a Gram matrix is >= 0; rounding need not keep
-    # a zero one non-negative.
-    return math.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1]))
+    # a zero one non-negative.  An empty parity block (N = 0) reads 0.
+    evals = np.linalg.eigvalsh(gram)
+    return math.sqrt(max(0.0, evals[-1])) if len(evals) else 0.0
 
 
 def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
@@ -51,12 +59,19 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
     compositions are Omega^(-1/2) X, Omega^(-1) L^T X, Omega^(-1) X X and
     Omega^(-1) P L L^T E, each applied to a block whose rows beyond N vanish;
     L^T X and P L L^T E are X^T X and X X^T there.  Phi and Omega stay in
-    band storage, and no m_big x m_big array is formed.  A banded Cholesky
-    factorization of Omega guards positive definiteness (an inconsistent
-    Omega raises LinAlgError), and one banded solve with it covers all four
-    right-hand sides, sparse products of the band of X.  Each norm is the
-    square root of the largest eigenvalue of an (N+1)-sized Gram matrix,
-    with ||Omega^(-1/2) X||^2 = lambda_max(X^T Omega^(-1) X).
+    band storage, and no m_big x m_big array is formed.
+
+    phi is even, so d* flips the parity of the index and Omega keeps it:
+    Omega splits into two parity blocks Omega_p, each banded with deg(phi)/2
+    diagonals (the even rows of Omega's band at the columns of parity p),
+    and X into X_q, the block that maps parity q to 1 - q.  A banded
+    Cholesky factorization of each Omega_p guards positive definiteness (an
+    inconsistent Omega raises LinAlgError), and one banded solve with it
+    gives Z_p = Omega_p^(-1) E_p against the unit columns of parity p below
+    N + 1.  Then ||Omega^(-1/2) X||^2 is the larger over q of
+    lambda_max(X_q^T Z_{1-q}[:n] X_q), and each of the other three norms
+    squared is the larger over q of lambda_max(B^T (Z_q^T Z_q) B), with
+    B = X_q^T X_q, X_{1-q} X_q and X_{1-q} X_{1-q}^T in turn.
     """
     if N < 0:
         raise ValueError(f"N={N} is negative")
@@ -67,18 +82,28 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
             f"(need at least N + {2 * two_m})"
         )
     phi = build_phi_matrix(table, pot, m_big + two_m)
-    factor = cholesky_banded(build_omega_matrix(phi, m_big), lower=True)
+    omega = build_omega_matrix(phi, m_big)
 
     n1 = N + 1
-    x = sp.dia_array((phi[:, :n1], -np.arange(len(phi))), shape=(n1, n1)).tocsr()
-    rhs = np.zeros((m_big, 4 * n1), order="F")
-    for k, block in enumerate((x, x.T @ x, x @ x, x @ x.T)):
-        rhs[:n1, k * n1:(k + 1) * n1] = block.toarray()
-    w = cho_solve_banded((factor, True), rhs, overwrite_b=True)
-    kn0 = _sqrt_top_eigenvalue(x.T @ w[:n1, :n1])
-    return np.array([kn0] + [_sqrt_top_eigenvalue(block.T @ block)
-                             for block in (w[:, k * n1:(k + 1) * n1]
-                                           for k in (1, 2, 3))])
+    x = np.zeros((n1, n1))
+    for k in range(1, min(len(phi), n1), 2):
+        j = np.arange(n1 - k)
+        x[j + k, j] = phi[k, :n1 - k]
+    z = []
+    for p in (0, 1):
+        factor = cholesky_banded(omega[0::2, p::2], lower=True)
+        unit = np.eye(factor.shape[1], len(range(p, n1, 2)), order="F")
+        z.append(cho_solve_banded((factor, True), unit, overwrite_b=True))
+
+    kn = np.zeros(4)
+    for q in (0, 1):
+        x_q, x_back = x[1 - q::2, q::2], x[q::2, 1 - q::2]
+        gram = z[q].T @ z[q]
+        blocks = [x_q.T @ z[1 - q][:len(x_q)] @ x_q]
+        blocks += [b.T @ gram @ b
+                   for b in (x_q.T @ x_q, x_back @ x_q, x_back @ x_back.T)]
+        kn = np.maximum(kn, [_sqrt_top_eigenvalue(g) for g in blocks])
+    return kn
 
 
 def kn_sweep(pot: NormalizedPotential, n_values) -> list[KNReport]:
@@ -90,7 +115,7 @@ def kn_sweep(pot: NormalizedPotential, n_values) -> list[KNReport]:
     size and are flagged converged only when the two sizes agree to 1%
     componentwise.  The sweep builds its own recurrence table, long
     enough for the largest ambient size, so the values depend only on the
-    potential and N.
+    potential and N; each report carries that table's Freud residual.
     """
     n_values = list(n_values)
     if not n_values:
@@ -105,5 +130,6 @@ def kn_sweep(pot: NormalizedPotential, n_values) -> list[KNReport]:
         prev, last = (estimate_kn(table, pot, n, b) for b in bigs)
         converged = np.all(np.abs(prev - last) <= 0.01 * np.maximum(np.abs(last), 1e-12))
         reports.append(KNReport(N=n, m_big=bigs[-1], kn=tuple(last.tolist()),
-                                converged=bool(converged)))
+                                converged=bool(converged),
+                                freud_residual=table.freud_residual))
     return reports

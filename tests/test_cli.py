@@ -8,7 +8,7 @@ import pytest
 
 from bgkspectral import cli, diagnostics
 from bgkspectral.errors import ConfigError
-from bgkspectral.orthopoly import freud_residual
+from bgkspectral.orthopoly import build_recurrence, freud_residual
 
 
 def small_config(**overrides):
@@ -295,6 +295,21 @@ def test_summary_records_the_recurrence_certificate():
     # n_max = N + deg(phi) + 2 = 8 certifies on the first pass, on
     # max(256, 4 n_max) panels.
     assert result.summary["recurrence_panels"] == table.panels == 256
+
+
+def test_summary_records_the_kn_sweep_certificate():
+    # The K_N sweep builds its own table, to 4 (8 + 16) + 2 deg(phi) + 2 = 102
+    # here, longer than the run's, and certifies it separately.
+    result = cli.simulate(cli.RunConfig.from_dict(
+        small_config(outputs=["kn"], kn_n_values=[4, 8])))
+    residual = build_recurrence(result.table.weight, 102).freud_residual
+    assert [r.freud_residual for r in result.kn] == [residual] * 2
+    assert result.summary["kn_freud_residual"] == residual <= 1e-12
+    empty = cli.simulate(cli.RunConfig.from_dict(
+        small_config(outputs=["kn"], kn_n_values=[])))
+    assert empty.summary["kn_freud_residual"] is None
+    no_kn = cli.simulate(cli.RunConfig.from_dict(small_config()))
+    assert "kn_freud_residual" not in no_kn.summary
 
 
 def test_summary_records_the_solver_size():

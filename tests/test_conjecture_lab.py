@@ -4,12 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg import eigvals_banded, sqrtm
 
 import bgkspectral as bk
 from bgkspectral import cli, conjecture_lab
 from bgkspectral.potential import _full_coeffs
+from conftest import potentials_and_sizes
 
 SEXTIC_COEFFS = (0.0, 0.0, 0.0, 1.0)
 OCTIC_COEFFS = (0.0, 1.0, -3.0, 0.5, 0.2)
@@ -146,13 +148,10 @@ def test_doublewell_sweep_reports(doublewell_pot):
     # no boundedness assertion: the N-dependence is an open question
 
 
-@pytest.mark.parametrize("coeffs", [(0.5 * math.log(2.0 * math.pi), 0.5),
-                                    (1.0, -2.0, 1.0), SEXTIC_COEFFS, OCTIC_COEFFS])
-def test_solve_matches_dense_eigh_oracle(coeffs):
-    pot = bk.normalize_potential(bk.RawPotential(coeffs))
+def _assert_matches_dense_eigh_oracle(pot, n_values):
     pad = max(16, 2 * pot.degree)
-    table = bk.build_recurrence(pot, 4 * (64 + pad) + 2 * pot.degree + 2)
-    for n in (0, 4, 16, 64):
+    table = bk.build_recurrence(pot, 4 * (max(n_values) + pad) + 2 * pot.degree + 2)
+    for n in n_values:
         for m_big in (f * (n + pad) for f in (1, 2, 4)):
             got = bk.estimate_kn(table, pot, n, m_big)
             want = _dense_eigh_kn(table, pot, n, m_big)
@@ -160,10 +159,29 @@ def test_solve_matches_dense_eigh_oracle(coeffs):
             assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
 
 
+@pytest.mark.parametrize("coeffs", [(0.5 * math.log(2.0 * math.pi), 0.5),
+                                    (1.0, -2.0, 1.0), SEXTIC_COEFFS, OCTIC_COEFFS])
+def test_solve_matches_dense_eigh_oracle(coeffs):
+    # Odd N + 1 (even N) gives parity blocks of unequal size, even N + 1 equal
+    # ones; at N = 0 the odd block is empty.
+    _assert_matches_dense_eigh_oracle(bk.normalize_potential(bk.RawPotential(coeffs)),
+                                      (0, 1, 4, 5, 16, 33, 64))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(potentials_and_sizes(max_size=40))
+def test_parity_blocks_match_dense_eigh_oracle_on_drawn_potentials(drawn):
+    coeffs, n = drawn
+    _assert_matches_dense_eigh_oracle(
+        bk.normalize_potential(bk.RawPotential(tuple(coeffs))), (n,))
+
+
 def test_estimate_allocates_no_ambient_square(doublewell_pot):
     # An m_big x m_big float array alone is 2.5 MiB at m_big = 576; the
-    # dense path peaked at 12.8 MiB.  The band path holds one m_big x 4(N+1)
-    # right-hand side, 2.3 MiB, which the solve overwrites.
+    # dense path peaked at 12.8 MiB.  The parity blocks peak at 0.74 MiB:
+    # the two solves Z_p, 288 x 65 each (0.29 MiB together, each written
+    # over its unit columns), and the dense 129 x 129 leading block X of d*
+    # (0.13 MiB) are most of it.
     table = bk.build_recurrence(doublewell_pot, 586)
     bk.estimate_kn(table, doublewell_pot, 128, 576)
     tracemalloc.start()
@@ -172,7 +190,7 @@ def test_estimate_allocates_no_ambient_square(doublewell_pot):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2 ** 20
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_indefinite_omega_is_a_typed_failure(monkeypatch, tmp_path,

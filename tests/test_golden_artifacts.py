@@ -65,7 +65,7 @@ GOLDEN = {
         "conserved.csv":
             "97fb4b25838a8f2e0af06f26429bf4be0d3112affb11e9ab83fa090e22baab03",
         "kn_table.csv":
-            "ad7fdcfb7098cb09f6946d46e69d132b60772c80f703d1d774cfb968bc5cf1af",
+            "660c15bbac454008f5a8976d41bdcb6a4fed0c9c93f34171e527797a3492bacc",
         "norms.csv":
             "c3a692db75fe7f205f95cac831b3dd9a13332eeda0f68aee4dc83cc7b82b0984",
         "recurrence.csv":
