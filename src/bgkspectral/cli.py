@@ -16,8 +16,10 @@ import numpy as np
 from . import diagnostics, scheme
 from .conjecture_lab import KNReport, kn_sweep
 from .errors import ConfigError, InvalidPotentialError
+# benchmarks/spans.py traces build_deriv_couplings (counting the nonzeros of
+# its `.A`, the band of d*) and build_quadrature (not called here) by these
+# names; only that hook keeps DerivCouplings and this build_quadrature import.
 from .operators import build_deriv_couplings
-# build_quadrature is not called here; benchmarks/spans.py traces it by this name.
 from .orthopoly import RecurrenceTable, build_quadrature, build_recurrence  # noqa: F401
 from .potential import RawPotential, normalize_potential
 

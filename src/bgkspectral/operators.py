@@ -5,13 +5,13 @@ offsets below deg(phi), whose strictly lower part represents the adjoint
 derivative d* = -d/dx + phi' and whose strictly upper part represents d/dx
 (their sum is multiplication by phi').  The derivative couplings and the
 weighted Laplacian plus identity, Omega = d* d + 1, follow exactly from those
-two triangles.  Phi and Omega are held in LAPACK lower band storage,
-band[k, j] = M[j + k, j]; the couplings are a dense array.
+two triangles.  Phi, the couplings (Phi's band itself) and Omega are held in
+LAPACK lower band storage, band[k, j] = M[j + k, j].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -22,10 +22,9 @@ from .potential import NormalizedPotential, _full_coeffs
 
 @dataclass(frozen=True)
 class DerivCouplings:
-    """Dense couplings A[r, n] = <P_r', P_n> between basis polynomials."""
+    """Couplings A[s, j] = <P_{j+s}', P_j>: Phi's band, shape (deg(phi), n + 1)."""
 
     A: np.ndarray
-    table: RecurrenceTable = field(repr=False)
 
 
 def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
@@ -50,20 +49,16 @@ def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
 
 
 def build_deriv_couplings(table: RecurrenceTable, n: int) -> DerivCouplings:
-    """Couplings A[r, k] = <P_r', P_k> for r, k = 0..n, by integration by parts.
+    """Couplings <P_r', P_k> for r, k = 0..n, by integration by parts.
 
     For k < r, <P_r', P_k> = <phi' P_r, P_k> - <P_r, P_k'>, and the last term
     vanishes because P_k' has degree below r; for k >= r the entry vanishes
-    because P_r' has degree r - 1.  So A is exactly the strictly lower part of
-    Phi: banded on the odd offsets 1, 3, ..., deg(phi) - 1, with every other
-    entry an exact zero.
+    because P_r' has degree r - 1.  So the couplings are exactly the strictly
+    lower part of Phi, which its band already holds: A[s, j] = <P_{j+s}', P_j>
+    on the odd rows s = 1, 3, ..., deg(phi) - 1, with the diagonal, the even
+    rows and the entries past r = n exact zeros.
     """
-    band = build_phi_matrix(table, table.weight, n + 1)
-    A = np.zeros((n + 1, n + 1))
-    for k in range(1, min(len(band), n + 1), 2):
-        j = np.arange(n + 1 - k)
-        A[j + k, j] = band[k, :n + 1 - k]
-    return DerivCouplings(A=A, table=table)
+    return DerivCouplings(A=build_phi_matrix(table, table.weight, n + 1))
 
 
 def build_omega_matrix(phi: np.ndarray, size: int) -> np.ndarray:

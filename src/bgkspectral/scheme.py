@@ -2,7 +2,8 @@
 
 The state collects the coefficients C[k][n] of the perturbation on the tensor
 basis (space polynomial n, velocity Hermite k).  The generator couples
-neighbouring velocity modes through the derivative couplings A and damps the
+neighbouring velocity modes through the derivative couplings A, read straight
+from their lower band (the odd diagonals of d* below deg(phi)), and damps the
 modes k >= 3; its transport part is exactly skew-symmetric, so the implicit
 Euler step is unconditionally norm non-increasing.
 
@@ -139,7 +140,9 @@ def assemble_generator(couplings: DerivCouplings, K: int, N: int) -> Generator:
 
     M[(k, r), (k + 1, n)] = sqrt(k + 1) A[r, n] and its negative transpose
     couple neighbouring velocity modes, and M[(k, n), (k, n)] = -1 damps the
-    modes k >= 3; index (k, n) is k (N + 1) + n.  Only the nonzeros of A enter.
+    modes k >= 3; index (k, n) is k (N + 1) + n.  Only the nonzeros of the
+    couplings' band enter, A[r, n] = band[r - n, n], and those with r > N are
+    dropped, so couplings built for a larger n serve any N they reach.
 
     Requires N >= deg(phi): otherwise phi' leaves the retained polynomial
     space and the discrete conservation identities silently break, so the
@@ -147,20 +150,23 @@ def assemble_generator(couplings: DerivCouplings, K: int, N: int) -> Generator:
     """
     if K < 0 or N < 0:
         raise ValueError("K and N must be nonnegative")
-    deg = couplings.table.weight.degree
+    band = couplings.A
+    deg = len(band)
     if N < deg:
         raise ValueError(
             f"truncation N={N} below the potential degree {deg}; "
             "the conservation structure requires N >= deg(phi)"
         )
-    if couplings.A.shape[0] < N + 1:
+    if band.shape[1] < N + 1:
         raise ValueError("derivative couplings too small for N")
-    a = couplings.A[: N + 1, : N + 1]
-    r, n = np.nonzero(a)
+    s, n = np.nonzero(band[:, :N + 1])
+    keep = n + s <= N
+    s, n = s[keep], n[keep]
+    r = n + s
     k = np.repeat(np.arange(K), len(r))
     up_rows = k * (N + 1) + np.tile(r, K)
     up_cols = (k + 1) * (N + 1) + np.tile(n, K)
-    up = np.repeat(np.sqrt(np.arange(1.0, K + 1.0)), len(r)) * np.tile(a[r, n], K)
+    up = np.repeat(np.sqrt(np.arange(1.0, K + 1.0)), len(r)) * np.tile(band[s, n], K)
     dim = (K + 1) * (N + 1)
     damped = np.arange(3 * (N + 1), dim)
     m = sp.csr_matrix(

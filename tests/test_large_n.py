@@ -29,26 +29,28 @@ def tables(harmonic_table, doublewell_table, sextic_table):
 
 @pytest.mark.parametrize("N", N_VALUES)
 def test_harmonic_couplings_closed_form(harmonic_table, N):
-    # P_r' = sqrt(r) P_{r-1} for the Gaussian weight
+    # P_r' = sqrt(r) P_{r-1} for the Gaussian weight: A[1, j] = sqrt(j + 1)
     A = bk.build_deriv_couplings(harmonic_table, N).A
-    r = np.arange(1, N + 1)
-    expect = np.zeros((N + 1, N + 1))
-    expect[r, r - 1] = np.sqrt(r)
-    assert np.max(np.abs(A - expect)) <= 1e-13
+    assert A.shape == (2, N + 1)
+    assert np.all(A[0] == 0.0) and A[1, N] == 0.0
+    assert np.max(np.abs(A[1, :N] - np.sqrt(np.arange(1, N + 1)))) <= 1e-13
 
 
 @pytest.mark.parametrize("N", N_VALUES)
 @pytest.mark.parametrize("name", POTENTIALS)
 def test_couplings_live_on_odd_offsets(tables, name, N):
+    # The band stores offsets 0 .. deg(phi) - 1, so every wider offset is a
+    # zero by construction; within it only the odd offsets are nonzero.
     table = tables[name]
     A = bk.build_deriv_couplings(table, N).A
-    band = range(1, table.weight.degree, 2)
-    for off in range(-N, N + 1):
-        diag = np.diagonal(A, offset=-off)
-        if off in band:
+    assert A.shape == (table.weight.degree, N + 1)
+    for off in range(len(A)):
+        diag = A[off, :N + 1 - off]
+        if off % 2:
             assert np.all(diag != 0.0), off
         else:
             assert np.all(diag == 0.0), off
+        assert np.all(A[off, N + 1 - off:] == 0.0), off
 
 
 @pytest.mark.parametrize("N", N_VALUES)

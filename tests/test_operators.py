@@ -141,35 +141,38 @@ def test_phi_requires_long_table(doublewell_pot, doublewell_table):
 
 
 def test_harmonic_couplings(harmonic_table):
-    dc = bk.build_deriv_couplings(harmonic_table, 10)
-    r = np.arange(11)
-    expect = np.zeros((11, 11))
-    expect[r[1:], r[1:] - 1] = np.sqrt(r[1:])
-    assert np.max(np.abs(dc.A - expect)) <= 1e-12
+    # P_r' = sqrt(r) P_{r-1}: the band's one odd row holds A[1, j] = sqrt(j+1).
+    A = bk.build_deriv_couplings(harmonic_table, 10).A
+    assert A.shape == (2, 11)
+    assert np.all(A[0] == 0.0) and A[1, 10] == 0.0
+    assert np.max(np.abs(A[1, :10] - np.sqrt(np.arange(1, 11)))) <= 1e-12
 
 
 def test_couplings_structure(doublewell_table):
-    dc = bk.build_deriv_couplings(doublewell_table, 10)
-    assert np.all(dc.A[0, :] == 0.0)
-    r, n = np.indices(dc.A.shape)
-    assert np.all(dc.A[(n >= r) | ((r - n) % 2 == 0)] == 0.0)
+    # Offsets 1 and 3 hold the couplings; the diagonal, the even rows and
+    # every entry past r = j + s = 10 are exact zeros.
+    A = bk.build_deriv_couplings(doublewell_table, 10).A
+    assert A.shape == (4, 11)
+    assert np.all(A[::2] == 0.0)
+    for s in (1, 3):
+        assert np.all(A[s, :11 - s] != 0.0) and np.all(A[s, 11 - s:] == 0.0)
 
 
 def test_couplings_match_phi_upper(doublewell_table, dw_phi):
-    dc = bk.build_deriv_couplings(doublewell_table, 12)
-    for r in range(13):
-        for n in range(r):
-            off = r - n
-            assert dc.A[r, n] == (dw_phi[off, n] if off < len(dw_phi) else 0.0)
+    # The couplings of size 13 are the leading block of a larger Phi band,
+    # bit for bit: cutting the Jacobi matrix later changes no entry.
+    A = bk.build_deriv_couplings(doublewell_table, 12).A
+    for s in range(len(A)):
+        assert np.array_equal(A[s, :13 - s], dw_phi[s, :13 - s])
 
 
 def test_coupling_spot_check_composite(doublewell_table, doublewell_weddle):
     # independent composite-rule quadrature of P_3' P_0 rho
-    dc = bk.build_deriv_couplings(doublewell_table, 5)
+    A = bk.build_deriv_couplings(doublewell_table, 5).A
     from bgkspectral.orthopoly import eval_poly_and_deriv_all
     p, dp = eval_poly_and_deriv_all(doublewell_table, 5, doublewell_weddle.nodes)
     direct = doublewell_weddle.weights @ (dp[3] * p[0])
-    assert dc.A[3, 0] == pytest.approx(direct, abs=1e-10)
+    assert A[3, 0] == pytest.approx(direct, abs=1e-10)
 
 
 def test_omega_corner_and_positivity(dw_phi):

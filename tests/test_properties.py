@@ -14,6 +14,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -95,11 +96,27 @@ def test_simulate_keeps_the_discrete_structure(data):
         assert _files(Path(tmp) / "written") == _files(Path(tmp) / "run")
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "near the conserved part the dissipation per step falls below the "
+    "rounding of ||x||^2, so the norm can rise by one ulp (ROADMAP item 4)"))
+def test_norm_never_increases_near_the_steady_state():
+    # Inside the draw domain of test_simulate_keeps_the_discrete_structure:
+    # the norm rises at steps 27, 28, 30, 33-36 and 39, by up to 1.6e-16
+    # relative, while mass and energy drift by 2.0e-15.
+    dt = 0.9014154050020589
+    data = _config([1.7695077517265148, 0.715278340677401], 4, 25, dt, 40,
+                   [[2, 0, -0.9919138060186745], [0, 0, -0.0719153870778464]],
+                   False)
+    result = cli.simulate(cli.RunConfig.from_dict(data))
+    assert np.all(np.diff(result.norms) <= 0.0)
+
+
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(potentials_and_sizes())
 def test_couplings_satisfy_freuds_identity(drawn):
-    # P_n' = (n / a_n) P_{n-1} + lower degrees, so A[n, n-1] = n / a_n exactly:
-    # a certificate of the recurrence table and of A = tril(Phi, -1) together.
+    # P_n' = (n / a_n) P_{n-1} + lower degrees, so <P_n', P_{n-1}>, held at
+    # A[1, n - 1] of the band, is n / a_n exactly: a certificate of the
+    # recurrence table and of A = tril(Phi, -1) together.
     coeffs, N = drawn
     try:
         pot = bk.normalize_potential(bk.RawPotential(tuple(coeffs)))
@@ -108,7 +125,7 @@ def test_couplings_satisfy_freuds_identity(drawn):
         return
     A = bk.build_deriv_couplings(table, N).A
     n = np.arange(1, N + 1)
-    assert np.max(np.abs(A[n, n - 1] * table.a[n] / n - 1.0)) <= 1e-10
+    assert np.max(np.abs(A[1, n - 1] * table.a[n] / n - 1.0)) <= 1e-10
 
 
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -89,7 +90,7 @@ def test_mode_coupling_pattern(harmonic_setup):
 
 def test_nnz_bound(doublewell_setup):
     dc, gen, _ = doublewell_setup(20, 30)
-    nnz_a = np.count_nonzero(dc.A[:31, :31])
+    nnz_a = np.count_nonzero(dc.A)
     assert gen.matrix.nnz <= 21 * (2 * nnz_a + 31)
 
 
@@ -153,8 +154,17 @@ def test_lu_is_pivot_free_and_structural(doublewell_setup):
     assert len(fills) == 1
 
 
+def _dense_couplings(band, N):
+    """The leading (N + 1) block of the couplings a band holds, as a dense array."""
+    a = np.zeros((N + 1, N + 1))
+    for s in range(1, min(len(band), N + 1)):
+        j = np.arange(N + 1 - s)
+        a[j + s, j] = band[s, :N + 1 - s]
+    return a
+
+
 def _kron_generator(dc, K, N):
-    a = sp.csr_matrix(dc.A[: N + 1, : N + 1])
+    a = sp.csr_matrix(_dense_couplings(dc.A, N))
     ks = np.sqrt(np.arange(1.0, K + 1.0))
     up = sp.diags(ks, 1, shape=(K + 1, K + 1))
     low = sp.diags(-ks, -1, shape=(K + 1, K + 1))
@@ -168,15 +178,33 @@ def _kron_generator(dc, K, N):
 
 
 @pytest.mark.parametrize("K", [0, 1, 2, 3, 20])
-def test_generator_matches_the_kronecker_oracle(doublewell_setup, K):
+def test_generator_matches_the_kronecker_oracle(doublewell_table, K):
     # M = up (x) A + low (x) A^T + damp (x) I, entry for entry and bit for bit.
-    dc, gen, _ = doublewell_setup(K, 30)
-    oracle = _kron_generator(dc, K, 30)
-    m = gen.matrix
-    assert m.has_canonical_format
-    assert np.array_equal(m.indptr, oracle.indptr)
-    assert np.array_equal(m.indices, oracle.indices)
-    assert np.array_equal(m.data, oracle.data)
+    # Couplings built for N + 7 hold entries past r = N, which the generator
+    # for N must drop.
+    oracle = _kron_generator(bk.build_deriv_couplings(doublewell_table, 30),
+                             K, 30)
+    for n in (30, 37):
+        m = bk.assemble_generator(bk.build_deriv_couplings(doublewell_table, n),
+                                  K, 30).matrix
+        assert m.has_canonical_format
+        assert np.array_equal(m.indptr, oracle.indptr)
+        assert np.array_equal(m.indices, oracle.indices)
+        assert np.array_equal(m.data, oracle.data)
+
+
+def test_assembly_allocates_no_dense_couplings(doublewell_pot):
+    # One (N + 1)^2 float array is 7.6 MiB at N = 1000; the couplings band is
+    # 4 x 1001 floats (31 KiB), and the peak, about 2.8 MiB, is the
+    # generator's COO triplets and their CSR conversion.
+    table = bk.build_recurrence(doublewell_pot, 1006)
+    tracemalloc.start()
+    try:
+        bk.assemble_generator(bk.build_deriv_couplings(table, 1000), 10, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.8 * 2 ** 20
 
 
 @pytest.mark.parametrize("dt", [1e-2, 1.0, 100.0])
