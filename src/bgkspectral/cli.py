@@ -276,6 +276,8 @@ def simulate(config: RunConfig) -> RunResult:
     if reports is not None:
         summary["kn_freud_residual"] = max(
             (r.freud_residual for r in reports), default=None)
+        summary["kn_truncation_bound"] = max(
+            (r.relative_bound for r in reports), default=None)
     return RunResult(config=config, times=np.array(series.times),
                      norms=np.array(series.norms), conserved=conserved,
                      snapshots=tuple(snapshots), table=table, kn=reports,

@@ -4,15 +4,28 @@ Four compositions built from the projection onto the retained polynomial
 space, the derivative pair d / d*, and negative powers of Omega = d* d + 1
 enter the decay analysis of the scheme; whether their norms stay bounded as
 the space truncation N grows is an open question.  This module estimates the
-norms through Galerkin truncations of Omega at an ambient size M_big and
-reports how they stabilize as M_big grows, which is the only honesty
-mechanism available: nothing here is proven.
+norms through Galerkin truncations of Omega at an ambient size M_big, with a
+certified bound on how far each estimate can lie from its M_big -> infinity
+limit.  Nothing is proven about the N-dependence itself.
 
 phi is even, so Omega keeps the parity of the basis index and d* flips it.
 Each estimate therefore works in two parity blocks: Omega_p, banded with
 deg(phi)/2 diagonals, is factored and solved once against its own unit
 columns, and every norm is the larger of two per-parity top eigenvalues of
 Gram matrices, such as B^T (Z^T Z) B, of at most ceil((N+1)/2) rows.
+
+The truncation bound (Demko, Moss and Smith, Math. Comp. 43, 1984, on the
+decay of banded inverses): split the untruncated Omega_p as
+[[Omega_M, C], [C^T, D]].  Omega >= I, so ||D^-1|| <= 1, and the inverse of
+the Schur complement Omega_M - C D^-1 C^T, the leading block of Omega_p^-1,
+has norm <= 1.  For Z_M = Omega_M^-1 E and Z the untruncated solve,
+
+    ||Z[:M] - Z_M|| <= ||C||^2 ||Z_M[tail]|| = delta,
+    ||Z[M:]|| <= ||C|| (||Z_M[tail]|| + delta),
+
+with `tail` the last deg(phi)/2 - 1 rows of Z_M, the only rows C touches.
+Weyl's inequality carries delta through the Gram matrix of kn0, and
+submultiplicativity carries both through ||Z B|| to kn1-kn3.
 """
 
 from __future__ import annotations
@@ -21,26 +34,39 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import solveh_banded
 
 from .operators import build_omega_matrix, build_phi_matrix
 from .orthopoly import RecurrenceTable, build_recurrence
 from .potential import NormalizedPotential
 
-# Ambient sizes of `kn_sweep`, in multiples of N + pad.
-_M_FACTORS = (2, 4)
+# Ambient size of `kn_sweep`, in multiples of N + pad.
+_M_FACTOR = 4
 
 
 @dataclass(frozen=True)
 class KNReport:
-    """Norm estimates for one space truncation N at ambient size m_big, with
-    the Freud residual that certifies the sweep's recurrence table."""
+    """Norm estimates for one space truncation N at ambient size m_big, the
+    certified bound on each estimate's distance from its m_big -> infinity
+    limit, and the Freud residual of the recurrence table they come from."""
 
     N: int
     m_big: int
     kn: tuple[float, float, float, float]
-    converged: bool
-    freud_residual: float
+    bound: tuple[float, float, float, float]
+    freud_residual: float | None
+
+    @property
+    def relative_bound(self) -> float:
+        """Worst bound relative to its estimate; a vanishing estimate with a
+        vanishing bound counts 0, with a positive one infinity."""
+        return max(b / k if k > 0.0 else (0.0 if b == 0.0 else math.inf)
+                   for k, b in zip(self.kn, self.bound))
+
+    @property
+    def converged(self) -> bool:
+        """Each estimate is certified to 1% of its value."""
+        return self.relative_bound <= 0.01
 
 
 def _sqrt_top_eigenvalue(gram: np.ndarray) -> float:
@@ -50,9 +76,21 @@ def _sqrt_top_eigenvalue(gram: np.ndarray) -> float:
     return math.sqrt(max(0.0, evals[-1])) if len(evals) else 0.0
 
 
+def _dense_lower(phi: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows and columns start..stop-1 of d*, the strictly lower part of the
+    band `phi`, as a dense array."""
+    size = stop - start
+    out = np.zeros((size, size))
+    for k in range(1, min(len(phi), size), 2):
+        j = np.arange(size - k)
+        out[j + k, j] = phi[k, start:stop - k]
+    return out
+
+
 def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
-                m_big: int) -> np.ndarray:
-    """Largest singular values of the four projected compositions on X_N.
+                m_big: int) -> KNReport:
+    """Largest singular values of the four projected compositions on X_N,
+    with a certified bound on their truncation error at ambient size m_big.
 
     With L the m_big truncation of d* (the strictly lower part of Phi, whose
     strictly upper part is exactly L^T) and X = L[:N+1, :N+1] = P d* E, the
@@ -64,14 +102,21 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
     phi is even, so d* flips the parity of the index and Omega keeps it:
     Omega splits into two parity blocks Omega_p, each banded with deg(phi)/2
     diagonals (the even rows of Omega's band at the columns of parity p),
-    and X into X_q, the block that maps parity q to 1 - q.  A banded
-    Cholesky factorization of each Omega_p guards positive definiteness (an
-    inconsistent Omega raises LinAlgError), and one banded solve with it
-    gives Z_p = Omega_p^(-1) E_p against the unit columns of parity p below
-    N + 1.  Then ||Omega^(-1/2) X||^2 is the larger over q of
+    and X into X_q, the block that maps parity q to 1 - q.  One
+    `solveh_banded` call per block factors Omega_p, which guards positive
+    definiteness (an inconsistent Omega raises LinAlgError), and solves
+    Z_p = Omega_p^(-1) E_p against the unit columns of parity p below N + 1.
+    Then ||Omega^(-1/2) X||^2 is the larger over q of
     lambda_max(X_q^T Z_{1-q}[:n] X_q), and each of the other three norms
     squared is the larger over q of lambda_max(B^T (Z_q^T Z_q) B), with
     B = X_q^T X_q, X_{1-q} X_q and X_{1-q} X_{1-q}^T in turn.
+
+    The coupling C of the module docstring holds the entries
+    Omega[j + d, j] with j < m_big <= j + d; they are read from the dense
+    product of the rows and columns of d* within deg(phi) - 1 of the cut,
+    which the band of Phi at m_big + deg(phi) holds exactly.  Every norm in
+    the bound is a Frobenius norm, an upper bound on the 2-norm that equals
+    it for the one-row C and tail of a quartic phi.
     """
     if N < 0:
         raise ValueError(f"N={N} is negative")
@@ -85,51 +130,57 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
     omega = build_omega_matrix(phi, m_big)
 
     n1 = N + 1
-    x = np.zeros((n1, n1))
-    for k in range(1, min(len(phi), n1), 2):
-        j = np.arange(n1 - k)
-        x[j + k, j] = phi[k, :n1 - k]
-    z = []
+    x = _dense_lower(phi, 0, n1)
+    # Omega beyond the cut: rows m_big.., columns within deg - 2 below it.
+    cut = _dense_lower(phi, m_big - two_m + 1, m_big + two_m - 2)
+    coupling = (cut @ cut.T)[1:two_m - 1, two_m - 1:]
+    z, delta, beyond = [], [], []
     for p in (0, 1):
-        factor = cholesky_banded(omega[0::2, p::2], lower=True)
-        unit = np.eye(factor.shape[1], len(range(p, n1, 2)), order="F")
-        z.append(cho_solve_banded((factor, True), unit, overwrite_b=True))
+        unit = np.eye(len(range(p, m_big, 2)), len(range(p, n1, 2)), order="F")
+        z.append(solveh_banded(omega[0::2, p::2], unit, overwrite_b=True,
+                               lower=True))
+        c = coupling[(p - m_big) % 2::2, (p - m_big) % 2::2]
+        c_norm = np.linalg.norm(c)
+        tail_norm = np.linalg.norm(z[p][len(z[p]) - len(c):])
+        delta.append(c_norm ** 2 * tail_norm)
+        beyond.append(math.hypot(delta[p], c_norm * (tail_norm + delta[p])))
 
     kn = np.zeros(4)
+    bound = np.zeros(4)
     for q in (0, 1):
         x_q, x_back = x[1 - q::2, q::2], x[q::2, 1 - q::2]
         gram = z[q].T @ z[q]
         blocks = [x_q.T @ z[1 - q][:len(x_q)] @ x_q]
-        blocks += [b.T @ gram @ b
-                   for b in (x_q.T @ x_q, x_back @ x_q, x_back @ x_back.T)]
+        bs = (x_q.T @ x_q, x_back @ x_q, x_back @ x_back.T)
+        blocks += [b.T @ gram @ b for b in bs]
         kn = np.maximum(kn, [_sqrt_top_eigenvalue(g) for g in blocks])
-    return kn
+        bound = np.maximum(bound, [np.linalg.norm(x_q) ** 2 * delta[1 - q]]
+                           + [np.linalg.norm(b) * beyond[q] for b in bs])
+    # Weyl bounds the change of kn0^2, and |sqrt(u) - sqrt(v)| is at most
+    # both sqrt|u - v| and |u - v| / sqrt(v).
+    bound[0] = min(math.sqrt(bound[0]),
+                   bound[0] / kn[0] if kn[0] > 0.0 else math.inf)
+    return KNReport(N=N, m_big=m_big, kn=tuple(kn.tolist()),
+                    bound=tuple(bound.tolist()),
+                    freud_residual=table.freud_residual)
 
 
 def kn_sweep(pot: NormalizedPotential, n_values) -> list[KNReport]:
-    """Norm estimates over a list of truncations N, with a stabilization check.
+    """Certified norm estimates over a list of truncations N.
 
-    For each N the estimates are computed at the two ambient sizes
-    (2, 4) * (N + pad), with pad = max(16, 2 deg(phi)) so that both leave
-    the room `estimate_kn` needs; the reported values come from the larger
-    size and are flagged converged only when the two sizes agree to 1%
-    componentwise.  The sweep builds its own recurrence table, long
-    enough for the largest ambient size, so the values depend only on the
-    potential and N; each report carries that table's Freud residual.
+    For each N the estimate is computed once, at the ambient size
+    4 (N + pad), with pad = max(16, 2 deg(phi)) so that it leaves the room
+    `estimate_kn` needs; a report is `converged` when its certified
+    truncation bound is at most 1% of each estimate.  The sweep builds its
+    own recurrence table, long enough for the largest ambient size, so the
+    values depend only on the potential and N; each report carries that
+    table's Freud residual.
     """
     n_values = list(n_values)
     if not n_values:
         return []
     two_m = pot.degree
     pad = max(16, 2 * two_m)
-    max_big = max(f * (n + pad) for n in n_values for f in _M_FACTORS)
-    table = build_recurrence(pot, max_big + 2 * two_m + 2)
-    reports = []
-    for n in n_values:
-        bigs = [f * (n + pad) for f in _M_FACTORS]
-        prev, last = (estimate_kn(table, pot, n, b) for b in bigs)
-        converged = np.all(np.abs(prev - last) <= 0.01 * np.maximum(np.abs(last), 1e-12))
-        reports.append(KNReport(N=n, m_big=bigs[-1], kn=tuple(last.tolist()),
-                                converged=bool(converged),
-                                freud_residual=table.freud_residual))
-    return reports
+    table = build_recurrence(pot, _M_FACTOR * (max(n_values) + pad)
+                             + 2 * two_m + 2)
+    return [estimate_kn(table, pot, n, _M_FACTOR * (n + pad)) for n in n_values]

@@ -9,7 +9,6 @@ import numpy as np
 
 from .orthopoly import (RecurrenceTable, eval_poly_all, hermite_eval_all,
                         jacobi_horner)
-from .potential import _full_coeffs
 from .scheme import SpectralState
 
 
@@ -37,7 +36,7 @@ def build_functional_basis(table: RecurrenceTable, n: int) -> FunctionalBasis:
     ip_x = np.zeros(n + 1)
     ip_x[1:2] = a0 * table.a[1]
     return FunctionalBasis(
-        ip_phi=a0 * jacobi_horner(table.a, _full_coeffs(pot.coeffs), e0)[: n + 1],
+        ip_phi=a0 * jacobi_horner(table.a, pot.power_coeffs, e0)[: n + 1],
         ip_x=ip_x,
         harmonic=pot.harmonic,
     )

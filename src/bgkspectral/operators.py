@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .orthopoly import RecurrenceTable, jacobi_band
-from .potential import NormalizedPotential, _full_coeffs
+from .potential import NormalizedPotential
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,7 @@ def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
     the table is too short for that margin.
     """
     big = size + pot.degree + 2
-    dcoeffs = npoly.polyder(_full_coeffs(pot.coeffs))
-    band = jacobi_band(table.a, dcoeffs, big)[:, :size]
+    band = jacobi_band(table.a, pot.deriv_coeffs, big)[:, :size]
     for k in range(1, len(band), 2):
         band[k, max(size - k, 0):] = 0.0
     return band

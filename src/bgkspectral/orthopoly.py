@@ -18,9 +18,13 @@ max(256, 4 n_max) panels; an uncertified pass doubles the panel count.
 The weight is even, so P_n has parity (-1)^n and every inner product of a
 pass has an even integrand: a pass samples only [0, cutoff], with half the
 panels and doubled weights, which is the symmetric composite rule exactly
-because the panel count is even (an odd count raises ValueError).  A
-doubled pass that fails to halve the residual, or one past 2^22 nodes,
-raises IntegrationFailureError.
+because the panel count is even (an odd count raises ValueError).  Each
+row of a pass is one three-term update, one dot product and one scaling,
+over the live nodes only: the seed carries the square roots of the rule's
+weights, and the trailing nodes where it underflowed to 0 are dropped.  A
+doubled pass that fails to halve the residual, or any pass, the first one
+included, that would need more than 2^22 nodes, raises
+IntegrationFailureError; the node budget is checked before the pass runs.
 """
 
 from __future__ import annotations
@@ -29,11 +33,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import IntegrationFailureError, PrecisionFailureError
-from .potential import NormalizedPotential, _full_coeffs, tail_cutoff
+from .potential import NormalizedPotential, tail_cutoff
 from .weddle import panel_rule
 
 
@@ -62,23 +65,38 @@ class QuadratureRule:
     kind: str
 
 
-def _stieltjes_pass(pot, n_max: int, panels: int, cutoff: float) -> np.ndarray:
-    """a_0..a_n_max from `panels` composite panels over [-cutoff, cutoff].
+def _half_line_seed(pot, panels: int, cutoff: float):
+    """Nodes x, seed values q and scale s of a Stieltjes pass on `panels`
+    composite panels over [-cutoff, cutoff].
 
     Every integrand of the pass, P_n^2 rho, is even, and for an even panel
     count the symmetric rule is exactly twice the rule on [0, cutoff] with
-    half the panels: 0 is then a shared panel boundary, weighted twice.
+    half the panels: 0 is then a shared panel boundary, weighted twice.  The
+    pass works with sqrt(rho)-weighted polynomial values, which stay bounded
+    where plain P_n(x) would overflow outside the bulk, and the seed also
+    carries sqrt(w / w_min), a factor >= 1 at every node, so that each inner
+    product is s times one dot product, s the doubled smallest weight.  A
+    node whose seed underflowed to 0 stays 0 in every row of the recurrence,
+    so the trailing run of such nodes is dropped.
     """
     if panels % 2:
         raise ValueError(f"panels={panels} must be even")
     x, w = panel_rule(0.0, cutoff, panels // 2)
-    w *= 2.0
-    # Work with sqrt(rho)-weighted polynomial values: same recurrence, but the
-    # values stay bounded where plain P_n(x) would overflow outside the bulk.
-    q = np.exp(-0.5 * pot(x))
+    q = np.exp(-0.5 * pot(x)) * np.sqrt(w / w.min())
+    live = np.flatnonzero(q)
+    if not len(live):
+        raise PrecisionFailureError(
+            "Stieltjes breakdown: the sampled weight vanishes at every node", 0)
+    return x[:live[-1] + 1], q[:live[-1] + 1], 2.0 * float(w.min())
+
+
+def _stieltjes_pass(pot, n_max: int, panels: int, cutoff: float) -> np.ndarray:
+    """a_0..a_n_max from `panels` composite panels over [-cutoff, cutoff],
+    sampled at the live half-line nodes of `_half_line_seed`."""
+    x, q, scale = _half_line_seed(pot, panels, cutoff)
     a = np.empty(n_max + 1)
-    a[0] = math.sqrt(float(w @ (q * q)))
-    q /= a[0]
+    a[0] = math.sqrt(scale * float(q @ q))
+    q *= 1.0 / a[0]
     q_prev = np.zeros_like(q)
     # Rows rotate through three preallocated buffers, q_prev <- q <- y.
     y = np.empty_like(q)
@@ -87,14 +105,13 @@ def _stieltjes_pass(pot, n_max: int, panels: int, cutoff: float) -> np.ndarray:
         np.multiply(x, q, out=y)
         np.multiply(a[n], q_prev, out=tmp)
         y -= tmp
-        np.multiply(y, y, out=tmp)
-        nrm = math.sqrt(float(w @ tmp))
+        nrm = math.sqrt(scale * float(y @ y))
         if not nrm > 0.0:
             raise PrecisionFailureError(
                 f"Stieltjes breakdown: vanishing norm at index {n + 1}", n + 1
             )
         a[n + 1] = nrm
-        y /= nrm
+        y *= 1.0 / nrm
         q_prev, q, y = q, y, q_prev
     return a
 
@@ -245,8 +262,7 @@ def freud_residual(a: np.ndarray, pot: NormalizedPotential) -> float:
     sub-diagonal of `jacobi_band`; a table too short for any such row
     reads 0.
     """
-    dphi = npoly.polyder(_full_coeffs(pot.coeffs))
-    sub = jacobi_band(a, dphi, len(a))[1]
+    sub = jacobi_band(a, pot.deriv_coeffs, len(a))[1]
     n = np.arange(1, len(a) - pot.degree // 2 + 1)
     return float(np.max(np.abs(sub[n - 1] * a[n] / n - 1.0), initial=0.0))
 
@@ -269,6 +285,10 @@ def build_recurrence(pot: NormalizedPotential, n_max: int) -> RecurrenceTable:
     panels = max(256, 4 * n_max)
     previous = math.inf
     while True:
+        if 6 * panels + 1 > (1 << 22):
+            raise IntegrationFailureError(
+                f"Stieltjes discretization to n_max={n_max} needs "
+                f"{6 * panels + 1} nodes, past the budget of 2^22")
         a = _stieltjes_pass(pot, n_max, panels, cutoff)
         residual = freud_residual(a, pot)
         if residual <= 1e-12:
@@ -281,10 +301,6 @@ def build_recurrence(pot: NormalizedPotential, n_max: int) -> RecurrenceTable:
                 f"{previous:.3g}); not certified to 1e-12")
         previous = residual
         panels *= 2
-        if 6 * panels + 1 > (1 << 22):
-            raise IntegrationFailureError(
-                "Stieltjes discretization not certified by Freud's identity "
-                "to 1e-12")
 
 
 def _three_term_all(a: np.ndarray, n: int, x) -> np.ndarray:

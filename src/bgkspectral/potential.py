@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -25,6 +26,11 @@ def _full_coeffs(even_coeffs) -> np.ndarray:
     full = np.zeros(2 * len(even_coeffs) - 1)
     full[::2] = even_coeffs
     return full
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _validate_even_coeffs(coeffs) -> tuple[float, ...]:
@@ -51,14 +57,28 @@ class _EvenPolynomial:
     def harmonic(self) -> bool:
         return self.degree == 2
 
+    # The coefficients in ascending powers of x are computed once per
+    # potential and read-only; `coeffs` is frozen, so they cannot go stale.
+    @cached_property
+    def power_coeffs(self) -> np.ndarray:
+        return _read_only(_full_coeffs(self.coeffs))
+
+    @cached_property
+    def deriv_coeffs(self) -> np.ndarray:
+        return _read_only(npoly.polyder(self.power_coeffs))
+
+    @cached_property
+    def deriv2_coeffs(self) -> np.ndarray:
+        return _read_only(npoly.polyder(self.power_coeffs, 2))
+
     def __call__(self, x):
-        return npoly.polyval(x, _full_coeffs(self.coeffs))
+        return npoly.polyval(x, self.power_coeffs)
 
     def deriv(self, x):
-        return npoly.polyval(x, npoly.polyder(_full_coeffs(self.coeffs)))
+        return npoly.polyval(x, self.deriv_coeffs)
 
     def deriv2(self, x):
-        return npoly.polyval(x, npoly.polyder(_full_coeffs(self.coeffs), 2))
+        return npoly.polyval(x, self.deriv2_coeffs)
 
 
 @dataclass(frozen=True)

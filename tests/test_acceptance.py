@@ -273,7 +273,7 @@ def test_criterion_9_operator_norm_lab(harmonic_pot, harmonic_table,
     # retained singular value is sqrt(N/(N+1)).
     worst = 0.0
     for n in range(1, 33):
-        kn = bk.estimate_kn(harmonic_table, harmonic_pot, n, 4 * (n + 16))
+        kn = bk.estimate_kn(harmonic_table, harmonic_pot, n, 4 * (n + 16)).kn
         worst = max(worst, abs(kn[0] - math.sqrt(n / (n + 1.0))))
     assert worst <= 1e-10
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bgkspectral import cli, diagnostics
+from bgkspectral import cli, diagnostics, orthopoly
 from bgkspectral.errors import ConfigError
 from bgkspectral.orthopoly import build_recurrence, freud_residual
 
@@ -286,6 +286,27 @@ def test_unrepresentable_runs_exit_3(tmp_path, overrides):
     assert not (tmp_path / "o").exists()
 
 
+def test_kn_sweep_past_the_node_budget_exits_3_before_any_long_pass(
+        tmp_path, capsys, monkeypatch):
+    # kn_n_values [50000] needs a table to n = 200,074, whose first pass
+    # alone would sample 6 * 800,296 + 1 nodes, past the 2^22 budget.
+    started = []
+
+    def small_passes_only(pot, n_max, panels, cutoff):
+        started.append(n_max)
+        assert n_max < 1000, "a pass past the node budget started"
+        return stieltjes_pass(pot, n_max, panels, cutoff)
+
+    stieltjes_pass = orthopoly._stieltjes_pass
+    monkeypatch.setattr(orthopoly, "_stieltjes_pass", small_passes_only)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config(N=6, initial=[], outputs=["kn"],
+                                           kn_n_values=[50000])))
+    assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+    assert "IntegrationFailureError" in capsys.readouterr().err
+    assert started == [6 + 2 + 2]
+
+
 def test_summary_records_the_recurrence_certificate():
     result = cli.simulate(cli.RunConfig.from_dict(small_config()))
     table = result.table
@@ -305,11 +326,19 @@ def test_summary_records_the_kn_sweep_certificate():
     residual = build_recurrence(result.table.weight, 102).freud_residual
     assert [r.freud_residual for r in result.kn] == [residual] * 2
     assert result.summary["kn_freud_residual"] == residual <= 1e-12
+    # Harmonic Omega is diagonal, so the truncation bound vanishes.
+    assert result.summary["kn_truncation_bound"] == 0.0
+    doublewell = cli.simulate(cli.RunConfig.from_dict(small_config(
+        potential=[1.0, -2.0, 1.0], outputs=["kn"], kn_n_values=[4, 8])))
+    assert 0.0 < doublewell.summary["kn_truncation_bound"] == max(
+        r.relative_bound for r in doublewell.kn) <= 0.01
     empty = cli.simulate(cli.RunConfig.from_dict(
         small_config(outputs=["kn"], kn_n_values=[])))
     assert empty.summary["kn_freud_residual"] is None
+    assert empty.summary["kn_truncation_bound"] is None
     no_kn = cli.simulate(cli.RunConfig.from_dict(small_config()))
     assert "kn_freud_residual" not in no_kn.summary
+    assert "kn_truncation_bound" not in no_kn.summary
 
 
 def test_summary_records_the_solver_size():

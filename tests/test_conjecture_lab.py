@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ from scipy.linalg import eigvals_banded, sqrtm
 
 import bgkspectral as bk
 from bgkspectral import cli, conjecture_lab
+from bgkspectral.errors import InvalidPotentialError
 from bgkspectral.potential import _full_coeffs
 from conftest import potentials_and_sizes
 
@@ -82,15 +84,17 @@ def _harmonic_closed_forms(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32])
 def test_harmonic_closed_forms(harmonic_table, harmonic_pot, n):
-    kn = bk.estimate_kn(harmonic_table, harmonic_pot, n, 4 * (n + 16))
-    assert np.max(np.abs(kn - _harmonic_closed_forms(n))) <= 1e-10
+    report = bk.estimate_kn(harmonic_table, harmonic_pot, n, 4 * (n + 16))
+    assert np.max(np.abs(np.array(report.kn) - _harmonic_closed_forms(n))) <= 1e-10
+    # Harmonic Omega is diagonal: nothing couples the truncation to the rest.
+    assert report.bound == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_constant_input_edge_case(harmonic_table, harmonic_pot):
     # On constants, d* produces phi', whose projection onto the constants
     # vanishes by parity, so all four norms are zero.
-    kn = bk.estimate_kn(harmonic_table, harmonic_pot, 0, 64)
-    assert np.max(kn) <= 1e-14
+    report = bk.estimate_kn(harmonic_table, harmonic_pot, 0, 64)
+    assert np.max(report.kn) <= 1e-14
 
 
 def test_harmonic_sweep_monotone(harmonic_pot):
@@ -111,8 +115,8 @@ def test_square_root_construction_paths_agree(doublewell_table, doublewell_pot):
     assert np.max(np.abs(via_eig - via_sqrtm)) <= 1e-10
 
 
-def test_sweep_estimates_only_the_two_sizes_it_compares(doublewell_pot,
-                                                      monkeypatch):
+def test_sweep_estimates_each_n_once_at_four_times_n_plus_pad(doublewell_pot,
+                                                              monkeypatch):
     calls = []
 
     def counting_estimate(table, pot, N, m_big):
@@ -122,14 +126,39 @@ def test_sweep_estimates_only_the_two_sizes_it_compares(doublewell_pot,
     monkeypatch.setattr(conjecture_lab, "estimate_kn", counting_estimate)
     reports = conjecture_lab.kn_sweep(doublewell_pot, [4, 8, 16])
     assert [(N, m_big) for _, N, m_big in calls] == [
-        (N, f * (N + 16)) for N in (4, 8, 16) for f in (2, 4)]
-    for report, (small, big) in zip(reports, zip(calls[::2], calls[1::2])):
-        prev, last = (bk.estimate_kn(table, doublewell_pot, N, m_big)
-                      for table, N, m_big in (small, big))
-        assert report.m_big == big[2]
-        assert report.kn == tuple(last.tolist())
-        assert report.converged == bool(np.all(
-            np.abs(prev - last) <= 0.01 * np.maximum(np.abs(last), 1e-12)))
+        (N, 4 * (N + 16)) for N in (4, 8, 16)]
+    for report, (table, N, m_big) in zip(reports, calls):
+        assert report == bk.estimate_kn(table, doublewell_pot, N, m_big)
+        assert report.converged == (report.relative_bound <= 0.01)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(potentials_and_sizes(max_size=40))
+def test_truncation_bound_covers_the_change_to_eight_times_n_plus_pad(drawn):
+    # At 1.1-2 (N + pad) the estimates still move by up to about 1e-4 on the
+    # way to 8 (N + pad), well above rounding, which the slack covers.
+    coeffs, n = drawn
+    try:
+        pot = bk.normalize_potential(bk.RawPotential(tuple(coeffs)))
+    except InvalidPotentialError:
+        return
+    pad = max(16, 2 * pot.degree)
+    table = bk.build_recurrence(pot, 8 * (n + pad) + 2 * pot.degree + 2)
+    oracle = np.array(bk.estimate_kn(table, pot, n, 8 * (n + pad)).kn)
+    for factor in (1.1, 1.25, 1.5, 2.0):
+        report = bk.estimate_kn(table, pot, n, int(factor * (n + pad)))
+        change = np.abs(np.array(report.kn) - oracle)
+        assert np.all(change <= np.array(report.bound)
+                      + 1e-14 * np.maximum(oracle, 1.0)), (coeffs, n, factor)
+
+
+def test_relative_bound_and_the_converged_flag():
+    report = conjecture_lab.KNReport(N=1, m_big=40, kn=(0.5, 1.0, 0.0, 2.0),
+                                     bound=(1e-3, 1e-4, 0.0, 2e-2),
+                                     freud_residual=None)
+    assert report.relative_bound == 1e-2 and report.converged
+    worse = dataclasses.replace(report, bound=(1e-3, 1e-4, 1e-30, 0.0))
+    assert worse.relative_bound == math.inf and not worse.converged
 
 
 def test_omega_spectrum_bounded_below(doublewell_table, doublewell_pot):
@@ -153,7 +182,7 @@ def _assert_matches_dense_eigh_oracle(pot, n_values):
     table = bk.build_recurrence(pot, 4 * (max(n_values) + pad) + 2 * pot.degree + 2)
     for n in n_values:
         for m_big in (f * (n + pad) for f in (1, 2, 4)):
-            got = bk.estimate_kn(table, pot, n, m_big)
+            got = np.array(bk.estimate_kn(table, pot, n, m_big).kn)
             want = _dense_eigh_kn(table, pot, n, m_big)
             # relative above 1, absolute below
             assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
@@ -213,7 +242,7 @@ def test_indefinite_omega_is_a_typed_failure(monkeypatch, tmp_path,
 
 
 def test_galerkin_stabilization(doublewell_table, doublewell_pot):
-    values = [bk.estimate_kn(doublewell_table, doublewell_pot, 8, big)
+    values = [np.array(bk.estimate_kn(doublewell_table, doublewell_pot, 8, big).kn)
               for big in (48, 96)]
     rel = np.abs(values[0] - values[1]) / np.maximum(np.abs(values[1]), 1e-12)
     assert np.max(rel) <= 0.01

@@ -41,35 +41,35 @@ GOLDEN = {
         "conserved.csv":
             "de65d1a87602e3c491366bf2772b2c633e8f21c3d2d955668ebb21f77feb3941",
         "norms.csv":
-            "22b9576c8f43da5c6a4ec2d9654591a9589870cc9153ba2373312c444c0dc3eb",
+            "10fbe23acf178ce7f9a9199e1e62b5d125ddd12783c9445241a64395a533fde5",
     },
     "doublewell_fig4": {
         "conserved.csv":
-            "66a6d51b7caf02a6d56806f4b12205599c32daf9ca4bffa4094304c1fa8ef907",
+            "e2e08d6a17ab8626f5e586c65c9337b955bf674f76fbed6df4b73a4f16483768",
         "norms.csv":
-            "53a8329754380201ba85d7274517e13fca80094255108a607c04981b33ddb58b",
+            "6591e2cb2dce0965bc65fd084bb529fb8925511f3acd6b242a60e435095fc0d6",
         "snapshot_0.csv":
-            "90f2f83821bf672d190d951b6db9a0600f9a4326069f58b59050a9b3b5bc6b15",
+            "d6fa60f1a3d6872ee0e42c31e3901103f988fca88b9dacbbe8a35bd14a59153b",
         "snapshot_10.csv":
-            "c6ac42e1469d0bbba99965c7c3b4160c6692bd0d916fb59f6b41666a855f9530",
+            "651f0dd3b4bcada57a2197ddbcb618fd110aa34c37aec37996be20d852feaaa7",
         "snapshot_12.csv":
-            "3df0905b37edf8c09cfed8f3de2f3d60031965a0711e0f8e2024562adc3f2b6a",
+            "24b7f5f207a699c613085b0802fdc563cc8f29c7a9573573f3bea100809074b1",
         "snapshot_2.5.csv":
-            "d44ce6a0f162073cc0a5a1bd78502ab3550a984453bf99d6345ce57d5d389410",
+            "12a6e6601240eda3e4f0903bb4955aecac0142d96f31485497f2f828332bc840",
         "snapshot_5.csv":
-            "aceaab6407e3d8c4d965f260557080ceca1abfd0c655e7154b59461322c2abcc",
+            "e7d186b40bea3a54643abfbfa30447b2671dd1e51b1cdef87df6b091cab4884f",
         "snapshot_7.5.csv":
-            "be46d7f1bedad591aa89a0127269b907260dc993f6a3ae64ffa5f5768c922e0e",
+            "b3bd2284923f7568ffac5c1ab9e83a07b01531d2735c048fa33609c3ed72e674",
     },
     "doublewell_kn": {
         "conserved.csv":
-            "97fb4b25838a8f2e0af06f26429bf4be0d3112affb11e9ab83fa090e22baab03",
+            "e72b953b7b638284671afb8d363d3022e780bbeb8bb0ada18cec0677f423ab88",
         "kn_table.csv":
-            "660c15bbac454008f5a8976d41bdcb6a4fed0c9c93f34171e527797a3492bacc",
+            "c27ea660d62665bc056f1ca37364a47ab6558fe7201bf2925be39ee8471c732e",
         "norms.csv":
-            "c3a692db75fe7f205f95cac831b3dd9a13332eeda0f68aee4dc83cc7b82b0984",
+            "46fdaa953158f4f6fc192b45ea143810e23fa0c9c5ace8c908788cd0075dd814",
         "recurrence.csv":
-            "20ca83f9d3d2dc937c4fb7793888062a392c20627680138ac7ab8e74da8ff086",
+            "f12bf42c6db6b55fbc4a9017e39b0d095e4ac5ce1d2f72aafbf8bdb0b9e8800a",
     },
     "harmonic_fig1": {
         "conserved.csv":

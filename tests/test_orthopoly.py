@@ -13,7 +13,8 @@ import bgkspectral as bk
 from bgkspectral import orthopoly
 from bgkspectral.errors import (IntegrationFailureError, InvalidPotentialError,
                                 PrecisionFailureError)
-from bgkspectral.orthopoly import _stieltjes_pass, _weight_moments_mp
+from bgkspectral.orthopoly import (_half_line_seed, _stieltjes_pass,
+                                   _weight_moments_mp)
 from bgkspectral.weddle import panel_rule
 from conftest import potentials_and_sizes
 
@@ -211,6 +212,65 @@ def test_half_line_pass_matches_the_full_line_rule_on_drawn_potentials(drawn):
         return
     for n_max in (10, 50, 200):
         assert _half_vs_full_line(pot, n_max) <= 4e-15, (drawn[0], n_max)
+
+
+def _five_pass_rows(pot, n_max, panels, cutoff):
+    """The half-line pass on every node, with the weights kept apart from the
+    values: each row is x q - a q_prev, then y * y, a weighted sum and a
+    divide."""
+    x, w = panel_rule(0.0, cutoff, panels // 2)
+    w *= 2.0
+    q = np.exp(-0.5 * pot(x))
+    a = np.empty(n_max + 1)
+    a[0] = math.sqrt(float(w @ (q * q)))
+    q /= a[0]
+    q_prev = np.zeros_like(q)
+    for n in range(n_max):
+        y = x * q - a[n] * q_prev
+        a[n + 1] = math.sqrt(float(w @ (y * y)))
+        q_prev, q = q, y / a[n + 1]
+    return a
+
+
+def test_live_node_pass_matches_the_five_pass_rows(certified_tables):
+    for table in certified_tables:
+        pot, n_max = table.weight, table.n_max
+        cutoff = bk.tail_cutoff(pot, poly_degree=2 * n_max + 2)
+        want = _five_pass_rows(pot, n_max, table.panels, cutoff)
+        assert np.max(np.abs(table.a - want) / want) <= 1e-15, pot
+
+
+def test_the_pass_drops_only_nodes_whose_seed_is_zero(certified_tables):
+    # On the double well at n_max = 586 the weight underflows beyond about
+    # 15.3 of a cutoff of 20.2, so about a quarter of the nodes go.
+    dropped = []
+    for table in certified_tables:
+        pot = table.weight
+        cutoff = bk.tail_cutoff(pot, poly_degree=2 * table.n_max + 2)
+        x_all, _ = panel_rule(0.0, cutoff, table.panels // 2)
+        x, q, _ = _half_line_seed(pot, table.panels, cutoff)
+        assert np.array_equal(x, x_all[:len(x)]) and q[-1] > 0.0
+        assert np.all(np.exp(-0.5 * pot(x_all[len(x):])) == 0.0)
+        dropped.append(1.0 - len(x) / len(x_all))
+    assert dropped[1] > 0.2
+
+
+def test_a_seed_that_vanishes_everywhere_is_a_typed_failure():
+    # exp(-1000) underflows at every node.
+    pot = bk.NormalizedPotential(coeffs=(2000.0, 1.0), scale=1.0, log_shift=0.0)
+    with pytest.raises(PrecisionFailureError, match="every node"):
+        _stieltjes_pass(pot, 10, 256, 8.0)
+
+
+def test_every_pass_keeps_to_the_node_budget(harmonic_pot, monkeypatch):
+    # n_max = 200,000 starts on 800,000 panels, 4.8M nodes, past 2^22: the
+    # first pass must not run, as the doubled ones never do.
+    passes = []
+    monkeypatch.setattr(orthopoly, "_stieltjes_pass",
+                        lambda *args: passes.append(args))
+    with pytest.raises(IntegrationFailureError, match="budget"):
+        bk.build_recurrence(harmonic_pot, 200_000)
+    assert passes == []
 
 
 def test_harmonic_coefficients_are_sqrt_k_to_rounding_at_680(harmonic_pot):

@@ -3,6 +3,7 @@ import re
 import warnings
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
@@ -59,6 +60,25 @@ def test_deriv2_matches_finite_difference(doublewell_pot):
     fd = (doublewell_pot.deriv(x + h) - doublewell_pot.deriv(x - h)) / (2 * h)
     exact = doublewell_pot.deriv2(x)
     assert abs(fd - exact) / abs(exact) <= 1e-8
+
+
+@pytest.mark.parametrize("coeffs", [HARMONIC_COEFFS, DOUBLE_WELL_COEFFS,
+                                    (0.5, -1.0, 0.25, 0.125)])
+def test_cached_coefficients_evaluate_bit_for_bit(coeffs):
+    # The coefficient arrays are built once per potential; values must match
+    # the ones built afresh on every call, on scalars and on arrays.
+    pot = bk.RawPotential(coeffs)
+    full = np.zeros(2 * len(coeffs) - 1)
+    full[::2] = coeffs
+    powers = (full, npoly.polyder(full), npoly.polyder(full, 2))
+    for x in (0.0, 0.7, -3.25, np.linspace(-6.0, 6.0, 101)):
+        got = (pot(x), pot.deriv(x), pot.deriv2(x))
+        for value, c in zip(got, powers):
+            want = npoly.polyval(x, c)
+            assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+    assert pot.deriv_coeffs is pot.deriv_coeffs
+    with pytest.raises(ValueError):
+        pot.deriv_coeffs[0] = 1.0
 
 
 @settings(derandomize=True, database=None)
