@@ -76,14 +76,12 @@ def _sqrt_top_eigenvalue(gram: np.ndarray) -> float:
     return math.sqrt(max(0.0, evals[-1])) if len(evals) else 0.0
 
 
-def _dense_lower(phi: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows and columns start..stop-1 of d*, the strictly lower part of the
-    band `phi`, as a dense array."""
-    size = stop - start
+def _dense_lower(phi: np.ndarray, size: int) -> np.ndarray:
+    """The leading `size` block of d*, the strictly lower part of `phi`."""
     out = np.zeros((size, size))
     for k in range(1, min(len(phi), size), 2):
         j = np.arange(size - k)
-        out[j + k, j] = phi[k, start:stop - k]
+        out[j + k, j] = phi[k, :size - k]
     return out
 
 
@@ -112,11 +110,11 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
     B = X_q^T X_q, X_{1-q} X_q and X_{1-q} X_{1-q}^T in turn.
 
     The coupling C of the module docstring holds the entries
-    Omega[j + d, j] with j < m_big <= j + d; they are read from the dense
-    product of the rows and columns of d* within deg(phi) - 1 of the cut,
-    which the band of Phi at m_big + deg(phi) holds exactly.  Every norm in
-    the bound is a Frobenius norm, an upper bound on the 2-norm that equals
-    it for the one-row C and tail of a quartic phi.
+    Omega[j + d, j] with j < m_big <= j + d, so Omega's band is built at
+    m_big + deg(phi), which holds them exactly, and each solve reads only
+    its leading m_big columns.  Every norm in the bound is a Frobenius norm,
+    an upper bound on the 2-norm that equals it for the one-row C and tail
+    of a quartic phi.
     """
     if N < 0:
         raise ValueError(f"N={N} is negative")
@@ -127,21 +125,22 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
             f"(need at least N + {2 * two_m})"
         )
     phi = build_phi_matrix(table, pot, m_big + two_m)
-    omega = build_omega_matrix(phi, m_big)
+    omega = build_omega_matrix(phi, m_big + two_m)
 
     n1 = N + 1
-    x = _dense_lower(phi, 0, n1)
-    # Omega beyond the cut: rows m_big.., columns within deg - 2 below it.
-    cut = _dense_lower(phi, m_big - two_m + 1, m_big + two_m - 2)
-    coupling = (cut @ cut.T)[1:two_m - 1, two_m - 1:]
+    x = _dense_lower(phi, n1)
+    # Omega across the cut, band[d, j] with j < m_big <= j + d, in column j - lo.
+    lo = m_big - two_m + 2
+    offset = np.arange(2, two_m - 1, 2)[:, None]
+    cross = np.where(np.arange(lo, m_big) + offset >= m_big,
+                     omega[2::2, lo:m_big], 0.0)
     z, delta, beyond = [], [], []
     for p in (0, 1):
         unit = np.eye(len(range(p, m_big, 2)), len(range(p, n1, 2)), order="F")
-        z.append(solveh_banded(omega[0::2, p::2], unit, overwrite_b=True,
+        z.append(solveh_banded(omega[0::2, p:m_big:2], unit, overwrite_b=True,
                                lower=True))
-        c = coupling[(p - m_big) % 2::2, (p - m_big) % 2::2]
-        c_norm = np.linalg.norm(c)
-        tail_norm = np.linalg.norm(z[p][len(z[p]) - len(c):])
+        c_norm = np.linalg.norm(cross[:, (p - lo) % 2::2])
+        tail_norm = np.linalg.norm(z[p][len(z[p]) - two_m // 2 + 1:])
         delta.append(c_norm ** 2 * tail_norm)
         beyond.append(math.hypot(delta[p], c_norm * (tail_norm + delta[p])))
 

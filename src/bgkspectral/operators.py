@@ -66,16 +66,14 @@ def build_omega_matrix(phi: np.ndarray, size: int) -> np.ndarray:
     lower part.  Omega = L L^T + 1 lives on the even offsets up to
     deg(phi) - 2; the result has shape (deg(phi) - 1, size) in the same
     storage, band[d, j] = Omega[j + d, j], formed diagonal by diagonal from
-    Omega[j + d, j] = sum over odd s of L[j + d, j - s] L[j, j - s].  `phi`
-    must reach a bandwidth deg(phi) - 1 beyond `size`.
+    Omega[j + d, j] = sum over odd s of L[j + d, j - s] L[j, j - s], which
+    reads only rows of L below `size`, so `phi` must have `size` columns.
     """
-    bandwidth = len(phi) - 1
-    if phi.shape[1] < size + bandwidth:
+    if phi.shape[1] < size:
         raise ValueError(
-            f"phi band of size {phi.shape[1]} too small for omega size {size} "
-            f"(bandwidth {bandwidth})"
+            f"phi band of size {phi.shape[1]} too small for omega size {size}"
         )
-    om = np.zeros((bandwidth, size))
+    om = np.zeros((len(phi) - 1, size))
     for s in range(1, len(phi), 2):
         for d in range(0, len(phi) - s, 2):
             cols = max(size - s - d, 0)

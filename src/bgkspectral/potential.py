@@ -33,6 +33,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _real_root_radii(coeffs) -> np.ndarray:
+    """|r| over the real roots r of `coeffs`, to a generous tolerance."""
+    roots = npoly.polyroots(coeffs)
+    real = np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots))
+    return np.abs(roots.real[real])
+
+
 def _validate_even_coeffs(coeffs) -> tuple[float, ...]:
     coeffs = tuple(float(c) for c in coeffs)
     if len(coeffs) < 2:
@@ -71,6 +78,11 @@ class _EvenPolynomial:
     def deriv2_coeffs(self) -> np.ndarray:
         return _read_only(npoly.polyder(self.power_coeffs, 2))
 
+    @cached_property
+    def floor(self) -> float:
+        """Minimum of phi, at 0 or a real root of phi'; a missed root raises it."""
+        return float(np.min(self(np.append(_real_root_radii(self.deriv_coeffs), 0.0))))
+
     def __call__(self, x):
         return npoly.polyval(x, self.power_coeffs)
 
@@ -107,32 +119,26 @@ class NormalizedPotential(_EvenPolynomial):
 def tail_cutoff(pot, poly_degree: int = 0) -> float:
     """Radius L beyond which |x|^poly_degree * exp(-pot(x)) is negligible.
 
-    The bound is taken relative to the minimum of the potential, so an
-    arbitrary constant offset in the coefficients does not shrink the
-    integration window.  A potential that overflows double precision in the
-    search, or whose weight lies within 1 / _MAX_NODES of the origin, between
-    two nodes of every rule `integrate_adaptive` can afford on [-0.5, 0.5],
-    raises InvalidPotentialError.
+    L is the first point of the grid 0.5 * 1.0625^k past the last real root
+    of x phi'(x) - poly_degree, beyond which phi - poly_degree log|x| only
+    grows, at which that stands _TAIL_MARGIN above `pot.floor`.  A potential
+    that overflows double precision, or whose weight lies within
+    1 / _MAX_NODES of the origin, between two nodes of every rule
+    `integrate_adaptive` can afford on [-0.5, 0.5], raises
+    InvalidPotentialError.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            hi = 8.0
-            while pot.deriv(hi) <= 0.0 or pot(hi) <= pot(0.0):
-                hi *= 2.0
-                if hi > 1e8:
-                    raise InvalidPotentialError("potential does not grow at infinity")
-            floor = float(np.min(pot(np.linspace(0.0, hi, 2049))))
+            xdphi = npoly.polysub(npoly.polymulx(pot.deriv_coeffs), [poly_degree])
+            rising = np.max(_real_root_radii(xdphi), initial=0.0)
 
             def negligible(L: float) -> bool:
-                margin = pot(L) - floor - poly_degree * math.log(max(L, math.e))
-                return margin >= _TAIL_MARGIN and pot.deriv(L) - poly_degree / L > 0.0
+                return L > rising and (pot(L) - pot.floor - poly_degree
+                                       * math.log(max(L, math.e))) >= _TAIL_MARGIN
 
-            inner = 0.5
-            while negligible(inner):
-                inner *= 0.5
-                if inner < 1.0 / _MAX_NODES:
-                    raise InvalidPotentialError(f"potential {pot.coeffs}: exp(-phi) "
-                                                "is too narrow to integrate")
+            if negligible(1.0 / _MAX_NODES):
+                raise InvalidPotentialError(f"potential {pot.coeffs}: exp(-phi) "
+                                            "is too narrow to integrate")
             L = 0.5
             while not negligible(L):
                 L *= 1.0625
@@ -147,14 +153,13 @@ def tail_cutoff(pot, poly_degree: int = 0) -> float:
 def normalize_potential(raw: RawPotential) -> NormalizedPotential:
     """Rescale and shift `raw` so that <1> = <phi''> = 1 under rho = exp(-phi).
 
-    The scale c and gamma follow the closed formulas
-    c = sqrt(I0 * I2), gamma = sqrt(I0 / I2) with I0 = integral of exp(-phi)
-    and I2 = integral of phi'' exp(-phi); both are evaluated by adaptive
-    composite quadrature on a truncated interval, to relative tolerance
-    1e-12, and the normalized moments are checked to 1e-10.  A potential so
-    deep inside the cutoff that exp(-phi) overflows raises
-    InvalidPotentialError, as do a potential `tail_cutoff` rejects and one
-    whose weight no rule within the node budget resolves.
+    The shift is log c, c = sqrt(I0 * I2), the scale gamma = sqrt(I0 / I2),
+    with I0 and I2 the integrals of exp(-phi) and phi'' exp(-phi) by adaptive
+    composite quadrature to relative tolerance 1e-12 over `tail_cutoff`
+    windows, past every well; the normalized moments are checked to 1e-10.  A
+    potential whose floor `raw.floor` is so deep that exp(-phi) overflows
+    raises InvalidPotentialError naming it, as do a potential `tail_cutoff`
+    rejects and one whose weight no rule within the node budget resolves.
     """
     L0 = tail_cutoff(raw, poly_degree=0)
     L2 = tail_cutoff(raw, poly_degree=raw.degree - 2)
@@ -164,10 +169,8 @@ def normalize_potential(raw: RawPotential) -> NormalizedPotential:
             i2 = integrate_adaptive(lambda x: raw.deriv2(x) * np.exp(-raw(x)),
                                     -L2, L2)
     except FloatingPointError:
-        floor = float(np.min(raw(np.linspace(0.0, max(L0, L2), 4097))))
         raise InvalidPotentialError(
-            f"exp(-phi) overflows double precision: phi dips to about "
-            f"{floor:.6g} inside the cutoff"
+            f"exp(-phi) overflows double precision: phi dips to {raw.floor:.6g}"
         ) from None
     except IntegrationFailureError as exc:
         raise InvalidPotentialError(

@@ -130,7 +130,7 @@ class SteppingPlan:
 
     dt: float
     lu: EvenOddCholesky = field(repr=False)
-    system: sp.csc_matrix = field(repr=False)
+    system: sp.csr_matrix = field(repr=False)
     K: int
     N: int
 
@@ -230,7 +230,7 @@ def make_stepping_plan(gen: Generator, dt: float) -> SteppingPlan:
          (np.concatenate([order, g_cols]),
           np.concatenate([np.arange(n_e), g_rows]))), shape=(dim, n_e))
     odd_scale = np.where(even, 0.0, 1.0 / t)
-    system = (sp.identity(dim, format="csc") - dt * gen.matrix.tocsc()).tocsc()
+    system = sp.identity(dim, format="csr") - dt * gen.matrix
     lu = EvenOddCholesky(band=band, restrict=restrict, extend=extend,
                          odd_scale=odd_scale)
     return SteppingPlan(dt=dt, lu=lu, system=system, K=K, N=N)

@@ -226,8 +226,7 @@ def test_indefinite_omega_is_a_typed_failure(monkeypatch, tmp_path,
                                              doublewell_table, doublewell_pot):
     def indefinite(phi, size):
         omega = np.zeros((len(phi) - 1, size))
-        omega[0] = 1.0
-        omega[0, -1] = -1.0
+        omega[0] = -1.0
         return omega
 
     monkeypatch.setattr(conjecture_lab, "build_omega_matrix", indefinite)

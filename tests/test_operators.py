@@ -220,5 +220,13 @@ def test_omega_quartic_pattern(dw_phi, doublewell_table, doublewell_pot):
 
 
 def test_omega_requires_margin(dw_phi):
+    # Omega's leading block reads only rows of d* inside it, so the band's
+    # own width suffices and one more column is too many.
+    width = dw_phi.shape[1]
     with pytest.raises(ValueError):
-        bk.build_omega_matrix(dw_phi, dw_phi.shape[1])
+        bk.build_omega_matrix(dw_phi, width + 1)
+    om = bk.build_omega_matrix(dw_phi, width)
+    lower = _dense_lower(dw_phi)
+    direct = lower @ lower.T + np.eye(width)
+    assert np.max(np.abs(_dense_lower(om) + np.diag(om[0]) - np.tril(direct))) \
+        <= 1e-15 * np.max(np.abs(direct))

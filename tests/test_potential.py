@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -5,10 +6,11 @@ import warnings
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import bgkspectral as bk
+from bgkspectral import cli
 from bgkspectral.errors import IntegrationFailureError, InvalidPotentialError
 
 from conftest import DOUBLE_WELL_COEFFS, HARMONIC_COEFFS
@@ -120,7 +122,7 @@ def test_tail_cutoff_bounds(harmonic_pot):
 
 
 def test_overflowing_weight_is_a_typed_error():
-    # phi dips to about -11,799 inside the cutoff, where exp(-phi) overflows.
+    # phi's minimum is about -11,799, where exp(-phi) overflows.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidPotentialError, match="-11799"):
@@ -139,6 +141,70 @@ def test_deep_well_normalizes():
                    points=[-1.0, 1.0], limit=200)
     assert mass == pytest.approx(1.0, abs=1e-10)
     assert curv == pytest.approx(1.0, abs=1e-10)
+
+
+# Outer wells at |x| ~ 4.47 lie 5.9 below phi(0): a cutoff at the central
+# well alone keeps 0.27% of the weight's mass.
+MULTI_WELL_COEFFS = (0.0, 400.0, -40.0148, 1.0)
+
+
+def _critical_radii(pot):
+    """The positive real roots of phi', ascending."""
+    roots = npoly.polyroots(pot.deriv_coeffs)
+    real = roots.real[np.abs(roots.imag) <= 1e-9 * np.abs(roots)]
+    return np.sort(real[real > 0.0])
+
+
+def _whole_line(f, pot):
+    """Integral of f over the real line, split at the critical points of pot."""
+    edges = [0.0, *_critical_radii(pot), math.inf]
+    return 2.0 * sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for a, b in zip(edges[:-1], edges[1:]))
+
+
+def test_multi_well_cutoff_covers_the_outer_wells():
+    raw = bk.RawPotential(MULTI_WELL_COEFFS)
+    outer = _critical_radii(raw)[-1]
+    assert outer == pytest.approx(4.47, abs=0.01)
+    assert bk.tail_cutoff(raw) > outer
+    assert raw.floor == pytest.approx(raw(outer), rel=1e-12)
+    pot = bk.normalize_potential(raw)
+    mass = _whole_line(lambda x: math.exp(-pot(x)), pot)
+    curv = _whole_line(lambda x: pot.deriv2(x) * math.exp(-pot(x)), pot)
+    assert abs(mass - 1.0) <= 1e-10 and abs(curv - 1.0) <= 1e-10
+
+
+def test_multi_well_run_is_a_typed_failure(tmp_path):
+    # The Stieltjes pass does not certify this weight; that is exit 3, not a
+    # table of the central well alone.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": list(MULTI_WELL_COEFFS),
+                               "K": 4, "N": 8, "T": 0.1}))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 3
+    assert not out.exists()
+
+
+@st.composite
+def multi_wells(draw):
+    """a x^2 - b x^4 + x^6 with b^2 > 4a: its outer wells lie below phi(0)."""
+    a = draw(st.floats(0.05, 400.0))
+    b = 2.0 * math.sqrt(a * draw(st.floats(1.0005, 4.0)))
+    return (0.0, a, -b, 1.0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(multi_wells())
+@example(MULTI_WELL_COEFFS)
+def test_cutoff_keeps_all_but_a_negligible_share_of_the_mass(coeffs):
+    raw = bk.RawPotential(coeffs)
+    L = bk.tail_cutoff(raw)
+    # Relative to the minimum, so that deep wells do not overflow.
+    floor = np.min(raw(np.append(_critical_radii(raw), 0.0)))
+    rel = lambda x: math.exp(floor - raw(x))
+    total = _whole_line(rel, raw)
+    outside = 2.0 * quad(rel, L, math.inf, epsabs=0.0, epsrel=1e-10)[0]
+    assert outside <= math.exp(-70.0) * total
 
 
 def test_steep_potentials_at_the_node_budget():

@@ -254,7 +254,7 @@ def test_refinement_rescues_a_solve_that_misses_the_gate():
     assert np.linalg.norm(plan.system @ unrefined - b) > 1e-12 * b_norm
     x = bk.step(plan, bk.SpectralState(C=b.reshape(K + 1, N + 1))).C.ravel()
     assert np.linalg.norm(plan.system @ x - b) <= 1e-12 * b_norm
-    oracle = splu(plan.system).solve(b)
+    oracle = splu(plan.system.tocsc()).solve(b)
     assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
