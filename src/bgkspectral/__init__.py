@@ -10,7 +10,8 @@ perturbation non-increasing step by step.
 from .conjecture_lab import KNReport, estimate_kn, kn_sweep
 from .diagnostics import (DecayFit, DiagnosticsSeries, FunctionalBasis,
                           build_functional_basis, conserved_functionals,
-                          fit_decay_rate, l2_norm, snapshot)
+                          fit_decay_rate, l2_norm,
+                          purge_equilibrium_components, snapshot)
 from .errors import (ConfigError, IntegrationFailureError,
                      InvalidPotentialError, PrecisionFailureError,
                      SolverConsistencyError)
@@ -18,15 +19,13 @@ from .operators import (DerivCouplings, build_deriv_couplings,
                         build_omega_matrix, build_phi_matrix)
 from .orthopoly import (QuadratureRule, RecurrenceTable, build_quadrature,
                         build_recurrence, chebyshev_recurrence, eval_poly_all,
-                        eval_poly_and_deriv_all, freud_residual,
-                        hermite_eval_all, inner_products, jacobi_horner,
+                        freud_residual, hermite_eval_all, jacobi_horner,
                         magnus_constant)
 from .potential import (NormalizedPotential, RawPotential, normalize_potential,
                         tail_cutoff)
 from .scheme import (Generator, SpectralState, SteppingPlan,
                      assemble_generator, make_stepping_plan,
-                     project_initial_condition, purge_equilibrium_components,
-                     step)
+                     project_initial_condition, step)
 
 __version__ = "0.1.0"
 
@@ -40,9 +39,8 @@ __all__ = [
     "build_deriv_couplings", "build_functional_basis", "build_omega_matrix",
     "build_phi_matrix", "build_quadrature", "build_recurrence",
     "chebyshev_recurrence", "conserved_functionals", "estimate_kn",
-    "eval_poly_all", "eval_poly_and_deriv_all", "fit_decay_rate",
-    "freud_residual", "hermite_eval_all", "inner_products", "jacobi_horner",
-    "kn_sweep", "l2_norm", "magnus_constant", "make_stepping_plan",
-    "normalize_potential", "project_initial_condition",
+    "eval_poly_all", "fit_decay_rate", "freud_residual", "hermite_eval_all",
+    "jacobi_horner", "kn_sweep", "l2_norm", "magnus_constant",
+    "make_stepping_plan", "normalize_potential", "project_initial_condition",
     "purge_equilibrium_components", "snapshot", "step", "tail_cutoff",
 ]

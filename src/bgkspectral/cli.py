@@ -17,8 +17,9 @@ from . import diagnostics, scheme
 from .conjecture_lab import KNReport, kn_sweep
 from .errors import ConfigError, InvalidPotentialError
 # benchmarks/spans.py traces build_deriv_couplings (counting the nonzeros of
-# its `.A`, the band of d*) and build_quadrature (not called here) by these
-# names; only that hook keeps DerivCouplings and this build_quadrature import.
+# its `.A`, Phi's lower band, which the generator takes) and build_quadrature
+# (not called here) by these names; only those hooks keep DerivCouplings,
+# build_deriv_couplings and this build_quadrature import.
 from .operators import build_deriv_couplings
 from .orthopoly import RecurrenceTable, build_quadrature, build_recurrence  # noqa: F401
 from .potential import RawPotential, normalize_potential
@@ -228,15 +229,14 @@ def simulate(config: RunConfig) -> RunResult:
     pot = normalize_potential(RawPotential(tuple(config.potential)))
     # build_phi_matrix at size N + 1 reads a_0..a_{N + deg + 2}.
     table = build_recurrence(pot, config.N + pot.degree + 2)
-    couplings = build_deriv_couplings(table, config.N)
+    band = build_deriv_couplings(table, config.N).A
     basis = diagnostics.build_functional_basis(table, config.N)
 
     state = scheme.project_initial_condition(config.initial, config.K, config.N)
     if config.purge:
-        state = scheme.purge_equilibrium_components(state, basis.ip_phi,
-                                                    basis.harmonic)
+        state = diagnostics.purge_equilibrium_components(state, basis)
 
-    gen = scheme.assemble_generator(couplings, config.K, config.N)
+    gen = scheme.assemble_generator(band, config.K, config.N)
     plan = scheme.make_stepping_plan(gen, config.dt)
     steps = round(config.T / config.dt)
 

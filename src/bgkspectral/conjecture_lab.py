@@ -124,7 +124,7 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
             f"m_big={m_big} leaves no room for the degree growth of d* "
             f"(need at least N + {2 * two_m})"
         )
-    phi = build_phi_matrix(table, pot, m_big + two_m)
+    phi = build_phi_matrix(table, m_big + two_m)
     omega = build_omega_matrix(phi, m_big + two_m)
 
     n1 = N + 1

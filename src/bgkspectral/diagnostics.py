@@ -1,4 +1,4 @@
-"""Norms, conserved functionals, decay-rate fits and physical-space snapshots."""
+"""Norms, conserved functionals and their purge, decay-rate fits and physical-space snapshots."""
 
 from __future__ import annotations
 
@@ -68,6 +68,40 @@ def conserved_functionals(state: SpectralState, basis: FunctionalBasis) -> np.nd
     mx = float(c[1, : n + 1] @ ip_x) if state.K >= 1 else 0.0
     energy_minus = e0 / math.sqrt(2.0) - phi_r
     return np.array([mass, energy_plus, rx, m0, mx, energy_minus])
+
+
+def purge_equilibrium_components(state: SpectralState,
+                                 basis: FunctionalBasis) -> SpectralState:
+    """Remove the steady/oscillatory components so the conserved functionals vanish.
+
+    Adjusts the slots that `conserved_functionals` reads: mass C[0,0], energy
+    C[2,0] (paired with the phi-moment of C[0,:]), and in the harmonic case
+    also the position/momentum slots.
+    """
+    c = state.C.copy()
+    K, N = state.K, state.N
+    ip_phi = basis.ip_phi
+    c[0, 0] = 0.0
+    # phi is even, so ip_phi[1] = 0 and zeroing C[0,1] leaves phi_r unchanged.
+    n_ip = min(N, len(ip_phi) - 1)
+    phi_r = float(c[0, : n_ip + 1] @ ip_phi[: n_ip + 1])
+    if basis.harmonic:
+        if N >= 1:
+            c[0, 1] = 0.0
+        if K >= 1:
+            c[1, 0] = 0.0
+            if N >= 1:
+                c[1, 1] = 0.0
+        if N >= 2:
+            c[0, 2] -= phi_r / ip_phi[2]
+        if K >= 2:
+            c[2, 0] = 0.0
+    else:
+        if K >= 2:
+            c[2, 0] = -np.sqrt(2.0) * phi_r
+        elif N >= 2 and ip_phi[2] != 0.0:
+            c[0, 2] -= phi_r / ip_phi[2]
+    return SpectralState(C=c, t=state.t)
 
 
 def l2_norm(state: SpectralState) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orthopoly import RecurrenceTable, jacobi_band
-from .potential import NormalizedPotential
 
 
 @dataclass(frozen=True)
@@ -26,9 +25,9 @@ class DerivCouplings:
     A: np.ndarray
 
 
-def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
-                     size: int) -> np.ndarray:
-    """Lower band of the leading `size` block of Phi, multiplication by phi'.
+def build_phi_matrix(table: RecurrenceTable, size: int) -> np.ndarray:
+    """Lower band of the leading `size` block of Phi, multiplication by phi'
+    for the potential of `table.weight`.
 
     Returns `band` of shape (deg(phi), size) with band[k, j] = Phi[j + k, j]:
     the diagonal and the even rows are zero, the odd rows 1, 3, ...,
@@ -39,6 +38,7 @@ def build_phi_matrix(table: RecurrenceTable, pot: NormalizedPotential,
     keeps the retained block exact; `jacobi_horner` raises ValueError when
     the table is too short for that margin.
     """
+    pot = table.weight
     big = size + pot.degree + 2
     band = jacobi_band(table.a, pot.deriv_coeffs, big)[:, :size]
     for k in range(1, len(band), 2):
@@ -56,7 +56,7 @@ def build_deriv_couplings(table: RecurrenceTable, n: int) -> DerivCouplings:
     on the odd rows s = 1, 3, ..., deg(phi) - 1, with the diagonal, the even
     rows and the entries past r = n exact zeros.
     """
-    return DerivCouplings(A=build_phi_matrix(table, table.weight, n + 1))
+    return DerivCouplings(A=build_phi_matrix(table, n + 1))
 
 
 def build_omega_matrix(phi: np.ndarray, size: int) -> np.ndarray:

@@ -62,7 +62,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
 
 def _half_line_seed(pot, panels: int, cutoff: float):
@@ -323,19 +322,6 @@ def eval_poly_all(table: RecurrenceTable, n: int, x) -> np.ndarray:
     return _three_term_all(table.a, n, x)
 
 
-def eval_poly_and_deriv_all(table: RecurrenceTable, n: int, x):
-    """Values and first derivatives of P_0..P_n at x."""
-    x = np.asarray(x, dtype=float)
-    p = eval_poly_all(table, n, x)
-    a = table.a
-    dp = np.zeros_like(p)
-    if n >= 1:
-        dp[1] = p[0] / a[1]
-    for k in range(1, n):
-        dp[k + 1] = (p[k] + x * dp[k] - a[k] * dp[k - 1]) / a[k + 1]
-    return p, dp
-
-
 def hermite_eval_all(k_max: int, v) -> np.ndarray:
     """Orthonormal Hermite values H_0..H_k_max for the unit Gaussian weight,
     whose recurrence has a_0 = 1 and a_n = sqrt(n)."""
@@ -367,7 +353,7 @@ def build_quadrature(pot: NormalizedPotential, kind: str, resolution: int,
     if kind == "composite_weddle":
         cutoff = tail_cutoff(pot, poly_degree=max_degree)
         x, w = panel_rule(-cutoff, cutoff, resolution)
-        return QuadratureRule(nodes=x, weights=w * np.exp(-pot(x)), kind=kind)
+        return QuadratureRule(nodes=x, weights=w * np.exp(-pot(x)))
     if kind == "gauss_from_jacobi":
         if table is None or table.n_max < resolution:
             raise ValueError("gauss_from_jacobi needs a recurrence table reaching "
@@ -375,15 +361,8 @@ def build_quadrature(pot: NormalizedPotential, kind: str, resolution: int,
         nodes, vecs = eigh_tridiagonal(np.zeros(resolution),
                                        table.a[1:resolution])
         weights = (table.a[0] ** 2) * vecs[0, :] ** 2
-        return QuadratureRule(nodes=nodes, weights=weights, kind=kind)
+        return QuadratureRule(nodes=nodes, weights=weights)
     raise ValueError(f"unknown quadrature kind {kind!r}")
-
-
-def inner_products(table: RecurrenceTable, rule: QuadratureRule, f, n: int) -> np.ndarray:
-    """Vector of <f, P_k> for k = 0..n under the weight rho."""
-    p = eval_poly_all(table, n, rule.nodes)
-    fx = np.asarray(f(rule.nodes), dtype=float)
-    return p @ (rule.weights * fx)
 
 
 def magnus_constant(pot: NormalizedPotential) -> float:

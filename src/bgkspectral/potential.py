@@ -86,9 +86,6 @@ class _EvenPolynomial:
     def __call__(self, x):
         return npoly.polyval(x, self.power_coeffs)
 
-    def deriv(self, x):
-        return npoly.polyval(x, self.deriv_coeffs)
-
     def deriv2(self, x):
         return npoly.polyval(x, self.deriv2_coeffs)
 

@@ -3,7 +3,7 @@
 The state collects the coefficients C[k][n] of the perturbation on the tensor
 basis (space polynomial n, velocity Hermite k).  The generator couples
 neighbouring velocity modes through the derivative couplings A, read straight
-from their lower band (the odd diagonals of d* below deg(phi)), and damps the
+from Phi's lower band (the odd diagonals of d* below deg(phi)), and damps the
 modes k >= 3; its transport part is exactly skew-symmetric, so the implicit
 Euler step is unconditionally norm non-increasing.
 
@@ -50,7 +50,6 @@ from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
 from .errors import SolverConsistencyError
-from .operators import DerivCouplings
 
 # Residual gate of `step`, relative to the norm of the right-hand side.
 _SOLVE_REL_TOL = 1e-12
@@ -135,14 +134,16 @@ class SteppingPlan:
     N: int
 
 
-def assemble_generator(couplings: DerivCouplings, K: int, N: int) -> Generator:
-    """Assemble the generator for truncation parameters (K, N).
+def assemble_generator(band: np.ndarray, K: int, N: int) -> Generator:
+    """Assemble the generator for truncation parameters (K, N) from Phi's lower band.
 
     M[(k, r), (k + 1, n)] = sqrt(k + 1) A[r, n] and its negative transpose
     couple neighbouring velocity modes, and M[(k, n), (k, n)] = -1 damps the
-    modes k >= 3; index (k, n) is k (N + 1) + n.  Only the nonzeros of the
-    couplings' band enter, A[r, n] = band[r - n, n], and those with r > N are
-    dropped, so couplings built for a larger n serve any N they reach.
+    modes k >= 3; index (k, n) is k (N + 1) + n.  The couplings A are the
+    strictly lower part of Phi (`operators.build_deriv_couplings`), and only
+    the nonzeros of its lower band `band`, shape (deg(phi), >= N + 1), enter:
+    A[r, n] = band[r - n, n], those with r > N dropped, so a band built for a
+    larger size serves any N it reaches.
 
     Requires N >= deg(phi): otherwise phi' leaves the retained polynomial
     space and the discrete conservation identities silently break, so the
@@ -150,7 +151,6 @@ def assemble_generator(couplings: DerivCouplings, K: int, N: int) -> Generator:
     """
     if K < 0 or N < 0:
         raise ValueError("K and N must be nonnegative")
-    band = couplings.A
     deg = len(band)
     if N < deg:
         raise ValueError(
@@ -158,7 +158,7 @@ def assemble_generator(couplings: DerivCouplings, K: int, N: int) -> Generator:
             "the conservation structure requires N >= deg(phi)"
         )
     if band.shape[1] < N + 1:
-        raise ValueError("derivative couplings too small for N")
+        raise ValueError("band of Phi too small for N")
     s, n = np.nonzero(band[:, :N + 1])
     keep = n + s <= N
     s, n = s[keep], n[keep]
@@ -291,36 +291,3 @@ def project_initial_condition(entries, K: int, N: int) -> SpectralState:
             raise IndexError(f"coefficient ({k}, {n}) outside (K, N) = ({K}, {N})")
         c[k, n] = float(value)
     return SpectralState(C=c, t=0.0)
-
-
-def purge_equilibrium_components(state: SpectralState, ip_phi: np.ndarray,
-                                 harmonic: bool) -> SpectralState:
-    """Remove the steady/oscillatory components so the conserved functionals vanish.
-
-    Adjusts the coefficient slots carrying the spectral representation of the
-    equilibrium modes: mass C[0,0], energy C[2,0] (paired with the phi-moment
-    of C[0,:]), and in the harmonic case also the position/momentum slots.
-    """
-    c = state.C.copy()
-    K, N = state.K, state.N
-    c[0, 0] = 0.0
-    # phi is even, so ip_phi[1] = 0 and zeroing C[0,1] leaves phi_r unchanged.
-    n_ip = min(N, len(ip_phi) - 1)
-    phi_r = float(c[0, : n_ip + 1] @ ip_phi[: n_ip + 1])
-    if harmonic:
-        if N >= 1:
-            c[0, 1] = 0.0
-        if K >= 1:
-            c[1, 0] = 0.0
-            if N >= 1:
-                c[1, 1] = 0.0
-        if N >= 2:
-            c[0, 2] -= phi_r / ip_phi[2]
-        if K >= 2:
-            c[2, 0] = 0.0
-    else:
-        if K >= 2:
-            c[2, 0] = -np.sqrt(2.0) * phi_r
-        elif N >= 2 and ip_phi[2] != 0.0:
-            c[0, 2] -= phi_r / ip_phi[2]
-    return SpectralState(C=c, t=state.t)

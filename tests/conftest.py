@@ -9,6 +9,11 @@ HARMONIC_COEFFS = (0.5 * math.log(2.0 * math.pi), 0.5)
 DOUBLE_WELL_COEFFS = (1.0, -2.0, 1.0)
 
 
+def inner_products(table, rule, f, n):
+    """Vector of <f, P_k>, k = 0..n, under the weight rho, by the quadrature `rule`."""
+    return bk.eval_poly_all(table, n, rule.nodes) @ (rule.weights * f(rule.nodes))
+
+
 @st.composite
 def potentials_and_sizes(draw, max_size=150):
     """Coefficients of phi, lowest power first, and a size deg(phi)..max_size."""

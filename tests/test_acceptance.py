@@ -26,7 +26,7 @@ RUNS: list[tuple[str, list[float]]] = []
 
 def _setup(pot, table, K, N):
     dc = bk.build_deriv_couplings(table, N)
-    gen = bk.assemble_generator(dc, K, N)
+    gen = bk.assemble_generator(dc.A, K, N)
     basis = bk.build_functional_basis(table, N)
     return gen, basis
 
@@ -91,7 +91,7 @@ def test_criterion_2_growth_asymptotics():
 
 def test_criterion_3_band_structure(doublewell_table, doublewell_pot):
     # Phi and Omega in lower band storage: band[k, j] = M[j + k, j].
-    phi = bk.build_phi_matrix(doublewell_table, doublewell_pot, 44)
+    phi = bk.build_phi_matrix(doublewell_table, 44)
     a = doublewell_table.a
     g2 = doublewell_pot.coeffs[2]
     k = np.arange(1, 41)

@@ -161,8 +161,8 @@ def test_relative_bound_and_the_converged_flag():
     assert worse.relative_bound == math.inf and not worse.converged
 
 
-def test_omega_spectrum_bounded_below(doublewell_table, doublewell_pot):
-    phi = bk.build_phi_matrix(doublewell_table, doublewell_pot, 80)
+def test_omega_spectrum_bounded_below(doublewell_table):
+    phi = bk.build_phi_matrix(doublewell_table, 80)
     omega = bk.build_omega_matrix(phi, 70)
     assert eigvals_banded(omega, lower=True).min() >= 1.0 - 1e-8
 

@@ -148,7 +148,7 @@ def test_snapshot_against_naive_sum(doublewell_table):
 
 def test_preset_functionals_stay_zero(harmonic_table):
     dc = bk.build_deriv_couplings(harmonic_table, 5)
-    gen = bk.assemble_generator(dc, 20, 5)
+    gen = bk.assemble_generator(dc.A, 20, 5)
     basis = bk.build_functional_basis(harmonic_table, 5)
     state = bk.project_initial_condition([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
     plan = bk.make_stepping_plan(gen, 0.02)

@@ -10,6 +10,8 @@ import pytest
 
 import bgkspectral as bk
 
+from conftest import inner_products
+
 SEXTIC_COEFFS = (0.0, 0.0, 0.0, 1.0)
 N_VALUES = (60, 120, 200)
 POTENTIALS = ("harmonic", "doublewell", "sextic")
@@ -69,8 +71,8 @@ def test_functional_basis_matches_quadrature(request, name):
     table = request.getfixturevalue(f"{name}_table")
     rule = request.getfixturevalue(f"{name}_weddle")
     basis = bk.build_functional_basis(table, 30)
-    ip_phi = bk.inner_products(table, rule, table.weight, 30)
-    ip_x = bk.inner_products(table, rule, lambda x: x, 30)
+    ip_phi = inner_products(table, rule, table.weight, 30)
+    ip_x = inner_products(table, rule, lambda x: x, 30)
     assert np.max(np.abs(basis.ip_phi - ip_phi)) <= 1e-10
     assert np.max(np.abs(basis.ip_x - ip_x)) <= 1e-10
 
@@ -80,7 +82,7 @@ def test_functional_basis_matches_quadrature(request, name):
 def test_long_run_keeps_structure(tables, name, N):
     K, dt, steps = 20, 1e-2, 1000
     table = tables[name]
-    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N), K, N)
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K, N)
     basis = bk.build_functional_basis(table, N)
     plan = bk.make_stepping_plan(gen, dt)
     rng = np.random.default_rng(20250 + N)

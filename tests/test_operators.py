@@ -13,13 +13,13 @@ KERNEL_POTENTIALS = [(0.5 * math.log(2.0 * math.pi), 0.5), (1.0, -2.0, 1.0),
 
 
 @pytest.fixture(scope="module")
-def dw_phi(doublewell_table, doublewell_pot):
-    return bk.build_phi_matrix(doublewell_table, doublewell_pot, 44)
+def dw_phi(doublewell_table):
+    return bk.build_phi_matrix(doublewell_table, 44)
 
 
-def test_harmonic_phi_is_jacobi(harmonic_table, harmonic_pot):
+def test_harmonic_phi_is_jacobi(harmonic_table):
     # phi' = x, so the multiplication matrix is the Jacobi matrix itself.
-    band = bk.build_phi_matrix(harmonic_table, harmonic_pot, 30)
+    band = bk.build_phi_matrix(harmonic_table, 30)
     assert band.shape == (2, 30)
     assert np.all(band[0] == 0.0) and band[1, -1] == 0.0
     assert np.max(np.abs(band[1, :29] - harmonic_table.a[1:30])) <= 1e-12
@@ -54,7 +54,7 @@ def test_jacobi_horner_matches_dense_horner(coeffs):
     for size in (4, 16, 64, 576):
         big = size + pot.degree + 2
         dense = _dense_horner(table, npoly.polyder(full), big)[:size, :size]
-        band = bk.build_phi_matrix(table, pot, size)
+        band = bk.build_phi_matrix(table, size)
         assert band.shape == (pot.degree, size) and np.all(band[::2] == 0.0)
         phi = _dense_lower(band)
         # The probe columns read the entries phi'(J) gives on each unit
@@ -131,13 +131,12 @@ def test_phi_symmetry_and_sparsity(dw_phi):
 
 def test_phi_requires_long_table(doublewell_pot, doublewell_table):
     with pytest.raises(ValueError):
-        bk.build_phi_matrix(doublewell_table, doublewell_pot,
-                            doublewell_table.n_max + 10)
+        bk.build_phi_matrix(doublewell_table, doublewell_table.n_max + 10)
     # The block of size s reads a_0 .. a_{s + deg + 1}.
     longest = doublewell_table.n_max - doublewell_pot.degree - 1
-    bk.build_phi_matrix(doublewell_table, doublewell_pot, longest)
+    bk.build_phi_matrix(doublewell_table, longest)
     with pytest.raises(ValueError):
-        bk.build_phi_matrix(doublewell_table, doublewell_pot, longest + 1)
+        bk.build_phi_matrix(doublewell_table, longest + 1)
 
 
 def test_harmonic_couplings(harmonic_table):
@@ -169,9 +168,14 @@ def test_couplings_match_phi_upper(doublewell_table, dw_phi):
 def test_coupling_spot_check_composite(doublewell_table, doublewell_weddle):
     # independent composite-rule quadrature of P_3' P_0 rho
     A = bk.build_deriv_couplings(doublewell_table, 5).A
-    from bgkspectral.orthopoly import eval_poly_and_deriv_all
-    p, dp = eval_poly_and_deriv_all(doublewell_table, 5, doublewell_weddle.nodes)
-    direct = doublewell_weddle.weights @ (dp[3] * p[0])
+    x, a = doublewell_weddle.nodes, doublewell_table.a
+    p = bk.eval_poly_all(doublewell_table, 3, x)
+    # P_3' from x P_k = a_{k+1} P_{k+1} + a_k P_{k-1} differentiated term by
+    # term: a_{k+1} P_{k+1}' = P_k + x P_k' - a_k P_{k-1}', P_{-1}' = P_0' = 0.
+    dp = [np.zeros_like(x), np.zeros_like(x)]
+    for k in range(3):
+        dp.append((p[k] + x * dp[-1] - a[k] * dp[-2]) / a[k + 1])
+    direct = doublewell_weddle.weights @ (dp[-1] * p[0])
     assert A[3, 0] == pytest.approx(direct, abs=1e-10)
 
 
@@ -184,8 +188,8 @@ def test_omega_corner_and_positivity(dw_phi):
     assert eigvals_banded(band, lower=True).min() >= 1.0 - 1e-8
 
 
-def test_omega_harmonic_is_diagonal(harmonic_table, harmonic_pot):
-    phi = bk.build_phi_matrix(harmonic_table, harmonic_pot, 35)
+def test_omega_harmonic_is_diagonal(harmonic_table):
+    phi = bk.build_phi_matrix(harmonic_table, 35)
     om = bk.build_omega_matrix(phi, 30)
     assert om.shape == (1, 30)
     assert np.allclose(om[0], np.arange(1, 31), atol=1e-12)

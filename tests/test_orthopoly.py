@@ -16,7 +16,7 @@ from bgkspectral.errors import (IntegrationFailureError, InvalidPotentialError,
 from bgkspectral.orthopoly import (_half_line_seed, _stieltjes_pass,
                                    _weight_moments_mp)
 from bgkspectral.weddle import panel_rule
-from conftest import potentials_and_sizes
+from conftest import inner_products, potentials_and_sizes
 
 
 def test_weddle_panel_exactness():
@@ -114,19 +114,19 @@ def test_quadrature_invariants(doublewell_gauss, doublewell_weddle, doublewell_t
         assert np.sum(rule.weights) == pytest.approx(1.0, abs=1e-10)
         assert rule.weights @ rule.nodes == pytest.approx(0.0, abs=1e-12)
     # <x, P_1> = a_1 follows from one step of the recurrence
-    v = bk.inner_products(doublewell_table, doublewell_gauss, lambda x: x, 3)
+    v = inner_products(doublewell_table, doublewell_gauss, lambda x: x, 3)
     assert v[1] == pytest.approx(doublewell_table.a[1], rel=1e-12)
     assert abs(v[0]) <= 1e-12 and abs(v[2]) <= 1e-12
 
 
 def test_inner_products_unit_vectors(doublewell_table, doublewell_gauss):
-    ones = bk.inner_products(doublewell_table, doublewell_gauss,
-                             lambda x: np.ones_like(x), 6)
+    ones = inner_products(doublewell_table, doublewell_gauss,
+                          lambda x: np.ones_like(x), 6)
     expect = np.zeros(7)
     expect[0] = 1.0
     assert np.allclose(ones, expect, atol=1e-12)
-    p3 = bk.inner_products(doublewell_table, doublewell_gauss,
-                           lambda x: bk.eval_poly_all(doublewell_table, 3, x)[3], 6)
+    p3 = inner_products(doublewell_table, doublewell_gauss,
+                        lambda x: bk.eval_poly_all(doublewell_table, 3, x)[3], 6)
     expect = np.zeros(7)
     expect[3] = 1.0
     assert np.allclose(p3, expect, atol=1e-10)
@@ -134,7 +134,7 @@ def test_inner_products_unit_vectors(doublewell_table, doublewell_gauss):
 
 def test_harmonic_potential_expansion(harmonic_table, harmonic_gauss, harmonic_pot):
     # (x^2 + log 2 pi)/2 expanded in {1, x, (x^2-1)/sqrt 2}
-    v = bk.inner_products(harmonic_table, harmonic_gauss, harmonic_pot, 6)
+    v = inner_products(harmonic_table, harmonic_gauss, harmonic_pot, 6)
     assert v[0] == pytest.approx(0.5 * (1 + math.log(2 * math.pi)), rel=1e-12)
     assert v[2] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
     others = np.delete(v, [0, 2])

@@ -111,6 +111,16 @@ def test_norm_never_increases_near_the_steady_state():
     assert np.all(np.diff(result.norms) <= 0.0)
 
 
+def _drawn_table(coeffs, N):
+    """Recurrence table for the drawn potential, long enough for N, or None
+    when the potential fails with a typed error."""
+    try:
+        pot = bk.normalize_potential(bk.RawPotential(tuple(coeffs)))
+        return bk.build_recurrence(pot, N + pot.degree + 2)
+    except (InvalidPotentialError, IntegrationFailureError, PrecisionFailureError):
+        return None
+
+
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(potentials_and_sizes())
 def test_couplings_satisfy_freuds_identity(drawn):
@@ -118,10 +128,8 @@ def test_couplings_satisfy_freuds_identity(drawn):
     # A[1, n - 1] of the band, is n / a_n exactly: a certificate of the
     # recurrence table and of A = tril(Phi, -1) together.
     coeffs, N = drawn
-    try:
-        pot = bk.normalize_potential(bk.RawPotential(tuple(coeffs)))
-        table = bk.build_recurrence(pot, N + pot.degree + 2)
-    except (InvalidPotentialError, IntegrationFailureError, PrecisionFailureError):
+    table = _drawn_table(coeffs, N)
+    if table is None:
         return
     A = bk.build_deriv_couplings(table, N).A
     n = np.arange(1, N + 1)
@@ -166,12 +174,10 @@ def test_stieltjes_matches_extended_precision_oracle(drawn):
 def test_pivot_free_step_meets_the_gate_and_the_pivoting_oracle(drawn, K,
                                                                  log_dt, seed):
     coeffs, N = drawn
-    try:
-        pot = bk.normalize_potential(bk.RawPotential(tuple(coeffs)))
-        table = bk.build_recurrence(pot, N + pot.degree + 2)
-    except (InvalidPotentialError, IntegrationFailureError, PrecisionFailureError):
+    table = _drawn_table(coeffs, N)
+    if table is None:
         return
-    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N), K, N)
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K, N)
     plan = bk.make_stepping_plan(gen, 10.0 ** log_dt)
     assert np.min(plan.lu.U.diagonal()) >= 1.0 - 1e-12
     b = np.random.default_rng(seed).standard_normal((K + 1) * (N + 1))
@@ -179,3 +185,50 @@ def test_pivot_free_step_meets_the_gate_and_the_pivoting_oracle(drawn, K,
     assert np.linalg.norm(plan.system @ x - b) <= 1e-12 * np.linalg.norm(b)
     oracle = splu(plan.system.tocsc()).solve(b)
     assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(potentials_and_sizes(), st.integers(0, 60))
+def test_symmetric_part_of_the_generator_is_the_damping(drawn, K):
+    # The transport part is exactly skew, so M + M^T is -2 on the diagonal of
+    # the damped modes k >= 3 and 0 everywhere else, bit for bit.
+    coeffs, N = drawn
+    table = _drawn_table(coeffs, N)
+    if table is None:
+        return
+    m = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K, N).matrix
+    sym = (m + m.T).tocoo()
+    assert np.all(sym.data[sym.row != sym.col] == 0.0)
+    damped = np.arange(m.shape[0]) >= 3 * (N + 1)
+    assert np.array_equal(sym.diagonal(), np.where(damped, -2.0, 0.0))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(potentials_and_sizes(), st.integers(3, 60), st.floats(-4.0, 2.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_step_satisfies_the_discrete_energy_identity(drawn, K, log_dt, seed):
+    # With M = T - D, T skew and D the projector onto k >= 3, the exact
+    # x = (I - dt M)^-1 b satisfies
+    #     ||b||^2 - ||x||^2 = 2 dt ||x_{k>=3}||^2 + ||x - b||^2,
+    # and a solve with residual r = (I - dt M) x - b moves the left side
+    # minus the right by exactly -2 <x, r>.
+    coeffs, N = drawn
+    table = _drawn_table(coeffs, N)
+    if table is None:
+        return
+    dt = 10.0 ** log_dt
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K, N)
+    plan = bk.make_stepping_plan(gen, dt)
+    eps = np.finfo(float).eps
+    state = bk.SpectralState(C=np.random.default_rng(seed).standard_normal(
+        (K + 1, N + 1)))
+    for _ in range(10):
+        b = state.C.ravel()
+        state = bk.step(plan, state)
+        x = state.C.ravel()
+        bb = b @ b
+        defect = (bb - x @ x - 2.0 * dt * np.sum(state.C[3:] ** 2)
+                  - (x - b) @ (x - b))
+        r = plan.system @ x - b
+        assert abs(defect) <= (2.0 * np.linalg.norm(x) * np.linalg.norm(r)
+                               + 16.0 * eps * bb)

@@ -20,7 +20,7 @@ import bgkspectral as bk
 def harmonic_setup(harmonic_table):
     def make(K, N):
         dc = bk.build_deriv_couplings(harmonic_table, N)
-        gen = bk.assemble_generator(dc, K, N)
+        gen = bk.assemble_generator(dc.A, K, N)
         basis = bk.build_functional_basis(harmonic_table, N)
         return dc, gen, basis
     return make
@@ -30,7 +30,7 @@ def harmonic_setup(harmonic_table):
 def doublewell_setup(doublewell_table):
     def make(K, N):
         dc = bk.build_deriv_couplings(doublewell_table, N)
-        gen = bk.assemble_generator(dc, K, N)
+        gen = bk.assemble_generator(dc.A, K, N)
         basis = bk.build_functional_basis(doublewell_table, N)
         return dc, gen, basis
     return make
@@ -97,9 +97,9 @@ def test_nnz_bound(doublewell_setup):
 def test_truncation_requirement_enforced(doublewell_setup, doublewell_table):
     dc = bk.build_deriv_couplings(doublewell_table, 3)
     with pytest.raises(ValueError, match="N >= deg"):
-        bk.assemble_generator(dc, 5, 3)
+        bk.assemble_generator(dc.A, 5, 3)
     with pytest.raises(ValueError):
-        bk.assemble_generator(dc, -1, 3)
+        bk.assemble_generator(dc.A, -1, 3)
 
 
 def test_zero_state_stays_zero(harmonic_setup):
@@ -185,7 +185,7 @@ def test_generator_matches_the_kronecker_oracle(doublewell_table, K):
     oracle = _kron_generator(bk.build_deriv_couplings(doublewell_table, 30),
                              K, 30)
     for n in (30, 37):
-        m = bk.assemble_generator(bk.build_deriv_couplings(doublewell_table, n),
+        m = bk.assemble_generator(bk.build_deriv_couplings(doublewell_table, n).A,
                                   K, 30).matrix
         assert m.has_canonical_format
         assert np.array_equal(m.indptr, oracle.indptr)
@@ -200,7 +200,7 @@ def test_assembly_allocates_no_dense_couplings(doublewell_pot):
     table = bk.build_recurrence(doublewell_pot, 1006)
     tracemalloc.start()
     try:
-        bk.assemble_generator(bk.build_deriv_couplings(table, 1000), 10, 1000)
+        bk.assemble_generator(bk.build_deriv_couplings(table, 1000).A, 10, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -235,7 +235,7 @@ def test_band_of_the_harmonic_schur_complement_is_tridiagonal(harmonic_pot):
     # deg(phi) = 2: the closed-form order leaves bandwidth 1 at N = 600,
     # where sorting by k first gives about 300.
     table = bk.build_recurrence(harmonic_pot, 604)
-    gen = bk.assemble_generator(bk.build_deriv_couplings(table, 600), 10, 600)
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, 600).A, 10, 600)
     lu = bk.make_stepping_plan(gen, 1e-2).lu
     assert lu.U.offsets.max() == 1 and lu.band.shape == (2, 6 * 601)
 
@@ -246,7 +246,7 @@ def test_refinement_rescues_a_solve_that_misses_the_gate():
     pot = bk.normalize_potential(bk.RawPotential((0.0, 0.0, 0.0, 1.0)))
     K, N = 20, 150
     table = bk.build_recurrence(pot, N + pot.degree + 2)
-    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N), K, N)
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K, N)
     plan = bk.make_stepping_plan(gen, 100.0)
     b = np.random.default_rng(3).standard_normal((K + 1) * (N + 1))
     b_norm = np.linalg.norm(b)
@@ -285,7 +285,7 @@ def test_step_meets_the_gate_at_large_dt(coeffs, K, N, dt):
     # the gate, the step raises SolverConsistencyError under any solver.
     pot = bk.normalize_potential(bk.RawPotential(coeffs))
     table = bk.build_recurrence(pot, N + pot.degree + 2)
-    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N), K, N)
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K, N)
     plan = bk.make_stepping_plan(gen, dt)
     for seed in range(8):
         b = np.random.default_rng(seed).standard_normal((K + 1) * (N + 1))
@@ -373,14 +373,14 @@ def test_project_initial_condition_presets(harmonic_setup, doublewell_setup):
 def test_purge_leaves_compliant_state_alone(harmonic_setup):
     _, _, basis = harmonic_setup(20, 5)
     state = bk.project_initial_condition([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
-    purged = bk.purge_equilibrium_components(state, basis.ip_phi, basis.harmonic)
+    purged = bk.purge_equilibrium_components(state, basis)
     assert np.array_equal(purged.C, state.C)
 
 
 def test_purge_pure_mass_general(doublewell_setup):
     _, _, basis = doublewell_setup(5, 5)
     state = bk.project_initial_condition([(0, 0, 1.0)], 5, 5)
-    purged = bk.purge_equilibrium_components(state, basis.ip_phi, basis.harmonic)
+    purged = bk.purge_equilibrium_components(state, basis)
     mass, energy_plus = bk.conserved_functionals(purged, basis)
     assert mass == 0.0
     assert abs(energy_plus) <= 1e-14
@@ -389,7 +389,7 @@ def test_purge_pure_mass_general(doublewell_setup):
 def test_purge_harmonic_momentum(harmonic_setup):
     _, _, basis = harmonic_setup(5, 5)
     state = bk.project_initial_condition([(1, 0, 1.0)], 5, 5)
-    purged = bk.purge_equilibrium_components(state, basis.ip_phi, basis.harmonic)
+    purged = bk.purge_equilibrium_components(state, basis)
     cons = bk.conserved_functionals(purged, basis)
     assert cons.shape == (6,)
     for value in cons:
@@ -400,7 +400,7 @@ def test_purge_messy_state_all_functionals(harmonic_setup):
     _, _, basis = harmonic_setup(6, 5)
     rng = np.random.default_rng(7)
     state = bk.SpectralState(C=rng.standard_normal((7, 6)))
-    purged = bk.purge_equilibrium_components(state, basis.ip_phi, basis.harmonic)
+    purged = bk.purge_equilibrium_components(state, basis)
     cons = bk.conserved_functionals(purged, basis)
     for value in cons:
         assert abs(value) <= 1e-13
