@@ -236,7 +236,7 @@ def simulate(config: RunConfig) -> RunResult:
     if config.purge:
         state = diagnostics.purge_equilibrium_components(state, basis)
 
-    gen = scheme.assemble_generator(band, config.K, config.N)
+    gen = scheme.assemble_generator(band, config.K)
     plan = scheme.make_stepping_plan(gen, config.dt)
     steps = round(config.T / config.dt)
 
@@ -263,6 +263,8 @@ def simulate(config: RunConfig) -> RunResult:
     except ValueError:
         summary["kappa"] = None
         summary["r_squared"] = None
+    norms = np.array(series.norms)
+    summary["norm_increases"] = int(np.count_nonzero(np.diff(norms) > 0))
     conserved = np.array(series.conserved)
     # Mass and energy_plus are invariants for every potential; the
     # harmonic-only columns rotate (README, Artifacts) and are left out.
@@ -279,7 +281,7 @@ def simulate(config: RunConfig) -> RunResult:
         summary["kn_truncation_bound"] = max(
             (r.relative_bound for r in reports), default=None)
     return RunResult(config=config, times=np.array(series.times),
-                     norms=np.array(series.norms), conserved=conserved,
+                     norms=norms, conserved=conserved,
                      snapshots=tuple(snapshots), table=table, kn=reports,
                      summary=summary)
 

@@ -88,7 +88,8 @@ def _dense_lower(phi: np.ndarray, size: int) -> np.ndarray:
 def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
                 m_big: int) -> KNReport:
     """Largest singular values of the four projected compositions on X_N,
-    with a certified bound on their truncation error at ambient size m_big.
+    with a certified bound on their truncation error at ambient size m_big;
+    `pot` must be `table.weight`, and any other raises ValueError.
 
     With L the m_big truncation of d* (the strictly lower part of Phi, whose
     strictly upper part is exactly L^T) and X = L[:N+1, :N+1] = P d* E, the
@@ -116,6 +117,8 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
     an upper bound on the 2-norm that equals it for the one-row C and tail
     of a quartic phi.
     """
+    if pot != table.weight:
+        raise ValueError("pot is not table.weight, the table's potential")
     if N < 0:
         raise ValueError(f"N={N} is negative")
     two_m = pot.degree
@@ -125,7 +128,7 @@ def estimate_kn(table: RecurrenceTable, pot: NormalizedPotential, N: int,
             f"(need at least N + {2 * two_m})"
         )
     phi = build_phi_matrix(table, m_big + two_m)
-    omega = build_omega_matrix(phi, m_big + two_m)
+    omega = build_omega_matrix(phi)
 
     n1 = N + 1
     x = _dense_lower(phi, n1)

@@ -52,20 +52,18 @@ def conserved_functionals(state: SpectralState, basis: FunctionalBasis) -> np.nd
     The local mass, momentum and energy densities are the velocity modes
     k = 0, 1, 2; every functional is a fixed linear form in their space
     coefficients.  Returns 6 values for a harmonic potential, 2 otherwise.
+    A basis built for another N raises ValueError.
     """
     c = state.C
-    n = min(state.N, len(basis.ip_phi) - 1)
-    ip_phi = basis.ip_phi[: n + 1]
-    ip_x = basis.ip_x[: n + 1]
     mass = float(c[0, 0])
     e0 = float(c[2, 0]) if state.K >= 2 else 0.0
-    phi_r = float(c[0, : n + 1] @ ip_phi)
+    phi_r = float(c[0] @ basis.ip_phi)
     energy_plus = e0 / math.sqrt(2.0) + phi_r
     if not basis.harmonic:
         return np.array([mass, energy_plus])
-    rx = float(c[0, : n + 1] @ ip_x)
+    rx = float(c[0] @ basis.ip_x)
     m0 = float(c[1, 0]) if state.K >= 1 else 0.0
-    mx = float(c[1, : n + 1] @ ip_x) if state.K >= 1 else 0.0
+    mx = float(c[1] @ basis.ip_x) if state.K >= 1 else 0.0
     energy_minus = e0 / math.sqrt(2.0) - phi_r
     return np.array([mass, energy_plus, rx, m0, mx, energy_minus])
 
@@ -76,15 +74,15 @@ def purge_equilibrium_components(state: SpectralState,
 
     Adjusts the slots that `conserved_functionals` reads: mass C[0,0], energy
     C[2,0] (paired with the phi-moment of C[0,:]), and in the harmonic case
-    also the position/momentum slots.
+    also the position/momentum slots.  A basis built for another N raises
+    ValueError.
     """
     c = state.C.copy()
     K, N = state.K, state.N
     ip_phi = basis.ip_phi
     c[0, 0] = 0.0
     # phi is even, so ip_phi[1] = 0 and zeroing C[0,1] leaves phi_r unchanged.
-    n_ip = min(N, len(ip_phi) - 1)
-    phi_r = float(c[0, : n_ip + 1] @ ip_phi[: n_ip + 1])
+    phi_r = float(c[0] @ ip_phi)
     if basis.harmonic:
         if N >= 1:
             c[0, 1] = 0.0

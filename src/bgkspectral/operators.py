@@ -59,20 +59,17 @@ def build_deriv_couplings(table: RecurrenceTable, n: int) -> DerivCouplings:
     return DerivCouplings(A=build_phi_matrix(table, n + 1))
 
 
-def build_omega_matrix(phi: np.ndarray, size: int) -> np.ndarray:
-    """Lower band of the leading `size` block of Omega = d* d + 1.
+def build_omega_matrix(phi: np.ndarray) -> np.ndarray:
+    """Lower band of Omega = d* d + 1 at the size of `phi`.
 
     `phi` is a band from `build_phi_matrix`, and d* = L is its strictly
     lower part.  Omega = L L^T + 1 lives on the even offsets up to
-    deg(phi) - 2; the result has shape (deg(phi) - 1, size) in the same
-    storage, band[d, j] = Omega[j + d, j], formed diagonal by diagonal from
-    Omega[j + d, j] = sum over odd s of L[j + d, j - s] L[j, j - s], which
-    reads only rows of L below `size`, so `phi` must have `size` columns.
+    deg(phi) - 2; the result has shape (deg(phi) - 1, size), size the width
+    of `phi`, in the same storage, band[d, j] = Omega[j + d, j], formed
+    diagonal by diagonal from Omega[j + d, j] = sum over odd s of
+    L[j + d, j - s] L[j, j - s], which reads only rows of L below `size`.
     """
-    if phi.shape[1] < size:
-        raise ValueError(
-            f"phi band of size {phi.shape[1]} too small for omega size {size}"
-        )
+    size = phi.shape[1]
     om = np.zeros((len(phi) - 1, size))
     for s in range(1, len(phi), 2):
         for d in range(0, len(phi) - s, 2):

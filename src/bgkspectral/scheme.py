@@ -3,9 +3,9 @@
 The state collects the coefficients C[k][n] of the perturbation on the tensor
 basis (space polynomial n, velocity Hermite k).  The generator couples
 neighbouring velocity modes through the derivative couplings A, read straight
-from Phi's lower band (the odd diagonals of d* below deg(phi)), and damps the
-modes k >= 3; its transport part is exactly skew-symmetric, so the implicit
-Euler step is unconditionally norm non-increasing.
+from Phi's lower band (the odd diagonals of d* below deg(phi), N + 1 wide),
+and damps the modes k >= 3; its transport part is exactly skew-symmetric, so
+the implicit Euler step is unconditionally norm non-increasing.
 
 The same structure lets the implicit Euler system be solved by exact
 elimination.  The diagonal of I - dt M is T = 1 + dt [k >= 3], and transport
@@ -134,34 +134,30 @@ class SteppingPlan:
     N: int
 
 
-def assemble_generator(band: np.ndarray, K: int, N: int) -> Generator:
+def assemble_generator(band: np.ndarray, K: int) -> Generator:
     """Assemble the generator for truncation parameters (K, N) from Phi's lower band.
 
     M[(k, r), (k + 1, n)] = sqrt(k + 1) A[r, n] and its negative transpose
     couple neighbouring velocity modes, and M[(k, n), (k, n)] = -1 damps the
     modes k >= 3; index (k, n) is k (N + 1) + n.  The couplings A are the
     strictly lower part of Phi (`operators.build_deriv_couplings`), and only
-    the nonzeros of its lower band `band`, shape (deg(phi), >= N + 1), enter:
-    A[r, n] = band[r - n, n], those with r > N dropped, so a band built for a
-    larger size serves any N it reaches.
+    the nonzeros of its lower band `band`, shape (deg(phi), N + 1), enter:
+    A[r, n] = band[r - n, n]; `build_phi_matrix` leaves exact zeros past
+    row N, so every coupling stays inside the truncation.
 
     Requires N >= deg(phi): otherwise phi' leaves the retained polynomial
     space and the discrete conservation identities silently break, so the
     violation is an error rather than a warning.
     """
-    if K < 0 or N < 0:
-        raise ValueError("K and N must be nonnegative")
-    deg = len(band)
+    if K < 0:
+        raise ValueError(f"K={K} is negative")
+    deg, N = band.shape[0], band.shape[1] - 1
     if N < deg:
         raise ValueError(
             f"truncation N={N} below the potential degree {deg}; "
             "the conservation structure requires N >= deg(phi)"
         )
-    if band.shape[1] < N + 1:
-        raise ValueError("band of Phi too small for N")
-    s, n = np.nonzero(band[:, :N + 1])
-    keep = n + s <= N
-    s, n = s[keep], n[keep]
+    s, n = np.nonzero(band)
     r = n + s
     k = np.repeat(np.arange(K), len(r))
     up_rows = k * (N + 1) + np.tile(r, K)
@@ -205,7 +201,6 @@ def make_stepping_plan(gen: Generator, dt: float) -> SteppingPlan:
     sel = even[m.row] & ~even[m.col]
     g_rows, g_cols = pos[m.row[sel]], m.col[sel]
     g = dt * m.data[sel]
-    g_over_t = g / t[g_cols]
     w = sp.csr_matrix((g / np.sqrt(t[g_cols]), (g_rows, g_cols)),
                       shape=(n_e, dim))
     kd = _coupled_bandwidth(g_rows, g_cols)
@@ -221,14 +216,13 @@ def make_stepping_plan(gen: Generator, dt: float) -> SteppingPlan:
         raise SolverConsistencyError(
             f"Cholesky factorization of the Schur complement failed: {exc}") from exc
 
-    restrict = sp.csr_matrix(
-        (np.concatenate([np.ones(n_e), g_over_t]),
-         (np.concatenate([np.arange(n_e), g_rows]),
-          np.concatenate([order, g_cols]))), shape=(n_e, dim))
-    extend = sp.csr_matrix(
-        (np.concatenate([np.ones(n_e), -g_over_t]),
-         (np.concatenate([order, g_cols]),
-          np.concatenate([np.arange(n_e), g_rows]))), shape=(dim, n_e))
+    # restrict = perm + G T_o^-1, extend = perm^T - T_o^-1 G^T, in band order.
+    perm = sp.csr_matrix((np.ones(n_e), (np.arange(n_e), order)),
+                         shape=(n_e, dim))
+    coupling = sp.csr_matrix((g / t[g_cols], (g_rows, g_cols)),
+                             shape=(n_e, dim))
+    restrict = perm + coupling
+    extend = (perm - coupling).T.tocsr()
     odd_scale = np.where(even, 0.0, 1.0 / t)
     system = sp.identity(dim, format="csr") - dt * gen.matrix
     lu = EvenOddCholesky(band=band, restrict=restrict, extend=extend,

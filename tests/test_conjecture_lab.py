@@ -163,7 +163,7 @@ def test_relative_bound_and_the_converged_flag():
 
 def test_omega_spectrum_bounded_below(doublewell_table):
     phi = bk.build_phi_matrix(doublewell_table, 80)
-    omega = bk.build_omega_matrix(phi, 70)
+    omega = bk.build_omega_matrix(phi[:, :70])
     assert eigvals_banded(omega, lower=True).min() >= 1.0 - 1e-8
 
 
@@ -224,8 +224,8 @@ def test_estimate_allocates_no_ambient_square(doublewell_pot):
 
 def test_indefinite_omega_is_a_typed_failure(monkeypatch, tmp_path,
                                              doublewell_table, doublewell_pot):
-    def indefinite(phi, size):
-        omega = np.zeros((len(phi) - 1, size))
+    def indefinite(phi):
+        omega = np.zeros((len(phi) - 1, phi.shape[1]))
         omega[0] = -1.0
         return omega
 
@@ -250,6 +250,14 @@ def test_galerkin_stabilization(doublewell_table, doublewell_pot):
 def test_ambient_size_validation(harmonic_table, harmonic_pot):
     with pytest.raises(ValueError):
         bk.estimate_kn(harmonic_table, harmonic_pot, 10, 12)
+
+
+def test_a_potential_other_than_the_tables_is_rejected(doublewell_table,
+                                                      harmonic_pot):
+    # Phi and Omega come from the table's own potential, so a second one
+    # could only mislabel the report.
+    with pytest.raises(ValueError, match="potential"):
+        bk.estimate_kn(doublewell_table, harmonic_pot, 16, 128)
 
 
 def test_negative_truncation_is_rejected(harmonic_table, harmonic_pot):

@@ -41,6 +41,20 @@ def test_harmonic_extras_none_for_general_potential(doublewell_basis):
     assert cons.shape == (2,)                   # mass, energy_plus only
 
 
+def test_a_basis_built_for_another_n_is_rejected(doublewell_table):
+    # Cut to the basis's length, energy_plus of this state would read
+    # 1/sqrt(2) = 0.7071 and miss the phi-moment of C[0, 4].
+    state = bk.project_initial_condition([(0, 4, 1.0), (2, 0, 1.0)], 4, 30)
+    full = bk.build_functional_basis(doublewell_table, 30)
+    assert bk.conserved_functionals(state, full)[1] == pytest.approx(
+        1.1772, abs=1e-4)
+    short = bk.build_functional_basis(doublewell_table, 2)
+    with pytest.raises(ValueError):
+        bk.conserved_functionals(state, short)
+    with pytest.raises(ValueError):
+        bk.purge_equilibrium_components(state, short)
+
+
 def test_superposition_is_exact(harmonic_basis):
     rng = np.random.default_rng(3)
     u = bk.SpectralState(C=rng.standard_normal((5, 9)))
@@ -148,7 +162,7 @@ def test_snapshot_against_naive_sum(doublewell_table):
 
 def test_preset_functionals_stay_zero(harmonic_table):
     dc = bk.build_deriv_couplings(harmonic_table, 5)
-    gen = bk.assemble_generator(dc.A, 20, 5)
+    gen = bk.assemble_generator(dc.A, 20)
     basis = bk.build_functional_basis(harmonic_table, 5)
     state = bk.project_initial_condition([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
     plan = bk.make_stepping_plan(gen, 0.02)

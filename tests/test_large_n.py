@@ -82,7 +82,7 @@ def test_functional_basis_matches_quadrature(request, name):
 def test_long_run_keeps_structure(tables, name, N):
     K, dt, steps = 20, 1e-2, 1000
     table = tables[name]
-    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K, N)
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K)
     basis = bk.build_functional_basis(table, N)
     plan = bk.make_stepping_plan(gen, dt)
     rng = np.random.default_rng(20250 + N)

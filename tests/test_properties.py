@@ -96,19 +96,61 @@ def test_simulate_keeps_the_discrete_structure(data):
         assert _files(Path(tmp) / "written") == _files(Path(tmp) / "run")
 
 
+# Inside the draw domain of test_simulate_keeps_the_discrete_structure: the
+# norm rises at steps 27, 28, 30, 33-36 and 39, by up to 1.6e-16 relative,
+# while mass and energy drift by 2.0e-15.
+_STEADY_STATE = _config([1.7695077517265148, 0.715278340677401], 4, 25,
+                        0.9014154050020589, 40,
+                        [[2, 0, -0.9919138060186745],
+                         [0, 0, -0.0719153870778464]], False)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "near the conserved part the dissipation per step falls below the "
     "rounding of ||x||^2, so the norm can rise by one ulp (ROADMAP item 4)"))
 def test_norm_never_increases_near_the_steady_state():
-    # Inside the draw domain of test_simulate_keeps_the_discrete_structure:
-    # the norm rises at steps 27, 28, 30, 33-36 and 39, by up to 1.6e-16
-    # relative, while mass and energy drift by 2.0e-15.
-    dt = 0.9014154050020589
-    data = _config([1.7695077517265148, 0.715278340677401], 4, 25, dt, 40,
-                   [[2, 0, -0.9919138060186745], [0, 0, -0.0719153870778464]],
-                   False)
-    result = cli.simulate(cli.RunConfig.from_dict(data))
+    result = cli.simulate(cli.RunConfig.from_dict(_STEADY_STATE))
     assert np.all(np.diff(result.norms) <= 0.0)
+
+
+def test_summary_counts_the_norm_increases():
+    steady = cli.simulate(cli.RunConfig.from_dict(_STEADY_STATE))
+    assert steady.summary["norm_increases"] == 8
+    assert list(np.flatnonzero(np.diff(steady.norms) > 0.0) + 1) == [
+        27, 28, 30, 33, 34, 35, 36, 39]
+    fig3 = cli.simulate(cli.RunConfig.from_dict(cli.PRESETS["doublewell_fig3"]))
+    assert fig3.summary["norm_increases"] == 0
+
+
+@st.composite
+def wide_configs(draw):
+    m = draw(st.integers(1, 4))                               # deg(phi) = 2m
+    lower = draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
+    lead = draw(st.floats(0.05, 2.0))
+    K = draw(st.integers(3, 60))
+    N = draw(st.integers(2 * m, 150))
+    entries = draw(st.lists(st.tuples(st.integers(0, K), st.integers(0, N),
+                                      st.floats(-1.0, 1.0)),
+                            min_size=1, max_size=6))
+    data = _config(lower + [lead], K, N, 10.0 ** draw(st.floats(-4.0, 0.0)),
+                   draw(st.integers(1, 5)), [list(e) for e in entries],
+                   draw(st.booleans()))
+    return {**data, "outputs": ["norms", "conserved"], "snapshot_times": []}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(wide_configs())
+# The corner of the domain: degree 8, the largest K and N, the smallest dt.
+@example({**_config([0.0, 1.0, -3.0, 0.5, 0.2], 60, 150, 1e-4, 5,
+                    [[0, 4, 1.0], [3, 150, -0.5], [60, 7, 0.25]], False),
+          "outputs": ["norms", "conserved"], "snapshot_times": []})
+def test_every_validated_config_runs_or_fails_typed(data):
+    try:
+        result = cli.simulate(cli.RunConfig.from_dict(data))
+    except (ConfigError, *cli.NUMERICAL_ERRORS):
+        return
+    c = result.conserved
+    assert np.max(np.abs(c[:, :2] - c[0, :2])) <= 1e-12 * result.norms[0]
 
 
 def _drawn_table(coeffs, N):
@@ -177,7 +219,7 @@ def test_pivot_free_step_meets_the_gate_and_the_pivoting_oracle(drawn, K,
     table = _drawn_table(coeffs, N)
     if table is None:
         return
-    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K, N)
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K)
     plan = bk.make_stepping_plan(gen, 10.0 ** log_dt)
     assert np.min(plan.lu.U.diagonal()) >= 1.0 - 1e-12
     b = np.random.default_rng(seed).standard_normal((K + 1) * (N + 1))
@@ -196,7 +238,7 @@ def test_symmetric_part_of_the_generator_is_the_damping(drawn, K):
     table = _drawn_table(coeffs, N)
     if table is None:
         return
-    m = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K, N).matrix
+    m = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K).matrix
     sym = (m + m.T).tocoo()
     assert np.all(sym.data[sym.row != sym.col] == 0.0)
     damped = np.arange(m.shape[0]) >= 3 * (N + 1)
@@ -217,7 +259,7 @@ def test_step_satisfies_the_discrete_energy_identity(drawn, K, log_dt, seed):
     if table is None:
         return
     dt = 10.0 ** log_dt
-    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K, N)
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K)
     plan = bk.make_stepping_plan(gen, dt)
     eps = np.finfo(float).eps
     state = bk.SpectralState(C=np.random.default_rng(seed).standard_normal(
