@@ -6,7 +6,6 @@ import argparse
 import json
 import math
 import sys
-import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
@@ -21,7 +20,8 @@ from .errors import ConfigError, InvalidPotentialError
 # (not called here) by these names; only those hooks keep DerivCouplings,
 # build_deriv_couplings and this build_quadrature import.
 from .operators import build_deriv_couplings
-from .orthopoly import RecurrenceTable, build_quadrature, build_recurrence  # noqa: F401
+from .orthopoly import (RecurrenceTable, build_quadrature,  # noqa: F401
+                        build_recurrence, eval_poly_all, hermite_eval_all)
 from .potential import RawPotential, normalize_potential
 
 HARMONIC_COEFFS = [0.5 * math.log(2.0 * math.pi), 0.5]
@@ -240,16 +240,18 @@ def simulate(config: RunConfig) -> RunResult:
     plan = scheme.make_stepping_plan(gen, config.dt)
     steps = round(config.T / config.dt)
 
-    snap_steps = {int(round(t / config.dt)) for t in config.snapshot_times} \
-        if "snapshots" in config.outputs else set()
+    # Each snapshot carries its configured time, the one validate() named
+    # its file from, not the accumulated sum of steps.
+    snap_times = {round(t / config.dt): t for t in config.snapshot_times} \
+        if "snapshots" in config.outputs else {}
     series = diagnostics.DiagnosticsSeries()
     series.record(state, basis)
-    snapshots = [state] if 0 in snap_steps else []
+    snapshots = [replace(state, t=snap_times[0])] if 0 in snap_times else []
     for i in range(1, steps + 1):
         state = scheme.step(plan, state)
         series.record(state, basis)
-        if i in snap_steps:
-            snapshots.append(state)
+        if i in snap_times:
+            snapshots.append(replace(state, t=snap_times[i]))
 
     reports = kn_sweep(pot, config.kn_n_values) \
         if "kn" in config.outputs else None
@@ -287,8 +289,23 @@ def simulate(config: RunConfig) -> RunResult:
 
 
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
-    """Create `out_dir` and write the CSV files the config's outputs name."""
+    """Create `out_dir` and write the CSV files the config's outputs name;
+    a snapshot that could overflow raises OverflowError before any file."""
     config = result.config
+    if result.snapshots:
+        xs = np.linspace(config.snapshot_range[0], config.snapshot_range[1],
+                         config.snapshot_points[0])
+        vs = np.linspace(config.snapshot_range[2], config.snapshot_range[3],
+                         config.snapshot_points[1])
+        # h[i, j] = sum P_n(x_i) C[k, n] H_k(v_j), so max|C| ||P[:, i]||_1
+        # ||H[:, j]||_1 bounds |h| and every partial sum of the product.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = max(np.max(np.abs(st.C)) for st in result.snapshots) \
+                * np.max(np.abs(eval_poly_all(result.table, config.N, xs)).sum(0)) \
+                * np.max(np.abs(hermite_eval_all(config.K, vs)).sum(0))
+        if not np.isfinite(bound):
+            raise OverflowError(f"snapshot_range {config.snapshot_range} "
+                                "gives snapshot values past double precision")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     times = result.times.tolist()
@@ -304,10 +321,6 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
                    + "," * (len(diagnostics.CONSERVED_COLUMNS) - m) + "\n",
                    ((t, *row) for t, row in zip(times, result.conserved.tolist())))
     if result.snapshots:
-        xs = np.linspace(config.snapshot_range[0], config.snapshot_range[1],
-                         config.snapshot_points[0])
-        vs = np.linspace(config.snapshot_range[2], config.snapshot_range[3],
-                         config.snapshot_points[1])
         # One line per v with the v cell filled in; x and h are %-slots.
         grid_row = "".join("%%s,%.17g,%%.17g\n" % v for v in vs.tolist())
         xs_text = ["%.17g" % x for x in xs.tolist()]
@@ -340,49 +353,45 @@ def run(config: RunConfig, out_dir: Path) -> dict:
 
 
 def _load_config(args) -> RunConfig:
-    if args.preset and args.config:
-        raise ConfigError("give either --preset or --config, not both")
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {args.preset!r}; "
-                              f"known: {sorted(PRESETS)}")
-        return RunConfig.from_dict(dict(PRESETS[args.preset]))
+    if len([s for s in (args.dump_preset, args.preset, args.config) if s]) != 1:
+        raise ConfigError("give one of --dump-preset, --preset or --config")
     if args.config:
         try:
             data = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         return RunConfig.from_dict(data)
-    raise ConfigError("one of --preset or --config is required")
+    preset = args.dump_preset or args.preset
+    if preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
+    return RunConfig.from_dict(dict(PRESETS[preset]))
 
 
-# Sweep value parsers by the field's declared type; other types cannot be swept.
-_BOOL_WORDS = {"true": True, "1": True, "false": False, "0": False}
-_SWEEP_CASTERS = {int: int, float: float, bool: _BOOL_WORDS.__getitem__}
-
-
-def _parse_sweep(spec: str, config: RunConfig) -> list[tuple[str, object]]:
+def _parse_sweep(spec: str, config: RunConfig,
+                 out_dir: Path) -> tuple[list[RunConfig], list[Path]]:
+    """The validated variants of `field=v1,v2,...` and their directories."""
     if "=" not in spec:
         raise ConfigError("--sweep expects <field>=<v1,v2,...>")
     name, _, raw = spec.partition("=")
     if name not in config.__dataclass_fields__:
         raise ConfigError(f"unknown sweep field {name!r}")
-    caster = _SWEEP_CASTERS.get(typing.get_type_hints(RunConfig)[name])
-    if caster is None:
-        raise ConfigError(f"cannot sweep {name!r}: only int, float and bool "
-                          "fields take one value per variant")
     try:
-        values = [caster(v) for v in raw.split(",") if v]
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot parse sweep values {raw!r}") from exc
+        values = [json.loads(v) for v in raw.split(",") if v]
+        if not all(isinstance(v, (int, float)) for v in values):
+            raise ValueError("each value names a directory, so it must be "
+                             "a JSON number or boolean")
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse sweep values {raw!r}: {exc}") from exc
     if not values:
         raise ConfigError("empty sweep value list")
-    return [(name, v) for v in values]
-
-
-def _run_variant(payload) -> dict:
-    data, out_dir = payload
-    return run(RunConfig.from_dict(data), Path(out_dir))
+    variants = [replace(config, **{name: v}) for v in values]
+    for variant in variants:
+        variant.validate()
+    dirs = [out_dir / f"{name}_{v:g}" for v in values]
+    shared = sorted({str(d) for d in dirs if dirs.count(d) > 1})
+    if shared:
+        raise ConfigError(f"sweep values share output directories {shared}")
+    return variants, dirs
 
 
 def main(argv=None) -> int:
@@ -399,28 +408,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.dump_preset:
-            if args.dump_preset not in PRESETS:
-                raise ConfigError(f"unknown preset {args.dump_preset!r}")
-            cfg = RunConfig.from_dict(dict(PRESETS[args.dump_preset]))
-            cfg.validate()
-            print(json.dumps(asdict(cfg), indent=2))
-            return 0
         config = _load_config(args)
+        if args.dump_preset:
+            config.validate()
+            print(json.dumps(asdict(config), indent=2))
+            return 0
         out_dir = Path(args.out_dir)
         if args.sweep:
-            variants = _parse_sweep(args.sweep, config)
-            payloads = []
-            for name, value in variants:
-                data = asdict(replace(config, **{name: value}))
-                RunConfig.from_dict(data).validate()
-                payloads.append((data, str(out_dir / f"{name}_{value:g}")))
-            dirs = [d for _, d in payloads]
-            shared = sorted({d for d in dirs if dirs.count(d) > 1})
-            if shared:
-                raise ConfigError(f"sweep values share output directories {shared}")
-            with ProcessPoolExecutor(max_workers=min(len(payloads), 4)) as pool:
-                list(pool.map(_run_variant, payloads))
+            variants, dirs = _parse_sweep(args.sweep, config, out_dir)
+            with ProcessPoolExecutor(max_workers=min(len(variants), 4)) as pool:
+                list(pool.map(run, variants, dirs))
         else:
             run(config, out_dir)
         return 0

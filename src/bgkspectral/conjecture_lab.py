@@ -173,10 +173,10 @@ def kn_sweep(pot: NormalizedPotential, n_values) -> list[KNReport]:
     For each N the estimate is computed once, at the ambient size
     4 (N + pad), with pad = max(16, 2 deg(phi)) so that it leaves the room
     `estimate_kn` needs; a report is `converged` when its certified
-    truncation bound is at most 1% of each estimate.  The sweep builds its
-    own recurrence table, long enough for the largest ambient size, so the
-    values depend only on the potential and N; each report carries that
-    table's Freud residual.
+    truncation bound is at most 1% of each estimate.  The sweep builds one
+    recurrence table, long enough for the largest ambient size, so a report
+    also depends, in its last bits, on the largest N in the list; each
+    report carries that table's Freud residual.
     """
     n_values = list(n_values)
     if not n_values:

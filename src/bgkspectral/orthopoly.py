@@ -37,7 +37,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import IntegrationFailureError, PrecisionFailureError
 from .potential import NormalizedPotential, tail_cutoff
-from .weddle import panel_rule
+from .weddle import _MAX_NODES, panel_rule
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,7 @@ def build_recurrence(pot: NormalizedPotential, n_max: int) -> RecurrenceTable:
     panels = max(256, 4 * n_max)
     previous = math.inf
     while True:
-        if 6 * panels + 1 > (1 << 22):
+        if 6 * panels + 1 > _MAX_NODES:
             raise IntegrationFailureError(
                 f"Stieltjes discretization to n_max={n_max} needs "
                 f"{6 * panels + 1} nodes, past the budget of 2^22")

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgkspectral import cli, diagnostics, orthopoly
 from bgkspectral.errors import ConfigError
@@ -223,27 +225,114 @@ def test_sweep_rejects_shared_directories(tmp_path):
         assert not out.exists()
 
 
-def test_sweep_validation():
+def test_sweep_validation(tmp_path):
     cfg = cli.RunConfig.from_dict(small_config())
-    with pytest.raises(ConfigError):
-        cli._parse_sweep("K", cfg)
+
+    def swept(spec):
+        variants, dirs = cli._parse_sweep(spec, cfg, tmp_path)
+        name = spec.partition("=")[0]
+        return [getattr(v, name) for v in variants], [d.name for d in dirs]
+
+    with pytest.raises(ConfigError, match="expects"):
+        swept("K")
     for name in ("bogus", "n_max", "quad_tol"):
         with pytest.raises(ConfigError, match="unknown sweep field"):
-            cli._parse_sweep(f"{name}=1,2", cfg)
-    with pytest.raises(ConfigError):
-        cli._parse_sweep("K=", cfg)
-    assert cli._parse_sweep("dt=0.1,0.2", cfg) == [("dt", 0.1), ("dt", 0.2)]
-    for name in ("potential", "fit_window"):
-        with pytest.raises(ConfigError, match="cannot sweep"):
-            cli._parse_sweep(f"{name}=1,2", cfg)
-    with pytest.raises(ConfigError):
-        cli._parse_sweep("K=4.5", cfg)
-    # cast by the declared type, not by the current value
-    for spec, want in (("T=1,2", [1.0, 2.0]), ("K=4,6", [4, 6]),
-                       ("purge=true,0", [True, False])):
-        values = [v for _, v in cli._parse_sweep(spec, cfg)]
-        assert values == want
+            swept(f"{name}=1,2")
+    with pytest.raises(ConfigError, match="empty sweep value list"):
+        swept("K=")
+    # each value is a JSON number or boolean, which names its directory
+    for spec in ("K=four", "K=4,'6'", "fit_window=null", "snapshot_times=[]"):
+        with pytest.raises(ConfigError, match="cannot parse"):
+            swept(spec)
+    # every variant is checked by the --config rules
+    for spec, match in (("K=4.5", "is not an integer"),
+                        ("potential=1,2", "is not a list"),
+                        ("fit_window=1,2", "is not a list"),
+                        ("purge=1", "is not a boolean"),
+                        ("purge=0", "is not a boolean"),
+                        ("K=4,-1", "must be nonnegative")):
+        with pytest.raises(ConfigError, match=match):
+            swept(spec)
+    # values keep the type JSON gives them, not the field's declared type
+    for spec, want, dirs in (
+            ("dt=0.1,0.2", [0.1, 0.2], ["dt_0.1", "dt_0.2"]),
+            ("T=1,2.5", [1, 2.5], ["T_1", "T_2.5"]),
+            ("K=4,6", [4, 6], ["K_4", "K_6"]),
+            ("purge=true,false", [True, False], ["purge_1", "purge_0"])):
+        values, names = swept(spec)
+        assert values == want and names == dirs
         assert [type(v) for v in values] == [type(v) for v in want]
+
+
+def test_sweep_runs_every_variant_in_its_own_directory_or_none(tmp_path):
+    # One step of a small run per variant.  Values that fail validation or
+    # print alike under {value:g} (T = 0.1 and 0.1 + 1e-11 are both one
+    # step) exit 2 before anything runs; no variant overwrites another.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config(dt=0.1, T=0.1)))
+    codes = []
+    t_values = st.one_of(st.sampled_from([0.1, 0.2, 0.1 + 1e-11, 1, 1.0000002]),
+                         st.floats(0.05, 0.35))
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(st.one_of(
+        st.tuples(st.just("K"), st.lists(st.integers(0, 8), min_size=1, max_size=3)),
+        st.tuples(st.just("T"), st.lists(t_values, min_size=1, max_size=3)),
+        st.tuples(st.just("purge"), st.lists(st.booleans(), min_size=1, max_size=3))))
+    def sweep(case):
+        name, values = case
+        out = tmp_path / f"out{len(codes)}"
+        codes.append(cli.main(["--config", str(cfg), "--out-dir", str(out), "--sweep",
+                               f"{name}=" + ",".join(json.dumps(v) for v in values)]))
+        if codes[-1] == 0:
+            dirs = {f"{name}_{v:g}" for v in values}
+            assert len(dirs) == len(values)
+            assert sorted(p.name for p in out.iterdir()) == sorted(dirs)
+            assert all((out / d / "norms.csv").exists() for d in dirs)
+        else:
+            assert codes[-1] == 2 and not out.exists()
+
+    sweep()
+    assert 0 in codes and 2 in codes
+
+
+def test_more_than_one_source_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config()))
+    out = tmp_path / "o"
+    for argv in (["--dump-preset", "harmonic_fig1", "--preset", "harmonic_fig1"],
+                 ["--dump-preset", "harmonic_fig1", "--config", str(cfg)],
+                 ["--preset", "harmonic_fig1", "--config", str(cfg)]):
+        assert cli.main(argv + ["--out-dir", str(out)]) == 2
+        assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_snapshot_carries_its_configured_time(tmp_path):
+    # Three steps of 0.1 add up to 0.30000000000000004; the snapshot keeps
+    # the configured 0.3, the time validate() checked its file name from.
+    data = small_config(dt=0.1, T=0.3, outputs=["snapshots"],
+                        snapshot_times=[0.3], snapshot_points=[2, 2])
+    result = cli.simulate(cli.RunConfig.from_dict(data))
+    assert result.times[-1] == 0.1 + 0.1 + 0.1 != 0.3
+    (snap,) = result.snapshots
+    assert snap.t == 0.3
+    cli.write_artifacts(result, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["snapshot_0.3.csv"]
+
+
+def test_overflowing_snapshot_range_exits_3_before_any_file(tmp_path, capsys):
+    # At x = +-1e200 the P_n values overflow; numpy would write nan cells.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(
+        cli.PRESETS["doublewell_fig3"], outputs=["norms", "snapshots"],
+        snapshot_times=[0.0], snapshot_range=[-1e200, 1e200, -4, 4],
+        snapshot_points=[3, 3])))
+    out = tmp_path / "o"
+    assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "OverflowError" in err and "snapshot_range [-1e+200" in err
 
 
 def test_sweep_of_N_sizes_the_recurrence(tmp_path):

@@ -278,6 +278,16 @@ def test_sweep_leaves_room_for_high_degree():
     assert all(math.isfinite(v) and v > 0 for v in report.kn)
 
 
+def test_sweep_values_depend_on_the_largest_n_only_in_the_last_bits(
+        doublewell_pot):
+    # The sweep sizes its one table for the largest N in the list, so N=16
+    # alone and beside N=128 come from tables of different lengths.
+    (alone,) = bk.kn_sweep(doublewell_pot, [16])
+    beside = bk.kn_sweep(doublewell_pot, [16, 128])[0]
+    np.testing.assert_allclose(beside.kn, alone.kn, rtol=1e-13, atol=0)
+    assert beside.converged == alone.converged
+
+
 def test_sweep_builds_its_own_table(harmonic_pot):
     reports = bk.kn_sweep(harmonic_pot, [2])
     assert len(reports) == 1
