@@ -2,10 +2,11 @@
 
 Velocity is discretized on orthonormal Hermite polynomials, space on the
 orthonormal polynomials of the weight exp(-phi) for an even polynomial
-potential phi, and time by implicit Euler.  The discretization preserves the
-conservation laws of the continuous model exactly and, in exact arithmetic,
-keeps the norm of the perturbation non-increasing step by step; in floating
-point it can rise by one ulp, which `summary["norm_increases"]` counts.
+potential phi, and time by implicit Euler.  On the truncations it enforces,
+N >= deg(phi) and K >= 2, the discretization preserves the conservation laws
+exactly and, in exact arithmetic, keeps the norm non-increasing step by step;
+in floating point it can rise by one ulp, which `summary["norm_increases"]`
+counts.
 """
 
 from .conjecture_lab import KNReport, estimate_kn, kn_sweep

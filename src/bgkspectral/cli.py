@@ -99,8 +99,9 @@ class RunConfig:
             raise ConfigError(
                 f"N={self.N} violates the truncation requirement N >= deg(phi) = {degree}"
             )
-        if self.K < 0:
-            raise ConfigError("K must be nonnegative")
+        if self.K < 2:
+            raise ConfigError(f"K={self.K} violates the truncation requirement "
+                              "K >= 2, the energy mode k = 2")
         if any(n < 0 for n in self.kn_n_values):
             raise ConfigError(f"kn_n_values: {self.kn_n_values} has a negative entry")
         if not isinstance(self.purge, bool):
@@ -115,6 +116,7 @@ class RunConfig:
         bad = [name for name in self.outputs if name not in KNOWN_OUTPUTS]
         if bad:
             raise ConfigError(f"unknown outputs: {bad}")
+        given: set = set()
         for entry in self.initial:
             try:
                 k, n, value = entry
@@ -126,6 +128,9 @@ class RunConfig:
                                   "integers and the value a finite number")
             if not (0 <= k <= self.K and 0 <= n <= self.N):
                 raise ConfigError(f"initial coefficient ({k}, {n}) out of range")
+            if (k, n) in given:
+                raise ConfigError(f"initial coefficient ({k}, {n}) given twice")
+            given.add((k, n))
         if len(self.snapshot_range) != 4 or len(self.snapshot_points) != 2:
             raise ConfigError("snapshot_range needs 4 entries, snapshot_points 2")
         if any(p < 2 for p in self.snapshot_points):

@@ -145,12 +145,14 @@ def assemble_generator(band: np.ndarray, K: int) -> Generator:
     A[r, n] = band[r - n, n]; `build_phi_matrix` leaves exact zeros past
     row N, so every coupling stays inside the truncation.
 
-    Requires N >= deg(phi): otherwise phi' leaves the retained polynomial
-    space and the discrete conservation identities silently break, so the
-    violation is an error rather than a warning.
+    Requires N >= deg(phi) and K >= 2: otherwise phi' leaves the retained
+    polynomial space or the energy, velocity mode k = 2, is dropped, and the
+    discrete conservation identities silently break, so the violation is an
+    error rather than a warning.
     """
-    if K < 0:
-        raise ValueError(f"K={K} is negative")
+    if K < 2:
+        raise ValueError(f"truncation K={K} below 2; the conservation "
+                         "structure requires K >= 2, the energy mode")
     deg, N = band.shape[0], band.shape[1] - 1
     if N < deg:
         raise ValueError(
@@ -190,7 +192,7 @@ def make_stepping_plan(gen: Generator, dt: float) -> SteppingPlan:
     even = k % 2 == 0
     m = gen.matrix.tocoo()
     # A's widest offset is deg(phi) - 1.
-    half_deg = (int(np.max(np.abs(n[m.row] - n[m.col]), initial=0)) + 1) // 2
+    half_deg = (int(np.max(np.abs(n[m.row] - n[m.col]))) + 1) // 2
     ev = np.flatnonzero(even)
     order = ev[np.lexsort((k[ev], n[ev] // 2 + half_deg * (k[ev] // 2),
                            (k[ev] + n[ev]) % 2))]
@@ -232,8 +234,6 @@ def make_stepping_plan(gen: Generator, dt: float) -> SteppingPlan:
 
 def _coupled_bandwidth(rows: np.ndarray, cols: np.ndarray) -> int:
     """Bandwidth of W W^T from the pattern of W: the widest row span of a column."""
-    if len(rows) == 0:
-        return 0
     by_col = np.lexsort((rows, cols))
     rows, cols = rows[by_col], cols[by_col]
     starts = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])

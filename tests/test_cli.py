@@ -108,6 +108,23 @@ def test_validation_catches_bad_fields(tmp_path):
             cli.RunConfig.from_dict(data).validate()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    # K = 1 drops the energy mode k = 2, so the energy of this run would
+    # drift by 0.0915.
+    (dict(K=1, N=6, dt=0.01, T=1.0,
+          initial=[[0, 1, 1.0], [0, 2, 0.5], [1, 1, 0.3]]), "K >= 2"),
+    # A repeated (k, n) would overwrite the first value.
+    (dict(initial=[[0, 1, 1.0], [0, 1, 2.0]]), r"\(0, 1\) given twice"),
+], ids=["K_below_2", "repeated_initial"])
+def test_rejected_config_exits_2_with_its_reason(tmp_path, capsys, overrides,
+                                                 message):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(small_config(**overrides)))
+    assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert re.search(message, capsys.readouterr().err)
+
+
 def test_list_field_of_wrong_type_exits_2(tmp_path):
     # `initial` takes [k, n, value] triples only, not a preset's name.
     for i, data in enumerate((small_config(initial=[5]), small_config(potential=2),
@@ -250,7 +267,8 @@ def test_sweep_validation(tmp_path):
                         ("fit_window=1,2", "is not a list"),
                         ("purge=1", "is not a boolean"),
                         ("purge=0", "is not a boolean"),
-                        ("K=4,-1", "must be nonnegative")):
+                        ("K=4,-1", "K >= 2"),
+                        ("K=1", "K >= 2")):
         with pytest.raises(ConfigError, match=match):
             swept(spec)
     # values keep the type JSON gives them, not the field's declared type

@@ -37,15 +37,21 @@ def doublewell_setup(doublewell_table):
 
 
 def test_hand_assembled_small_generator(harmonic_setup):
-    # K = 1, N = 2 (smallest truncation the degree requirement allows).
-    # Couplings: d/dt C_{0,1} = C_{1,0}; d/dt C_{0,2} = sqrt(2) C_{1,1};
-    # the k = 1 row is minus the transpose.  Index (k, n) -> 3k + n.
-    _, gen, _ = harmonic_setup(1, 2)
-    expect = np.zeros((6, 6))
+    # K = 2, N = 2, the smallest truncation both rules (N >= deg(phi) and
+    # K >= 2) allow.  Couplings: d/dt C_{0,1} = C_{1,0};
+    # d/dt C_{0,2} = sqrt(2) C_{1,1}; d/dt C_{1,1} = sqrt(2) C_{2,0};
+    # d/dt C_{1,2} = 2 C_{2,1}; each coupling's transpose enters with a minus
+    # sign, and no mode is damped.  Index (k, n) -> 3k + n.
+    _, gen, _ = harmonic_setup(2, 2)
+    expect = np.zeros((9, 9))
     expect[1, 3] = 1.0
     expect[2, 4] = math.sqrt(2.0)
+    expect[4, 6] = math.sqrt(2.0)
+    expect[5, 7] = 2.0
     expect[3, 1] = -1.0
     expect[4, 2] = -math.sqrt(2.0)
+    expect[6, 4] = -math.sqrt(2.0)
+    expect[7, 5] = -2.0
     assert np.max(np.abs(gen.matrix.toarray() - expect)) <= 1e-13
 
 
@@ -98,8 +104,11 @@ def test_truncation_requirement_enforced(doublewell_setup, doublewell_table):
     dc = bk.build_deriv_couplings(doublewell_table, 3)
     with pytest.raises(ValueError, match="N >= deg"):
         bk.assemble_generator(dc.A, 5)
-    with pytest.raises(ValueError):
-        bk.assemble_generator(dc.A, -1)
+    # Energy is the velocity mode k = 2, so K < 2 cannot conserve it.
+    band = bk.build_deriv_couplings(doublewell_table, 30).A
+    for K in (-1, 0, 1):
+        with pytest.raises(ValueError, match="K >= 2"):
+            bk.assemble_generator(band, K)
 
 
 def test_zero_state_stays_zero(harmonic_setup):
@@ -177,7 +186,7 @@ def _kron_generator(dc, K, N):
     return m
 
 
-@pytest.mark.parametrize("K", [0, 1, 2, 3, 20])
+@pytest.mark.parametrize("K", [2, 3, 20])
 def test_generator_matches_the_kronecker_oracle(doublewell_table, K):
     # M = up (x) A + low (x) A^T + damp (x) I, entry for entry and bit for bit.
     dc = bk.build_deriv_couplings(doublewell_table, 30)
