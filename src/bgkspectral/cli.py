@@ -116,7 +116,7 @@ class RunConfig:
         bad = [name for name in self.outputs if name not in KNOWN_OUTPUTS]
         if bad:
             raise ConfigError(f"unknown outputs: {bad}")
-        given: set = set()
+        given, width = set(), int(self.N) + 1
         for entry in self.initial:
             try:
                 k, n, value = entry
@@ -128,9 +128,10 @@ class RunConfig:
                                   "integers and the value a finite number")
             if not (0 <= k <= self.K and 0 <= n <= self.N):
                 raise ConfigError(f"initial coefficient ({k}, {n}) out of range")
-            if (k, n) in given:
+            key = int(k) * width + int(n)
+            if key in given:
                 raise ConfigError(f"initial coefficient ({k}, {n}) given twice")
-            given.add((k, n))
+            given.add(key)
         if len(self.snapshot_range) != 4 or len(self.snapshot_points) != 2:
             raise ConfigError("snapshot_range needs 4 entries, snapshot_points 2")
         if any(p < 2 for p in self.snapshot_points):
@@ -152,14 +153,17 @@ class RunConfig:
 
 
 # Concrete types, not the numbers ABCs: an ABC check costs about 1 us, and
-# validate() runs them over every `initial` entry.
+# validate() runs them over every `initial` entry.  The exact int and float
+# that JSON gives pass on the first test; any other value takes the full one.
 def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, (int, np.integer))
+                                  and not isinstance(value, bool))
 
 
 def _is_finite(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) \
-        and not isinstance(value, bool) and math.isfinite(value)
+    return (type(value) is float
+            or isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)) and math.isfinite(value)
 
 
 PRESETS: dict[str, dict] = {

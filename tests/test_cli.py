@@ -125,6 +125,76 @@ def test_rejected_config_exits_2_with_its_reason(tmp_path, capsys, overrides,
     assert re.search(message, capsys.readouterr().err)
 
 
+class _Int(int):
+    pass
+
+
+# (label, cast, accepted) for the k, n, K and N slots; (label, value,
+# accepted) for the value slot.  A rejected type makes the second and the
+# third `initial` entries offend.
+_COUNT_TYPES = [
+    ("int", int, True), ("np.int64", np.int64, True), ("np.int32", np.int32, True),
+    ("int_subclass", _Int, True), ("True", lambda v: True, False),
+    ("np.True_", lambda v: np.True_, False), ("float", float, False),
+    ("str", str, False), ("None", lambda v: None, False),
+]
+_VALUE_TYPES = [
+    ("float", 0.5, True), ("int", 2, True), ("np.float32", np.float32(0.5), True),
+    ("np.float64", np.float64(0.5), True), ("nan", math.nan, False),
+    ("inf", math.inf, False), ("np.nan", np.float64(math.nan), False),
+    ("np.inf", np.float64(math.inf), False), ("np.float32_inf", np.float32(math.inf), False),
+    ("True", True, False),
+]
+
+
+def _validates(data) -> bool:
+    try:
+        cli.RunConfig.from_dict(data).validate()
+    except ConfigError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("label, cast, accepted", _COUNT_TYPES,
+                         ids=[c[0] for c in _COUNT_TYPES])
+@pytest.mark.parametrize("slot", ["k", "n", "K", "N"])
+def test_validate_accepts_exactly_the_integer_types(slot, label, cast,
+                                                    accepted):
+    if slot in ("K", "N"):
+        data = small_config(**{slot: cast(small_config()[slot])})
+        assert _validates(data) is accepted
+        return
+    bad = [cast(1), 1, 0.5] if slot == "k" else [2, cast(1), 0.5]
+    data = small_config(initial=[[1, 2, 1.0], bad, [cast(0), cast(0), 0.5]])
+    if accepted:
+        assert _validates(data)
+        return
+    # The message names the first offending entry, not a later one.
+    with pytest.raises(ConfigError, match=re.escape(f"initial entry {bad}:")):
+        cli.RunConfig.from_dict(data).validate()
+
+
+@pytest.mark.parametrize("label, value, accepted", _VALUE_TYPES,
+                         ids=[c[0] for c in _VALUE_TYPES])
+def test_validate_accepts_exactly_the_finite_value_types(label, value,
+                                                         accepted):
+    bad = [2, 1, value]
+    data = small_config(initial=[[1, 2, 1.0], bad, [0, 0, value]])
+    if accepted:
+        assert _validates(data)
+        return
+    with pytest.raises(ConfigError, match=re.escape(f"initial entry {bad}:")):
+        cli.RunConfig.from_dict(data).validate()
+
+
+@pytest.mark.parametrize("entry", [[1, 2], [1, 2, 0.5, 0.5], 5],
+                         ids=["length_2", "length_4", "not_iterable"])
+def test_validate_rejects_an_entry_that_is_not_a_triple(entry):
+    data = small_config(initial=[[1, 2, 1.0], entry, [0, 0]])
+    with pytest.raises(ConfigError, match=re.escape(f"(k, n, value): {entry!r}")):
+        cli.RunConfig.from_dict(data).validate()
+
+
 def test_list_field_of_wrong_type_exits_2(tmp_path):
     # `initial` takes [k, n, value] triples only, not a preset's name.
     for i, data in enumerate((small_config(initial=[5]), small_config(potential=2),

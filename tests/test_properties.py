@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
+from scipy.linalg import cholesky_banded
 from scipy.sparse.linalg import splu
 
 import bgkspectral as bk
@@ -227,6 +229,78 @@ def test_pivot_free_step_meets_the_gate_and_the_pivoting_oracle(drawn, K,
     assert np.linalg.norm(plan.system @ x - b) <= 1e-12 * np.linalg.norm(b)
     oracle = splu(plan.system.tocsc()).solve(b)
     assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def _upper_storage_plan(gen, dt):
+    """Band, restrict and extend of `make_stepping_plan`, built the direct way:
+    S factored in upper band storage, the maps as perm +- coupling, and the
+    bandwidth from W's pattern sorted by column."""
+    K, N = gen.K, gen.N
+    dim = (K + 1) * (N + 1)
+    k, n = np.divmod(np.arange(dim), N + 1)
+    t = 1.0 + dt * (k >= 3)
+    even = k % 2 == 0
+    m = gen.matrix.tocoo()
+    half_deg = (int(np.max(np.abs(n[m.row] - n[m.col]))) + 1) // 2
+    ev = np.flatnonzero(even)
+    order = ev[np.lexsort((k[ev], n[ev] // 2 + half_deg * (k[ev] // 2),
+                           (k[ev] + n[ev]) % 2))]
+    n_e = len(order)
+    pos = np.zeros(dim, dtype=np.intp)
+    pos[order] = np.arange(n_e)
+    sel = even[m.row] & ~even[m.col]
+    g_rows, g_cols = pos[m.row[sel]], m.col[sel]
+    g = dt * m.data[sel]
+    w = sp.csr_matrix((g / np.sqrt(t[g_cols]), (g_rows, g_cols)),
+                      shape=(n_e, dim))
+    by_col = np.lexsort((g_rows, g_cols))
+    rows, cols = g_rows[by_col], g_cols[by_col]
+    starts = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
+    ends = np.r_[starts[1:], len(rows)] - 1
+    kd = int(np.max(rows[ends] - rows[starts]))
+    s = (w @ w.T).tocoo()
+    upper = s.row <= s.col
+    band = np.zeros((kd + 1, n_e), order="F")
+    band[kd + s.row[upper] - s.col[upper], s.col[upper]] = s.data[upper]
+    band[kd] += t[order]
+    band = cholesky_banded(band, lower=False, check_finite=False)
+    perm = sp.csr_matrix((np.ones(n_e), (np.arange(n_e), order)),
+                         shape=(n_e, dim))
+    coupling = sp.csr_matrix((g / t[g_cols], (g_rows, g_cols)),
+                             shape=(n_e, dim))
+    return band, perm + coupling, (perm - coupling).T.tocsr()
+
+
+def _same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(potentials_and_sizes(), st.integers(2, 60), st.floats(-4.0, 2.0))
+# The widest band of the domain (kd = 58), past LAPACK's blocked-code switch.
+@example(([0.0, 1.0, -3.0, 0.5, 0.2], 150), 60, 2.0)
+def test_stepping_plan_matches_the_upper_storage_oracle_bit_for_bit(drawn, K,
+                                                                    log_dt):
+    # The plan factors S in lower band storage and moves the factor into the
+    # upper storage the solve reads; it builds each map once from triplets.
+    # Neither may move a bit of the factor, the maps or the system.
+    coeffs, N = drawn
+    table = _drawn_table(coeffs, N)
+    if table is None:
+        return
+    gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K)
+    dt = 10.0 ** log_dt
+    plan = bk.make_stepping_plan(gen, dt)
+    band, restrict, extend = _upper_storage_plan(gen, dt)
+    assert _same_bytes(plan.lu.band, band) and plan.lu.band.flags.f_contiguous
+    for got, want in ((plan.lu.restrict, restrict), (plan.lu.extend, extend)):
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert _same_bytes(getattr(got, name), getattr(want, name))
+    system = (sp.identity(gen.matrix.shape[0], format="csr")
+              - dt * gen.matrix)
+    for name in ("indptr", "indices", "data"):
+        assert _same_bytes(getattr(plan.system, name), getattr(system, name))
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
