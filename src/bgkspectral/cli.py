@@ -33,7 +33,7 @@ MAX_STEPS = 10 ** 7
 
 # Failures of a validated run, reported by main() with exit code 3.
 NUMERICAL_ERRORS = (InvalidPotentialError, ArithmeticError, RuntimeError,
-                    np.linalg.LinAlgError)
+                    np.linalg.LinAlgError, MemoryError)
 
 
 @dataclass
@@ -90,29 +90,27 @@ class RunConfig:
         for name, value in reals:
             if not _is_finite(value):
                 raise ConfigError(f"{name}: {value!r} is not a finite number")
-        if len(self.potential) < 2:
-            raise ConfigError("potential: need at least two even-power coefficients")
-        if self.potential[-1] <= 0:
-            raise ConfigError("potential: leading coefficient must be positive")
-        degree = 2 * (len(self.potential) - 1)
-        if self.N < degree:
-            raise ConfigError(
-                f"N={self.N} violates the truncation requirement N >= deg(phi) = {degree}"
-            )
-        if self.K < 2:
-            raise ConfigError(f"K={self.K} violates the truncation requirement "
-                              "K >= 2, the energy mode k = 2")
+        # The code that runs the potential and the truncation owns their rules.
+        try:
+            scheme.check_truncation(self.K, self.N,
+                                    RawPotential(tuple(self.potential)).degree)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if any(n < 0 for n in self.kn_n_values):
             raise ConfigError(f"kn_n_values: {self.kn_n_values} has a negative entry")
         if not isinstance(self.purge, bool):
             raise ConfigError(f"purge: {self.purge!r} is not a boolean")
         if self.dt <= 0 or self.T <= 0:
             raise ConfigError("dt and T must be positive")
-        steps = self.T / self.dt
+        # A quotient past double range is inf, which the checks reject;
+        # numpy scalars would also warn of it.
+        with np.errstate(over="ignore"):
+            steps = self.T / self.dt
+            snapshot_steps = [t / self.dt for t in self.snapshot_times]
+        if not steps < MAX_STEPS + 0.5:
+            raise ConfigError(f"T/dt = {steps} exceeds {MAX_STEPS} steps")
         if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
             raise ConfigError(f"T/dt = {steps} is not an integer step count")
-        if round(steps) > MAX_STEPS:
-            raise ConfigError(f"step count {round(steps)} exceeds {MAX_STEPS}")
         bad = [name for name in self.outputs if name not in KNOWN_OUTPUTS]
         if bad:
             raise ConfigError(f"unknown outputs: {bad}")
@@ -136,12 +134,19 @@ class RunConfig:
             raise ConfigError("snapshot_range needs 4 entries, snapshot_points 2")
         if any(p < 2 for p in self.snapshot_points):
             raise ConfigError("snapshot_points entries must be >= 2")
+        # numpy indexes no array past intp-max bytes; the run's float64 arrays
+        # are the (K + 1, N + 1) state, the snapshot grid and its two bases.
+        k1, n1 = int(self.K) + 1, int(self.N) + 1
+        p, q = map(int, self.snapshot_points)
+        if max(k1 * n1, p * q, n1 * p, k1 * q) > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"K={self.K}, N={self.N} and snapshot_points "
+                              f"{self.snapshot_points} need an array past the "
+                              "size numpy can index")
         names: dict[str, int] = {}
-        for t in self.snapshot_times:
+        for t, at in zip(self.snapshot_times, snapshot_steps):
             if t < 0 or t > self.T + 1e-12:
                 raise ConfigError(f"snapshot time {t} outside [0, T]")
-            at = t / self.dt
-            if abs(at - round(at)) > 1e-9 * max(at, 1.0):
+            if not math.isfinite(at) or abs(at - round(at)) > 1e-9 * max(at, 1.0):
                 raise ConfigError(f"snapshot time {t} is not a multiple of dt={self.dt}")
             name = f"snapshot_{t:g}.csv"
             if names.setdefault(name, round(at)) != round(at):
@@ -160,10 +165,13 @@ def _is_int(value) -> bool:
                                   and not isinstance(value, bool))
 
 
+# An int past double range is not finite either; math.isfinite would raise
+# OverflowError converting it, so ints are compared with the range instead.
 def _is_finite(value) -> bool:
-    return (type(value) is float
-            or isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool)) and math.isfinite(value)
+    if type(value) is float or isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 PRESETS: dict[str, dict] = {
@@ -367,7 +375,7 @@ def _load_config(args) -> RunConfig:
     if args.config:
         try:
             data = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:   # also not UTF-8, or past int digits
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         return RunConfig.from_dict(data)
     preset = args.dump_preset or args.preset

@@ -134,6 +134,18 @@ class SteppingPlan:
     N: int
 
 
+def check_truncation(K: int, N: int, degree: int) -> None:
+    """Raise ValueError unless N >= deg(phi) = `degree` and K >= 2: otherwise
+    phi' leaves the retained polynomial space or the energy, velocity mode
+    k = 2, is dropped, and the discrete conservation identities break."""
+    if K < 2:
+        raise ValueError(f"truncation K={K} below 2; the conservation "
+                         "structure requires K >= 2, the energy mode")
+    if N < degree:
+        raise ValueError(f"truncation N={N} below the potential degree {degree}; "
+                         "the conservation structure requires N >= deg(phi)")
+
+
 def assemble_generator(band: np.ndarray, K: int) -> Generator:
     """Assemble the generator for truncation parameters (K, N) from Phi's lower band.
 
@@ -145,20 +157,10 @@ def assemble_generator(band: np.ndarray, K: int) -> Generator:
     A[r, n] = band[r - n, n]; `build_phi_matrix` leaves exact zeros past
     row N, so every coupling stays inside the truncation.
 
-    Requires N >= deg(phi) and K >= 2: otherwise phi' leaves the retained
-    polynomial space or the energy, velocity mode k = 2, is dropped, and the
-    discrete conservation identities silently break, so the violation is an
-    error rather than a warning.
+    `check_truncation` raises ValueError unless N >= deg(phi) and K >= 2.
     """
-    if K < 2:
-        raise ValueError(f"truncation K={K} below 2; the conservation "
-                         "structure requires K >= 2, the energy mode")
     deg, N = band.shape[0], band.shape[1] - 1
-    if N < deg:
-        raise ValueError(
-            f"truncation N={N} below the potential degree {deg}; "
-            "the conservation structure requires N >= deg(phi)"
-        )
+    check_truncation(K, N, deg)
     s, n = np.nonzero(band)
     r = n + s
     k = np.repeat(np.arange(K), len(r))

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgkspectral import cli, diagnostics, orthopoly
+from bgkspectral import cli, diagnostics, orthopoly, scheme
 from bgkspectral.errors import ConfigError
 from bgkspectral.orthopoly import build_recurrence, freud_residual
+from bgkspectral.potential import RawPotential
 
 
 def small_config(**overrides):
@@ -102,6 +103,8 @@ def test_validation_catches_bad_fields(tmp_path):
         small_config(purge="no"),               # a truthy string
         small_config(purge=1),
         small_config(purge=None),
+        small_config(T=1e300, dt=1e-300),       # T/dt past double range
+        small_config(dt=5e-324, T=5e-324, snapshot_times=[1e-13]),  # t/dt too
     ]
     for data in cases:
         with pytest.raises(ConfigError):
@@ -143,7 +146,7 @@ _VALUE_TYPES = [
     ("np.float64", np.float64(0.5), True), ("nan", math.nan, False),
     ("inf", math.inf, False), ("np.nan", np.float64(math.nan), False),
     ("np.inf", np.float64(math.inf), False), ("np.float32_inf", np.float32(math.inf), False),
-    ("True", True, False),
+    ("True", True, False), ("int_past_double", 10 ** 400, False),
 ]
 
 
@@ -193,6 +196,92 @@ def test_validate_rejects_an_entry_that_is_not_a_triple(entry):
     data = small_config(initial=[[1, 2, 1.0], entry, [0, 0]])
     with pytest.raises(ConfigError, match=re.escape(f"(k, n, value): {entry!r}")):
         cli.RunConfig.from_dict(data).validate()
+
+
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(initial=[[1, 2, _HUGE]]), dict(dt=_HUGE), dict(T=_HUGE),
+    dict(potential=[0.0, _HUGE]), dict(potential=[-_HUGE, 0.5]),
+    dict(snapshot_times=[_HUGE]), dict(snapshot_range=[-1, 1, -1, _HUGE]),
+    dict(fit_window=[0.0, _HUGE]),
+    # Sizes whose arrays numpy cannot index.
+    dict(K=_HUGE), dict(N=_HUGE), dict(snapshot_points=[_HUGE, 2]),
+    dict(snapshot_points=[2, 2 ** 62]), dict(K=2 ** 61, N=4),
+], ids=["initial", "dt", "T", "potential_lead", "potential_constant",
+        "snapshot_times", "snapshot_range", "fit_window", "K", "N",
+        "snapshot_points", "snapshot_points_past_intp", "K_times_N_past_intp"])
+def test_numbers_past_double_range_or_numpy_sizes_exit_2(tmp_path, capsys,
+                                                         overrides):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(small_config(**overrides)))
+    assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_config_file_json_cannot_parse_exits_2(tmp_path):
+    # Past 4300 digits Python refuses to parse an int; bytes that are not
+    # UTF-8 are no JSON text.
+    for i, text in enumerate(['{"K": %s}' % ("1" * 5000), b"\xff\xfe{}"]):
+        cfg = tmp_path / f"cfg{i}.json"
+        (cfg.write_bytes if isinstance(text, bytes) else cfg.write_text)(text)
+        assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_sizes_numpy_can_index_are_valid_and_a_failed_allocation_exits_3(
+        tmp_path, capsys, monkeypatch):
+    # K = 10**12 needs a 36 TiB state: numpy can describe it, so the config
+    # is valid and the run fails where it allocates.  The allocation is
+    # stubbed; a real one can succeed lazily under memory overcommit.
+    for sizes in (dict(K=10 ** 12), dict(snapshot_points=[10 ** 12, 2])):
+        cli.RunConfig.from_dict(small_config(**sizes)).validate()
+
+    def no_memory(*args):
+        raise MemoryError("cannot allocate the state")
+
+    monkeypatch.setattr(cli.scheme, "project_initial_condition", no_memory)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(small_config()))
+    assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 3
+    assert not out.exists()
+    assert "numerical failure (MemoryError): cannot allocate" in capsys.readouterr().err
+
+
+def _owner_error(potential, K, N):
+    """The ValueError RawPotential or assemble_generator raises, or None."""
+    try:
+        degree = RawPotential(tuple(potential)).degree
+        scheme.assemble_generator(np.zeros((degree, N + 1)), K)
+    except ValueError as exc:
+        return exc
+    return None
+
+
+# Boundary potentials, then K in {1, 2} and N in {deg - 1, deg} for degree
+# 2, 4 and 6.
+_DOMAIN_EDGES = [
+    ([1.0], 6, 4), ([1.0, 0.0], 6, 4), ([1.0, -1.0], 6, 4),
+    ([1.0, 1e-300], 6, 4), ([], 6, 4),
+] + [(coeffs, K, N) for coeffs in ([0.0, 1.0], [1.0, -2.0, 1.0], [0.0, 1.0, 0.0, 0.5])
+     for K in (1, 2) for N in (2 * len(coeffs) - 3, 2 * len(coeffs) - 2)]
+
+
+@pytest.mark.parametrize("potential, K, N", _DOMAIN_EDGES,
+                         ids=[f"phi={','.join(map(str, p))}-K{K}-N{N}"
+                              for p, K, N in _DOMAIN_EDGES])
+def test_validate_accepts_what_the_potential_and_the_scheme_accept(potential,
+                                                                   K, N):
+    # validate() states neither rule; it carries the owner's message.
+    want = _owner_error(potential, K, N)
+    data = small_config(potential=potential, K=K, N=N, initial=[])
+    if want is None:
+        assert _validates(data)
+        return
+    with pytest.raises(ConfigError) as err:
+        cli.RunConfig.from_dict(data).validate()
+    assert str(err.value) == str(want)
 
 
 def test_list_field_of_wrong_type_exits_2(tmp_path):

@@ -9,6 +9,7 @@ rotation, the norm never increases, and `cli.run` writes exactly what
 """
 
 import contextlib
+import copy
 import io
 import tempfile
 from pathlib import Path
@@ -153,6 +154,56 @@ def test_every_validated_config_runs_or_fails_typed(data):
         return
     c = result.conserved
     assert np.max(np.abs(c[:, :2] - c[0, :2])) <= 1e-12 * result.norms[0]
+
+
+# A valid config whose numeric slots the draw replaces: every value a JSON
+# file or a Python caller can put there, in and out of the domain.
+_VALID = {"potential": [1.0, -2.0, 1.0], "K": 6, "N": 4, "dt": 0.05, "T": 1.0,
+          "initial": [[1, 2, 1.0], [2, 1, 0.5]], "snapshot_times": [0.0, 0.5],
+          "snapshot_range": [-1.0, 1.0, -1.0, 1.0], "snapshot_points": [5, 4],
+          "fit_window": [0.2, 1.0], "kn_n_values": [4, 8]}
+_SLOTS = [("K",), ("N",), ("dt",), ("T",)] + [
+    (name, i) for name in ("potential", "snapshot_times", "snapshot_range",
+                           "snapshot_points", "fit_window", "kn_n_values")
+    for i in range(len(_VALID[name]))] + [
+    ("initial", e, j) for e in range(2) for j in range(3)]
+_ANY_NUMBER = st.one_of(
+    st.integers(-3, 40), st.floats(-2.0, 2.0),
+    st.integers(-10 ** 400, 10 ** 400),
+    st.floats(),                                  # nan, +-inf, subnormals
+    st.booleans(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.text(max_size=2), st.none())
+
+
+@st.composite
+def configs_with_any_numbers(draw):
+    data = copy.deepcopy(_VALID)
+    for *path, last in draw(st.lists(st.sampled_from(_SLOTS), min_size=1,
+                                     max_size=4, unique=True)):
+        slot = data
+        for key in path:
+            slot = slot[key]
+        slot[last] = draw(_ANY_NUMBER)
+    return data
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(configs_with_any_numbers())
+def test_config_failures_are_typed(data):
+    # validate() returns or raises ConfigError, never another exception or
+    # warning; what it accepts has arrays numpy can describe, which
+    # broadcast_to checks without allocating them.
+    config = cli.RunConfig(**data)
+    try:
+        config.validate()
+    except ConfigError:
+        return
+    k1, n1 = config.K + 1, config.N + 1
+    p, q = config.snapshot_points
+    for shape in ((k1, n1), (p, q), (n1, p), (k1, q)):
+        np.broadcast_to(np.float64(0.0), shape)
 
 
 def _drawn_table(coeffs, N):
