@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diagnostics, scheme
 from .conjecture_lab import KNReport, kn_sweep
-from .errors import ConfigError, InvalidPotentialError
+from .errors import ConfigError, InvalidPotentialError, describe
 # benchmarks/spans.py traces build_deriv_couplings (counting the nonzeros of
 # its `.A`, Phi's lower band, which the generator takes) and build_quadrature
 # (not called here) by these names; only those hooks keep DerivCouplings,
@@ -30,6 +30,10 @@ DOUBLE_WELL_COEFFS = [1.0, -2.0, 1.0]
 KNOWN_OUTPUTS = ("norms", "conserved", "snapshots", "recurrence", "kn")
 
 MAX_STEPS = 10 ** 7
+
+# The x and v points of every snapshot.
+SNAPSHOT_GRID = np.linspace(-4.0, 4.0, 201)
+SNAPSHOT_GRID.flags.writeable = False
 
 # Failures of a validated run, reported by main() with exit code 3.
 NUMERICAL_ERRORS = (InvalidPotentialError, ArithmeticError, RuntimeError,
@@ -47,15 +51,12 @@ class RunConfig:
     purge: bool = False
     outputs: list[str] = field(default_factory=lambda: ["norms", "conserved"])
     snapshot_times: list[float] = field(default_factory=list)
-    snapshot_range: list[float] = field(default_factory=lambda: [-4.0, 4.0, -4.0, 4.0])
-    snapshot_points: list[int] = field(default_factory=lambda: [201, 201])
-    fit_window: list[float] | None = None
     kn_n_values: list[int] = field(default_factory=lambda: [4, 8, 16, 32])
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
-            raise ConfigError(f"config {data!r} is not a JSON object")
+            raise ConfigError(f"config {describe(data)} is not a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known
         if extra:
@@ -68,28 +69,21 @@ class RunConfig:
     def validate(self) -> None:
         lists = [("potential", self.potential), ("outputs", self.outputs),
                  ("snapshot_times", self.snapshot_times),
-                 ("snapshot_range", self.snapshot_range),
-                 ("snapshot_points", self.snapshot_points),
                  ("kn_n_values", self.kn_n_values), ("initial", self.initial)]
-        if self.fit_window is not None:
-            lists.append(("fit_window", self.fit_window))
         for name, value in lists:
             if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{name}: {value!r} is not a list")
+                raise ConfigError(f"{name}: {describe(value)} is not a list")
         counts = [("K", self.K), ("N", self.N)] \
-            + [("snapshot_points", p) for p in self.snapshot_points] \
             + [("kn_n_values", n) for n in self.kn_n_values]
         for name, value in counts:
             if not _is_int(value):
-                raise ConfigError(f"{name}: {value!r} is not an integer")
+                raise ConfigError(f"{name}: {describe(value)} is not an integer")
         reals = [("dt", self.dt), ("T", self.T)] \
             + [("potential", c) for c in self.potential] \
-            + [("snapshot_times", t) for t in self.snapshot_times] \
-            + [("snapshot_range", v) for v in self.snapshot_range] \
-            + [("fit_window", t) for t in self.fit_window or ()]
+            + [("snapshot_times", t) for t in self.snapshot_times]
         for name, value in reals:
             if not _is_finite(value):
-                raise ConfigError(f"{name}: {value!r} is not a finite number")
+                raise ConfigError(f"{name}: {describe(value)} is not a finite number")
         # The code that runs the potential and the truncation owns their rules.
         try:
             scheme.check_truncation(self.K, self.N,
@@ -97,9 +91,10 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if any(n < 0 for n in self.kn_n_values):
-            raise ConfigError(f"kn_n_values: {self.kn_n_values} has a negative entry")
+            raise ConfigError(f"kn_n_values: {describe(self.kn_n_values)} has a "
+                              "negative entry")
         if not isinstance(self.purge, bool):
-            raise ConfigError(f"purge: {self.purge!r} is not a boolean")
+            raise ConfigError(f"purge: {describe(self.purge)} is not a boolean")
         if self.dt <= 0 or self.T <= 0:
             raise ConfigError("dt and T must be positive")
         # A quotient past double range is inf, which the checks reject;
@@ -120,28 +115,24 @@ class RunConfig:
                 k, n, value = entry
             except (TypeError, ValueError):
                 raise ConfigError(f"initial entries must be (k, n, value): "
-                                  f"{entry!r}") from None
+                                  f"{describe(entry)}") from None
             if not (_is_int(k) and _is_int(n) and _is_finite(value)):
-                raise ConfigError(f"initial entry {entry}: k and n must be "
-                                  "integers and the value a finite number")
+                raise ConfigError(f"initial entry {describe(entry)}: k and n must "
+                                  "be integers and the value a finite number")
             if not (0 <= k <= self.K and 0 <= n <= self.N):
-                raise ConfigError(f"initial coefficient ({k}, {n}) out of range")
+                raise ConfigError(f"initial coefficient ({describe(k)}, {describe(n)}) "
+                                  "out of range")
             key = int(k) * width + int(n)
             if key in given:
-                raise ConfigError(f"initial coefficient ({k}, {n}) given twice")
+                raise ConfigError(f"initial coefficient ({describe(k)}, {describe(n)}) "
+                                  "given twice")
             given.add(key)
-        if len(self.snapshot_range) != 4 or len(self.snapshot_points) != 2:
-            raise ConfigError("snapshot_range needs 4 entries, snapshot_points 2")
-        if any(p < 2 for p in self.snapshot_points):
-            raise ConfigError("snapshot_points entries must be >= 2")
         # numpy indexes no array past intp-max bytes; the run's float64 arrays
-        # are the (K + 1, N + 1) state, the snapshot grid and its two bases.
-        k1, n1 = int(self.K) + 1, int(self.N) + 1
-        p, q = map(int, self.snapshot_points)
-        if max(k1 * n1, p * q, n1 * p, k1 * q) > np.iinfo(np.intp).max // 8:
-            raise ConfigError(f"K={self.K}, N={self.N} and snapshot_points "
-                              f"{self.snapshot_points} need an array past the "
-                              "size numpy can index")
+        # are the (K + 1, N + 1) state and the snapshot grid's two bases.
+        k1, n1, p = int(self.K) + 1, int(self.N) + 1, len(SNAPSHOT_GRID)
+        if max(k1 * n1, n1 * p, k1 * p) > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"K={describe(self.K)}, N={describe(self.N)} need an "
+                              "array past the size numpy can index")
         names: dict[str, int] = {}
         for t, at in zip(self.snapshot_times, snapshot_steps):
             if t < 0 or t > self.T + 1e-12:
@@ -152,9 +143,6 @@ class RunConfig:
             if names.setdefault(name, round(at)) != round(at):
                 raise ConfigError(f"snapshot times at steps {names[name]} and "
                                   f"{round(at)} share the file name {name}")
-        if self.fit_window is not None:
-            if len(self.fit_window) != 2 or not self.fit_window[0] < self.fit_window[1]:
-                raise ConfigError("fit_window must be [t_start, t_end] with t_start < t_end")
 
 
 # Concrete types, not the numbers ABCs: an ABC check costs about 1 us, and
@@ -273,10 +261,9 @@ def simulate(config: RunConfig) -> RunResult:
     reports = kn_sweep(pot, config.kn_n_values) \
         if "kn" in config.outputs else None
 
-    window = config.fit_window or [0.2 * config.T, config.T]
     summary = {"steps": steps, "final_norm": series.norms[-1]}
     try:
-        fit = diagnostics.fit_decay_rate(series, window[0], window[1])
+        fit = diagnostics.fit_decay_rate(series, 0.2 * config.T, config.T)
         summary["kappa"] = fit.rate
         summary["r_squared"] = fit.r_squared
     except ValueError:
@@ -308,21 +295,17 @@ def simulate(config: RunConfig) -> RunResult:
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
     """Create `out_dir` and write the CSV files the config's outputs name;
     a snapshot that could overflow raises OverflowError before any file."""
-    config = result.config
+    config, grid = result.config, SNAPSHOT_GRID
     if result.snapshots:
-        xs = np.linspace(config.snapshot_range[0], config.snapshot_range[1],
-                         config.snapshot_points[0])
-        vs = np.linspace(config.snapshot_range[2], config.snapshot_range[3],
-                         config.snapshot_points[1])
         # h[i, j] = sum P_n(x_i) C[k, n] H_k(v_j), so max|C| ||P[:, i]||_1
         # ||H[:, j]||_1 bounds |h| and every partial sum of the product.
         with np.errstate(over="ignore", invalid="ignore"):
             bound = max(np.max(np.abs(st.C)) for st in result.snapshots) \
-                * np.max(np.abs(eval_poly_all(result.table, config.N, xs)).sum(0)) \
-                * np.max(np.abs(hermite_eval_all(config.K, vs)).sum(0))
+                * np.max(np.abs(eval_poly_all(result.table, config.N, grid)).sum(0)) \
+                * np.max(np.abs(hermite_eval_all(config.K, grid)).sum(0))
         if not np.isfinite(bound):
-            raise OverflowError(f"snapshot_range {config.snapshot_range} "
-                                "gives snapshot values past double precision")
+            raise OverflowError(f"snapshot values on [{grid[0]:g}, {grid[-1]:g}]^2 "
+                                "pass double precision")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     times = result.times.tolist()
@@ -339,12 +322,12 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
                    ((t, *row) for t, row in zip(times, result.conserved.tolist())))
     if result.snapshots:
         # One line per v with the v cell filled in; x and h are %-slots.
-        grid_row = "".join("%%s,%.17g,%%.17g\n" % v for v in vs.tolist())
-        xs_text = ["%.17g" % x for x in xs.tolist()]
+        text = ["%.17g" % x for x in grid.tolist()]
+        grid_row = "".join(f"%s,{v},%.17g\n" for v in text)
         for st in result.snapshots:
-            grid = diagnostics.snapshot(st, xs, vs, result.table)
+            h = diagnostics.snapshot(st, grid, grid, result.table)
             _write_csv(out_dir / f"snapshot_{st.t:g}.csv", "x,v,h", grid_row,
-                       _snapshot_rows(grid, xs_text))
+                       _snapshot_rows(h, text))
     if "recurrence" in config.outputs:
         _write_csv(out_dir / "recurrence.csv", "n,a_n", "%d,%.17g\n",
                    enumerate(result.table.a.tolist()))
@@ -358,10 +341,14 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
 def run(config: RunConfig, out_dir: Path) -> dict:
     """Execute one configured experiment and write its artifacts; returns the summary.
 
-    Nothing is written unless the whole computation succeeds.
+    Nothing is written unless the whole computation succeeds; a directory
+    that cannot be written is a ConfigError naming it.
     """
     result = simulate(config)
-    write_artifacts(result, out_dir)
+    try:
+        write_artifacts(result, out_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifacts to {out_dir}: {exc}") from exc
     kappa = result.summary["kappa"]
     print(f"[bgkspectral] steps={result.summary['steps']} "
           f"kappa={'n/a' if kappa is None else format(kappa, '.17g')} "

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import IntegrationFailureError, PrecisionFailureError
+from .errors import IntegrationFailureError, PrecisionFailureError, describe
 from .potential import NormalizedPotential, tail_cutoff
 from .weddle import _MAX_NODES, panel_rule
 
@@ -85,7 +85,7 @@ def _half_line_seed(pot, panels: int, cutoff: float):
     live = np.flatnonzero(q)
     if not len(live):
         raise PrecisionFailureError(
-            "Stieltjes breakdown: the sampled weight vanishes at every node", 0)
+            "Stieltjes breakdown: the sampled weight vanishes at every node")
     return x[:live[-1] + 1], q[:live[-1] + 1], 2.0 * float(w.min())
 
 
@@ -107,8 +107,7 @@ def _stieltjes_pass(pot, n_max: int, panels: int, cutoff: float) -> np.ndarray:
         nrm = math.sqrt(scale * float(y @ y))
         if not nrm > 0.0:
             raise PrecisionFailureError(
-                f"Stieltjes breakdown: vanishing norm at index {n + 1}", n + 1
-            )
+                f"Stieltjes breakdown: vanishing norm at index {n + 1}")
         a[n + 1] = nrm
         y *= 1.0 / nrm
         q_prev, q, y = q, y, q_prev
@@ -180,8 +179,7 @@ def chebyshev_recurrence(pot: NormalizedPotential, n_max: int,
             if sig_next[k] <= 0:
                 raise PrecisionFailureError(
                     f"Chebyshev algorithm lost positivity at index {k}; "
-                    f"raise the working precision (dps={dps})", k
-                )
+                    f"raise the working precision (dps={dps})")
             alphas.append(sig_next[k + 1] / sig_next[k] - sig[k] / sig[k - 1])
             beta.append(sig_next[k] / sig[k - 1])
             sig_prev, sig = sig, sig_next
@@ -190,8 +188,7 @@ def chebyshev_recurrence(pot: NormalizedPotential, n_max: int,
         if drift > mp.mpf(10) ** (-dps // 2):
             raise PrecisionFailureError(
                 f"Chebyshev algorithm symmetry drift {mp.nstr(drift)} at index "
-                f"{bad} exceeds the precision budget at dps={dps}", bad
-            )
+                f"{bad} exceeds the precision budget at dps={dps}")
         a = np.array([float(mp.sqrt(b)) for b in beta])
     return RecurrenceTable(a=a, weight=pot)
 
@@ -280,14 +277,18 @@ def build_recurrence(pot: NormalizedPotential, n_max: int) -> RecurrenceTable:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    cutoff = tail_cutoff(pot, poly_degree=2 * n_max + 2)
     panels = max(256, 4 * n_max)
     previous = math.inf
+    cutoff = None
     while True:
+        # The first pass's budget is checked before the cutoff, whose
+        # polynomial arithmetic overflows on an n_max past double range.
         if 6 * panels + 1 > _MAX_NODES:
             raise IntegrationFailureError(
-                f"Stieltjes discretization to n_max={n_max} needs "
-                f"{6 * panels + 1} nodes, past the budget of 2^22")
+                f"Stieltjes discretization to n_max={describe(n_max)} needs "
+                f"{describe(6 * panels + 1)} nodes, past the budget of 2^22")
+        if cutoff is None:
+            cutoff = tail_cutoff(pot, poly_degree=2 * n_max + 2)
         a = _stieltjes_pass(pot, n_max, panels, cutoff)
         residual = freud_residual(a, pot)
         if residual <= 1e-12:

@@ -49,7 +49,7 @@ import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
-from .errors import SolverConsistencyError
+from .errors import SolverConsistencyError, describe
 
 # Residual gate of `step`, relative to the norm of the right-hand side.
 _SOLVE_REL_TOL = 1e-12
@@ -139,11 +139,12 @@ def check_truncation(K: int, N: int, degree: int) -> None:
     phi' leaves the retained polynomial space or the energy, velocity mode
     k = 2, is dropped, and the discrete conservation identities break."""
     if K < 2:
-        raise ValueError(f"truncation K={K} below 2; the conservation "
+        raise ValueError(f"truncation K={describe(K)} below 2; the conservation "
                          "structure requires K >= 2, the energy mode")
     if N < degree:
-        raise ValueError(f"truncation N={N} below the potential degree {degree}; "
-                         "the conservation structure requires N >= deg(phi)")
+        raise ValueError(f"truncation N={describe(N)} below the potential "
+                         f"degree {degree}; the conservation structure "
+                         "requires N >= deg(phi)")
 
 
 def assemble_generator(band: np.ndarray, K: int) -> Generator:

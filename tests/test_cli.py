@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import pickle
 import re
 from pathlib import Path
 
@@ -8,10 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgkspectral import cli, diagnostics, orthopoly, scheme
-from bgkspectral.errors import ConfigError
+from bgkspectral import cli, diagnostics, errors, orthopoly, scheme
+from bgkspectral.errors import (ConfigError, IntegrationFailureError,
+                                PrecisionFailureError)
 from bgkspectral.orthopoly import build_recurrence, freud_residual
-from bgkspectral.potential import RawPotential
+from bgkspectral.potential import RawPotential, normalize_potential
+
+# Run options no run set to another value: every snapshot samples
+# cli.SNAPSHOT_GRID and every decay fit spans [0.2 T, T].
+_REMOVED_FIELDS = ("fit_window", "snapshot_range", "snapshot_points")
 
 
 def small_config(**overrides):
@@ -54,6 +61,25 @@ def test_dump_preset_round_trips(tmp_path, capsys):
             assert (dumped / f).read_bytes() == (preset / f).read_bytes(), (name, f)
 
 
+def test_removed_run_options_are_unknown_fields(tmp_path, capsys):
+    # Even at the values every run used, a removed key is rejected like any
+    # other unknown one, before anything runs; no preset dump holds one.
+    for name in cli.PRESETS:
+        assert cli.main(["--dump-preset", name]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        assert list(dumped) == list(cli.RunConfig.__dataclass_fields__)
+        assert not set(_REMOVED_FIELDS) & set(dumped)
+    for name, value in zip(_REMOVED_FIELDS, (None, [-4.0, 4.0, -4.0, 4.0],
+                                             [201, 201])):
+        cfg, out = tmp_path / f"{name}.json", tmp_path / name
+        cfg.write_text(json.dumps(dict(cli.PRESETS["doublewell_fig4"],
+                                       **{name: value})))
+        assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == \
+            f"config error: unknown config fields: ['{name}']\n"
+
+
 def test_unknown_preset_is_config_error():
     assert cli.main(["--dump-preset", "nope"]) == 2
     assert cli.main(["--preset", "nope"]) == 2
@@ -71,7 +97,6 @@ def test_validation_catches_bad_fields(tmp_path):
         small_config(initial=[[99, 0, 1.0]]),
         small_config(potential=[1.0, -1.0]),    # negative leading coefficient
         small_config(T=-1.0),
-        small_config(fit_window=[2.0, 1.0]),
         small_config(snapshot_times=[99.0]),
         small_config(snapshot_times=[0.125]),   # not a multiple of dt
         # distinct steps, one file name snapshot_0.5.csv
@@ -83,7 +108,6 @@ def test_validation_catches_bad_fields(tmp_path):
         small_config(K=4.5),
         small_config(N=5.0),
         small_config(K=True),
-        small_config(snapshot_points=[5.5, 4]),
         small_config(kn_n_values=[4.5]),
         small_config(initial=[[0, 1, math.nan]]),
         small_config(initial=[[1.7, 2, 1.0]]),
@@ -92,11 +116,7 @@ def test_validation_catches_bad_fields(tmp_path):
         small_config(initial=5),
         small_config(potential=2),
         small_config(snapshot_times=1.0),
-        small_config(snapshot_range="-1,1,-1,1"),
-        small_config(snapshot_points=5),
         small_config(kn_n_values=8),
-        small_config(fit_window=3),
-        small_config(fit_window=["a", "b"]),
         small_config(outputs="norms"),          # not read letter by letter
         small_config(outputs=[["norms"]]),
         small_config(kn_n_values=[-3]),
@@ -204,14 +224,13 @@ _HUGE = 10 ** 400
 @pytest.mark.parametrize("overrides", [
     dict(initial=[[1, 2, _HUGE]]), dict(dt=_HUGE), dict(T=_HUGE),
     dict(potential=[0.0, _HUGE]), dict(potential=[-_HUGE, 0.5]),
-    dict(snapshot_times=[_HUGE]), dict(snapshot_range=[-1, 1, -1, _HUGE]),
-    dict(fit_window=[0.0, _HUGE]),
-    # Sizes whose arrays numpy cannot index.
-    dict(K=_HUGE), dict(N=_HUGE), dict(snapshot_points=[_HUGE, 2]),
-    dict(snapshot_points=[2, 2 ** 62]), dict(K=2 ** 61, N=4),
+    dict(snapshot_times=[_HUGE]),
+    # Sizes whose arrays numpy cannot index: the state, and a basis on the
+    # 201 snapshot points, which the state of K = 2**56, N = 4 fits beside.
+    dict(K=_HUGE), dict(N=_HUGE), dict(K=2 ** 61, N=4), dict(K=2 ** 56, N=4),
 ], ids=["initial", "dt", "T", "potential_lead", "potential_constant",
-        "snapshot_times", "snapshot_range", "fit_window", "K", "N",
-        "snapshot_points", "snapshot_points_past_intp", "K_times_N_past_intp"])
+        "snapshot_times", "K", "N", "K_times_N_past_intp",
+        "K_times_grid_past_intp"])
 def test_numbers_past_double_range_or_numpy_sizes_exit_2(tmp_path, capsys,
                                                          overrides):
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
@@ -219,6 +238,52 @@ def test_numbers_past_double_range_or_numpy_sizes_exit_2(tmp_path, capsys,
     assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("config error:")
+
+
+_LONG = 10 ** 5000     # past the 4300 digits Python prints an int with
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(K=_LONG), "K=<int of 5001 digits>, N=4 need an array"),
+    (dict(K=-_LONG), "truncation K=-<int of 5001 digits> below 2"),
+    (dict(N=_LONG), "K=6, N=<int of 5001 digits> need an array"),
+    (dict(dt=_LONG), "dt: <int of 5001 digits> is not a finite number"),
+    (dict(T=_LONG), "T: <int of 5001 digits> is not a finite number"),
+    (dict(potential=[0.0, _LONG]), "potential: <int of 5001 digits> is not"),
+    (dict(initial=[[1, 2, _LONG]]), "initial entry [1, 2, <int of 5001 digits>]"),
+    (dict(initial=[[_LONG, 2, 1.0]]), "initial coefficient (<int of 5001"),
+    (dict(kn_n_values=[4, -_LONG]), "kn_n_values: [4, -<int of 5001 digits>]"),
+], ids=["K", "K_negative", "N", "dt", "T", "potential", "initial_value",
+        "initial_k", "kn_n_values"])
+def test_ints_too_long_to_print_are_config_errors_naming_the_field(overrides,
+                                                                   message):
+    # No JSON config can hold such an int; a Python caller can.
+    with pytest.raises(ConfigError) as err:
+        cli.RunConfig(**small_config(**overrides)).validate()
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("n", [10 ** 12, 10 ** 400, _LONG],
+                         ids=["1e12", "1e400", "1e5000"])
+def test_kn_sizes_past_the_node_budget_fail_typed_naming_it(tmp_path, capsys,
+                                                             n):
+    # The budget is checked before the tail cutoff, whose polynomial
+    # arithmetic overflows on an n_max past double range.
+    pot = normalize_potential(RawPotential((1.0, -2.0, 1.0)))
+    with pytest.raises(IntegrationFailureError, match=r"budget of 2\^22"):
+        build_recurrence(pot, n)
+    data = small_config(potential=[1.0, -2.0, 1.0], K=4, N=4, dt=0.1, T=0.1,
+                        initial=[], outputs=["kn"], kn_n_values=[n])
+    cli.RunConfig(**data).validate()
+    if n is _LONG:          # past what a JSON config can hold
+        return
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(data))
+    assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure (IntegrationFailureError): ")
+    assert "past the budget of 2^22" in err
 
 
 def test_config_file_json_cannot_parse_exits_2(tmp_path):
@@ -235,7 +300,7 @@ def test_sizes_numpy_can_index_are_valid_and_a_failed_allocation_exits_3(
     # K = 10**12 needs a 36 TiB state: numpy can describe it, so the config
     # is valid and the run fails where it allocates.  The allocation is
     # stubbed; a real one can succeed lazily under memory overcommit.
-    for sizes in (dict(K=10 ** 12), dict(snapshot_points=[10 ** 12, 2])):
+    for sizes in (dict(K=10 ** 12), dict(N=10 ** 12)):
         cli.RunConfig.from_dict(small_config(**sizes)).validate()
 
     def no_memory(*args):
@@ -365,14 +430,14 @@ def test_recurrence_and_kn_outputs(tmp_path):
     assert float(fields[2]) == pytest.approx(math.sqrt(4.0 / 5.0), abs=1e-10)
 
 
-def test_snapshot_output(tmp_path):
-    data = small_config(outputs=["snapshots"], snapshot_times=[0.0, 1.0],
-                        snapshot_points=[5, 7], snapshot_range=[-2, 2, -2, 2])
+def test_snapshot_output(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SNAPSHOT_GRID", np.linspace(-2.0, 2.0, 5))
+    data = small_config(outputs=["snapshots"], snapshot_times=[0.0, 1.0])
     cli.run(cli.RunConfig.from_dict(data), tmp_path)
     for name in ("snapshot_0.csv", "snapshot_1.csv"):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "x,v,h"
-        assert len(lines) == 1 + 5 * 7
+        assert len(lines) == 1 + 5 * 5
 
 
 def test_sweep_isolated_directories(tmp_path):
@@ -411,19 +476,18 @@ def test_sweep_validation(tmp_path):
 
     with pytest.raises(ConfigError, match="expects"):
         swept("K")
-    for name in ("bogus", "n_max", "quad_tol"):
+    for name in ("bogus", "n_max", "quad_tol", *_REMOVED_FIELDS):
         with pytest.raises(ConfigError, match="unknown sweep field"):
             swept(f"{name}=1,2")
     with pytest.raises(ConfigError, match="empty sweep value list"):
         swept("K=")
     # each value is a JSON number or boolean, which names its directory
-    for spec in ("K=four", "K=4,'6'", "fit_window=null", "snapshot_times=[]"):
+    for spec in ("K=four", "K=4,'6'", "T=null", "snapshot_times=[]"):
         with pytest.raises(ConfigError, match="cannot parse"):
             swept(spec)
     # every variant is checked by the --config rules
     for spec, match in (("K=4.5", "is not an integer"),
                         ("potential=1,2", "is not a list"),
-                        ("fit_window=1,2", "is not a list"),
                         ("purge=1", "is not a boolean"),
                         ("purge=0", "is not a boolean"),
                         ("K=4,-1", "K >= 2"),
@@ -473,6 +537,47 @@ def test_sweep_runs_every_variant_in_its_own_directory_or_none(tmp_path):
     assert 0 in codes and 2 in codes
 
 
+def test_unwritable_out_dir_exits_2_naming_it(tmp_path, capsys):
+    # Under a regular file no directory can be made, for a run or a sweep.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config()))
+    for sweep in ([], ["--sweep", "K=4,6"]):
+        out = blocker / "out"
+        assert cli.main(["--config", str(cfg), "--out-dir", str(out)] + sweep) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write artifacts to {out}")
+        assert err.count("\n") == 1
+
+
+def test_every_error_type_crosses_a_process_boundary():
+    # A sweep variant's exception comes back from its worker pickled.
+    types = [t for t in vars(errors).values()
+             if isinstance(t, type) and issubclass(t, Exception)]
+    assert len(types) == 5
+    for t in types:
+        back = pickle.loads(pickle.dumps(t("what failed")))
+        assert type(back) is t and back.args == ("what failed",)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers must inherit the patched module")
+def test_sweep_reports_a_variant_failure_by_its_type(tmp_path, capsys,
+                                                     monkeypatch):
+    def breakdown(pot, n_max):
+        raise PrecisionFailureError("Stieltjes breakdown: vanishing norm at index 3")
+
+    monkeypatch.setattr(cli, "build_recurrence", breakdown)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "sweep"
+    cfg.write_text(json.dumps(small_config()))
+    assert cli.main(["--config", str(cfg), "--out-dir", str(out),
+                     "--sweep", "N=5,6"]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == ("numerical failure (PrecisionFailureError): "
+                                       "Stieltjes breakdown: vanishing norm at index 3\n")
+
+
 def test_more_than_one_source_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(small_config()))
@@ -485,11 +590,12 @@ def test_more_than_one_source_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_snapshot_carries_its_configured_time(tmp_path):
+def test_snapshot_carries_its_configured_time(tmp_path, monkeypatch):
     # Three steps of 0.1 add up to 0.30000000000000004; the snapshot keeps
     # the configured 0.3, the time validate() checked its file name from.
+    monkeypatch.setattr(cli, "SNAPSHOT_GRID", np.linspace(-4.0, 4.0, 2))
     data = small_config(dt=0.1, T=0.3, outputs=["snapshots"],
-                        snapshot_times=[0.3], snapshot_points=[2, 2])
+                        snapshot_times=[0.3])
     result = cli.simulate(cli.RunConfig.from_dict(data))
     assert result.times[-1] == 0.1 + 0.1 + 0.1 != 0.3
     (snap,) = result.snapshots
@@ -498,18 +604,19 @@ def test_snapshot_carries_its_configured_time(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["snapshot_0.3.csv"]
 
 
-def test_overflowing_snapshot_range_exits_3_before_any_file(tmp_path, capsys):
+def test_overflowing_snapshot_range_exits_3_before_any_file(tmp_path, capsys,
+                                                           monkeypatch):
     # At x = +-1e200 the P_n values overflow; numpy would write nan cells.
+    monkeypatch.setattr(cli, "SNAPSHOT_GRID", np.linspace(-1e200, 1e200, 3))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(
         cli.PRESETS["doublewell_fig3"], outputs=["norms", "snapshots"],
-        snapshot_times=[0.0], snapshot_range=[-1e200, 1e200, -4, 4],
-        snapshot_points=[3, 3])))
+        snapshot_times=[0.0])))
     out = tmp_path / "o"
     assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 3
     assert not out.exists()
     err = capsys.readouterr().err
-    assert "OverflowError" in err and "snapshot_range [-1e+200" in err
+    assert "OverflowError" in err and "on [-1e+200, 1e+200]^2" in err
 
 
 def test_sweep_of_N_sizes_the_recurrence(tmp_path):
@@ -663,10 +770,11 @@ def _reference_csv(header, rows):
     return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
-def test_writer_matches_per_cell_formatting(tmp_path):
+def test_writer_matches_per_cell_formatting(tmp_path, monkeypatch):
+    xs = vs = np.linspace(-0.7, 2.1, 7)
+    monkeypatch.setattr(cli, "SNAPSHOT_GRID", xs)
     snap = small_config(outputs=["conserved", "snapshots"], T=0.2,
-                        snapshot_times=[0.0, 0.1],
-                        snapshot_range=[-1, 0.3, -0.7, 2.1], snapshot_points=[3, 7])
+                        snapshot_times=[0.0, 0.1])
     kn = {"potential": [1.0, -2.0, 1.0], "K": 4, "N": 6, "dt": 0.05, "T": 0.5,
           "initial": [[0, 1, 1.0], [2, 3, -0.5]],
           "outputs": ["norms", "conserved", "recurrence", "kn"], "kn_n_values": [4]}
@@ -683,8 +791,6 @@ def test_writer_matches_per_cell_formatting(tmp_path):
         expected["conserved.csv"] = _reference_csv(
             "t,mass,energy_plus,rx,m0,mx,energy_minus",
             ([_cells(a, *row), *pad] for a, row in zip(t, result.conserved)))
-        xs = np.linspace(-1, 0.3, 3)
-        vs = np.linspace(-0.7, 2.1, 7)
         for st in result.snapshots:
             grid = diagnostics.snapshot(st, xs, vs, result.table)
             expected[f"snapshot_{st.t:g}.csv"] = _reference_csv(

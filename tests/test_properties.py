@@ -35,7 +35,7 @@ def _config(potential, K, N, dt, steps, initial, purge):
         "potential": potential, "K": K, "N": N, "dt": dt, "T": steps * dt,
         "initial": initial, "purge": purge,
         "outputs": ["norms", "conserved", "snapshots", "recurrence"],
-        "snapshot_times": [0.0, steps * dt], "snapshot_points": [4, 3],
+        "snapshot_times": [0.0, steps * dt],
     }
 
 
@@ -64,17 +64,22 @@ def _files(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+# Harmonic, rx != 0: rx and m0 rotate, so they are not constants of the motion.
+_ROTATING = _config([0.0, 0.05], 3, 2, 0.05, 18, [[0, 1, 0.05]], False)
+# Harmonic, purged to a state of norm ~1e-16 that still turns energy_minus.
+_PURGED = _config([-0.8004674058998063, 0.32761674839345906], 3, 8,
+                  0.4020236808355091, 8, [[0, 2, 0.9576153357607473]], True)
+# A state of norm 5e-208: its sum of squares underflowed and the norm read 0.
+_UNDERFLOW = _config([0.12651614792674434, 0.3459652059201921, -0.0,
+                      0.7635511981639664], 10, 19, 0.12651614792674434, 2,
+                     [[7, 17, 5.382583613943773e-208]], False)
+
+
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(configs())
-# Harmonic, rx != 0: rx and m0 rotate, so they are not constants of the motion.
-@example(_config([0.0, 0.05], 3, 2, 0.05, 18, [[0, 1, 0.05]], False))
-# Harmonic, purged to a state of norm ~1e-16 that still turns energy_minus.
-@example(_config([-0.8004674058998063, 0.32761674839345906], 3, 8,
-                 0.4020236808355091, 8, [[0, 2, 0.9576153357607473]], True))
-# A state of norm 5e-208: its sum of squares underflowed and the norm read 0.
-@example(_config([0.12651614792674434, 0.3459652059201921, -0.0,
-                  0.7635511981639664], 10, 19, 0.12651614792674434, 2,
-                 [[7, 17, 5.382583613943773e-208]], False))
+@example(_ROTATING)
+@example(_PURGED)
+@example(_UNDERFLOW)
 def test_simulate_keeps_the_discrete_structure(data):
     try:
         result = cli.simulate(cli.RunConfig.from_dict(data))
@@ -92,7 +97,9 @@ def test_simulate_keeps_the_discrete_structure(data):
         assert _rotation_error(c[:, 4] + 1j * (c[:, 5] + ip0 * c[:, 0]), 2.0,
                                data["dt"]) <= limit
     assert np.all(np.diff(result.norms) <= 0.0)
-    with tempfile.TemporaryDirectory() as tmp:
+    # A 4-point grid keeps the snapshots cheap; the bytes must still agree.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "SNAPSHOT_GRID", np.linspace(-4.0, 4.0, 4))
         cli.write_artifacts(result, Path(tmp) / "written")
         with contextlib.redirect_stdout(io.StringIO()):
             cli.run(cli.RunConfig.from_dict(data), Path(tmp) / "run")
@@ -141,12 +148,22 @@ def wide_configs(draw):
     return {**data, "outputs": ["norms", "conserved"], "snapshot_times": []}
 
 
+# The corner of the domain: degree 8, the largest K and N, the smallest dt.
+_CORNER = {**_config([0.0, 1.0, -3.0, 0.5, 0.2], 60, 150, 1e-4, 5,
+                     [[0, 4, 1.0], [3, 150, -0.5], [60, 7, 0.25]], False),
+           "outputs": ["norms", "conserved"], "snapshot_times": []}
+
+
+def test_the_explicit_examples_validate():
+    # The property tests return on a ConfigError, so an example that stopped
+    # validating would pass without checking anything.
+    for data in (_ROTATING, _PURGED, _UNDERFLOW, _STEADY_STATE, _CORNER):
+        cli.RunConfig.from_dict(data).validate()
+
+
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(wide_configs())
-# The corner of the domain: degree 8, the largest K and N, the smallest dt.
-@example({**_config([0.0, 1.0, -3.0, 0.5, 0.2], 60, 150, 1e-4, 5,
-                    [[0, 4, 1.0], [3, 150, -0.5], [60, 7, 0.25]], False),
-          "outputs": ["norms", "conserved"], "snapshot_times": []})
+@example(_CORNER)
 def test_every_validated_config_runs_or_fails_typed(data):
     try:
         result = cli.simulate(cli.RunConfig.from_dict(data))
@@ -160,16 +177,15 @@ def test_every_validated_config_runs_or_fails_typed(data):
 # file or a Python caller can put there, in and out of the domain.
 _VALID = {"potential": [1.0, -2.0, 1.0], "K": 6, "N": 4, "dt": 0.05, "T": 1.0,
           "initial": [[1, 2, 1.0], [2, 1, 0.5]], "snapshot_times": [0.0, 0.5],
-          "snapshot_range": [-1.0, 1.0, -1.0, 1.0], "snapshot_points": [5, 4],
-          "fit_window": [0.2, 1.0], "kn_n_values": [4, 8]}
+          "kn_n_values": [4, 8]}
 _SLOTS = [("K",), ("N",), ("dt",), ("T",)] + [
-    (name, i) for name in ("potential", "snapshot_times", "snapshot_range",
-                           "snapshot_points", "fit_window", "kn_n_values")
+    (name, i) for name in ("potential", "snapshot_times", "kn_n_values")
     for i in range(len(_VALID[name]))] + [
     ("initial", e, j) for e in range(2) for j in range(3)]
 _ANY_NUMBER = st.one_of(
     st.integers(-3, 40), st.floats(-2.0, 2.0),
     st.integers(-10 ** 400, 10 ** 400),
+    st.sampled_from([10 ** 5000, -10 ** 5000]),   # too long to print
     st.floats(),                                  # nan, +-inf, subnormals
     st.booleans(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
     st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32),
@@ -200,9 +216,8 @@ def test_config_failures_are_typed(data):
         config.validate()
     except ConfigError:
         return
-    k1, n1 = config.K + 1, config.N + 1
-    p, q = config.snapshot_points
-    for shape in ((k1, n1), (p, q), (n1, p), (k1, q)):
+    k1, n1, p = config.K + 1, config.N + 1, len(cli.SNAPSHOT_GRID)
+    for shape in ((k1, n1), (n1, p), (k1, p)):
         np.broadcast_to(np.float64(0.0), shape)
 
 
