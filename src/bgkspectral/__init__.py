@@ -5,8 +5,8 @@ orthonormal polynomials of the weight exp(-phi) for an even polynomial
 potential phi, and time by implicit Euler.  On the truncations it enforces,
 N >= deg(phi) and K >= 2, the discretization preserves the conservation laws
 exactly and, in exact arithmetic, keeps the norm non-increasing step by step;
-in floating point it can rise by one ulp, which `summary["norm_increases"]`
-counts.
+in floating point it can rise by an ulp or two, which
+`summary["norm_increases"]` counts.
 """
 
 from .conjecture_lab import KNReport, estimate_kn, kn_sweep

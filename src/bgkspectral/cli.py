@@ -109,7 +109,13 @@ class RunConfig:
         bad = [name for name in self.outputs if name not in KNOWN_OUTPUTS]
         if bad:
             raise ConfigError(f"unknown outputs: {bad}")
-        given, width = set(), int(self.N) + 1
+        # numpy indexes no array past intp-max bytes; the run's float64 arrays
+        # are the (K + 1, N + 1) state and the snapshot grid's two bases.
+        k1, n1, p = int(self.K) + 1, int(self.N) + 1, len(SNAPSHOT_GRID)
+        if max(k1 * n1, n1 * p, k1 * p) > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"K={describe(self.K)}, N={describe(self.N)} need an "
+                              "array past the size numpy can index")
+        keys, width = [], int(self.N) + 1
         for entry in self.initial:
             try:
                 k, n, value = entry
@@ -122,17 +128,18 @@ class RunConfig:
             if not (0 <= k <= self.K and 0 <= n <= self.N):
                 raise ConfigError(f"initial coefficient ({describe(k)}, {describe(n)}) "
                                   "out of range")
-            key = int(k) * width + int(n)
-            if key in given:
-                raise ConfigError(f"initial coefficient ({describe(k)}, {describe(n)}) "
-                                  "given twice")
-            given.add(key)
-        # numpy indexes no array past intp-max bytes; the run's float64 arrays
-        # are the (K + 1, N + 1) state and the snapshot grid's two bases.
-        k1, n1, p = int(self.K) + 1, int(self.N) + 1, len(SNAPSHOT_GRID)
-        if max(k1 * n1, n1 * p, k1 * p) > np.iinfo(np.intp).max // 8:
-            raise ConfigError(f"K={describe(self.K)}, N={describe(self.N)} need an "
-                              "array past the size numpy can index")
+            keys.append(int(k) * width + int(n))
+        # A stable sort puts each repeat after the entry it repeats, in a
+        # fraction of the memory of a hash set.  Every key is below
+        # (K + 1)(N + 1), which the size check above keeps within intp.
+        keys = np.array(keys, dtype=np.intp)
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        repeats = order[1:][ranked[1:] == ranked[:-1]]
+        if repeats.size:
+            k, n, _ = self.initial[repeats.min()]
+            raise ConfigError(f"initial coefficient ({describe(k)}, {describe(n)}) "
+                              "given twice")
         names: dict[str, int] = {}
         for t, at in zip(self.snapshot_times, snapshot_steps):
             if t < 0 or t > self.T + 1e-12:

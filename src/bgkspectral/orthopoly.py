@@ -13,18 +13,19 @@ precision).
 
 `build_recurrence` certifies its table a posteriori with Freud's identity
 [phi'(J)]_{n,n-1} = n / a_n, read off the Jacobi matrix J by `jacobi_horner`
-(`freud_residual`), to 1e-12.  Its first pass samples the weight on
-max(256, 4 n_max) panels; an uncertified pass doubles the panel count.
-The weight is even, so P_n has parity (-1)^n and every inner product of a
-pass has an even integrand: a pass samples only [0, cutoff], with half the
-panels and doubled weights, which is the symmetric composite rule exactly
-because the panel count is even (an odd count raises ValueError).  Each
+(`freud_residual`), to 1e-12.  A pass samples the weight on the trapezoidal
+rule, which converges exponentially on the pass's integrands P_n^2 rho
+(entire, and decaying faster than any exponential).  The weight is even, so
+P_n has parity (-1)^n and every integrand is even: a pass samples only
+[0, cutoff], on equal intervals with the end weights halved, and twice its
+sums are the full-line trapezoidal sums exactly.  The first pass takes
+max(256, 4 n_max) intervals; an uncertified pass doubles the count.  Each
 row of a pass is one three-term update, one dot product and one scaling,
 over the live nodes only: the seed carries the square roots of the rule's
 weights, and the trailing nodes where it underflowed to 0 are dropped.  A
 doubled pass that fails to halve the residual, or any pass, the first one
-included, that would need more than 2^22 nodes, raises
-IntegrationFailureError; the node budget is checked before the pass runs.
+included, that would take more than 2^22 / 6 intervals, raises
+IntegrationFailureError; the budget is checked before the pass runs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ from .errors import IntegrationFailureError, PrecisionFailureError, describe
 from .potential import NormalizedPotential, tail_cutoff
 from .weddle import _MAX_NODES, panel_rule
 
+# The interval budget of a pass: 2^22 / 6, the panel count of the 2^22-node
+# budget of `weddle.integrate_adaptive`.  A table to n_max above 174,762
+# (a first pass of 4 n_max intervals) is refused before any pass runs.
+_MAX_PANELS = _MAX_NODES // 6
+
 
 @dataclass(frozen=True)
 class RecurrenceTable:
@@ -46,8 +52,8 @@ class RecurrenceTable:
 
     a: np.ndarray
     weight: NormalizedPotential
-    # Certificate of the Stieltjes pass `build_recurrence` returned; None for
-    # tables from other constructions.
+    # Certificate of the Stieltjes pass `build_recurrence` returned, and its
+    # count of half-line intervals; None for tables from other constructions.
     freud_residual: float | None = None
     panels: int | None = None
 
@@ -65,22 +71,25 @@ class QuadratureRule:
 
 
 def _half_line_seed(pot, panels: int, cutoff: float):
-    """Nodes x, seed values q and scale s of a Stieltjes pass on `panels`
-    composite panels over [-cutoff, cutoff].
+    """Nodes x, seed values q and scale s of a Stieltjes pass on the
+    trapezoidal rule with `panels` equal intervals of [0, cutoff].
 
-    Every integrand of the pass, P_n^2 rho, is even, and for an even panel
-    count the symmetric rule is exactly twice the rule on [0, cutoff] with
-    half the panels: 0 is then a shared panel boundary, weighted twice.  The
-    pass works with sqrt(rho)-weighted polynomial values, which stay bounded
-    where plain P_n(x) would overflow outside the bulk, and the seed also
-    carries sqrt(w / w_min), a factor >= 1 at every node, so that each inner
-    product is s times one dot product, s the doubled smallest weight.  A
-    node whose seed underflowed to 0 stays 0 in every row of the recurrence,
-    so the trailing run of such nodes is dropped.
+    Every integrand of the pass, P_n^2 rho, is even, entire and decays
+    faster than any exponential, and for such integrands the trapezoidal
+    rule converges exponentially in the node spacing (Trefethen and
+    Weideman, SIAM Review 56, 2014).  The weight h is halved at 0 and at the
+    cutoff, so twice the half-line sum is the full-line trapezoidal sum on
+    [-cutoff, cutoff] exactly.  The pass works with sqrt(rho)-weighted
+    polynomial values, which stay bounded where plain P_n(x) would overflow
+    outside the bulk, and the seed also carries sqrt(w / w_min), a factor
+    >= 1 at every node, so that each inner product is s times one dot
+    product, s the doubled smallest weight.  A node whose seed underflowed
+    to 0 stays 0 in every row of the recurrence, so the trailing run of such
+    nodes is dropped.
     """
-    if panels % 2:
-        raise ValueError(f"panels={panels} must be even")
-    x, w = panel_rule(0.0, cutoff, panels // 2)
+    x = np.linspace(0.0, cutoff, panels + 1)
+    w = np.full(panels + 1, cutoff / panels)
+    w[[0, -1]] *= 0.5
     q = np.exp(-0.5 * pot(x)) * np.sqrt(w / w.min())
     live = np.flatnonzero(q)
     if not len(live):
@@ -90,8 +99,8 @@ def _half_line_seed(pot, panels: int, cutoff: float):
 
 
 def _stieltjes_pass(pot, n_max: int, panels: int, cutoff: float) -> np.ndarray:
-    """a_0..a_n_max from `panels` composite panels over [-cutoff, cutoff],
-    sampled at the live half-line nodes of `_half_line_seed`."""
+    """a_0..a_n_max from the trapezoidal rule on `panels` intervals of
+    [0, cutoff], sampled at the live nodes of `_half_line_seed`."""
     x, q, scale = _half_line_seed(pot, panels, cutoff)
     a = np.empty(n_max + 1)
     a[0] = math.sqrt(scale * float(q @ q))
@@ -267,13 +276,14 @@ def build_recurrence(pot: NormalizedPotential, n_max: int) -> RecurrenceTable:
     """Recurrence coefficients a_0..a_n_max for the weight rho = exp(-pot).
 
     A discretized Stieltjes procedure in double precision: the weight is
-    sampled on a composite rule over the truncated support, starting at
-    max(256, 4 n_max) panels.  The first pass whose `freud_residual` is at
-    most 1e-12 is returned, with that residual and its panel count;
-    otherwise the panel count doubles.  A doubled pass that does not halve
-    the residual of the pass before it has reached the rounding floor of the
-    sampled weight, and raises IntegrationFailureError, as does a pass that
-    would need more than 2^22 nodes.
+    sampled on the trapezoidal rule over the truncated support, starting at
+    max(256, 4 n_max) intervals of the half-line [0, cutoff].  The first
+    pass whose `freud_residual` is at most 1e-12 is returned, with that
+    residual and its interval count; otherwise the count doubles.  A doubled
+    pass that does not halve the residual of the pass before it has reached
+    the rounding floor of the sampled weight, and raises
+    IntegrationFailureError, as does a pass that would take more than
+    2^22 / 6 intervals.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -283,10 +293,10 @@ def build_recurrence(pot: NormalizedPotential, n_max: int) -> RecurrenceTable:
     while True:
         # The first pass's budget is checked before the cutoff, whose
         # polynomial arithmetic overflows on an n_max past double range.
-        if 6 * panels + 1 > _MAX_NODES:
+        if panels > _MAX_PANELS:
             raise IntegrationFailureError(
                 f"Stieltjes discretization to n_max={describe(n_max)} needs "
-                f"{describe(6 * panels + 1)} nodes, past the budget of 2^22")
+                f"{describe(panels)} intervals, past the budget of 2^22 / 6")
         if cutoff is None:
             cutoff = tail_cutoff(pot, poly_degree=2 * n_max + 2)
         a = _stieltjes_pass(pot, n_max, panels, cutoff)
@@ -297,7 +307,7 @@ def build_recurrence(pot: NormalizedPotential, n_max: int) -> RecurrenceTable:
         if not residual <= 0.5 * previous:
             raise IntegrationFailureError(
                 f"Stieltjes discretization stalled at Freud residual "
-                f"{residual:.3g} on {panels} panels (previous pass "
+                f"{residual:.3g} on {panels} intervals (previous pass "
                 f"{previous:.3g}); not certified to 1e-12")
         previous = residual
         panels *= 2

@@ -138,7 +138,11 @@ def test_validation_catches_bad_fields(tmp_path):
           initial=[[0, 1, 1.0], [0, 2, 0.5], [1, 1, 0.3]]), "K >= 2"),
     # A repeated (k, n) would overwrite the first value.
     (dict(initial=[[0, 1, 1.0], [0, 1, 2.0]]), r"\(0, 1\) given twice"),
-], ids=["K_below_2", "repeated_initial"])
+    # The first entry that repeats an earlier one is named, not the
+    # smallest repeated (k, n).
+    (dict(initial=[[3, 0, 1.0], [1, 0, 1.0], [3, 0, 2.0], [1, 0, 2.0]]),
+     r"\(3, 0\) given twice"),
+], ids=["K_below_2", "repeated_initial", "first_repeated_initial"])
 def test_rejected_config_exits_2_with_its_reason(tmp_path, capsys, overrides,
                                                  message):
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
@@ -662,7 +666,7 @@ def test_unrepresentable_runs_exit_3(tmp_path, overrides):
 def test_kn_sweep_past_the_node_budget_exits_3_before_any_long_pass(
         tmp_path, capsys, monkeypatch):
     # kn_n_values [50000] needs a table to n = 200,074, whose first pass
-    # alone would sample 6 * 800,296 + 1 nodes, past the 2^22 budget.
+    # alone would take 800,296 intervals, past the budget of 2^22 / 6.
     started = []
 
     def small_passes_only(pot, n_max, panels, cutoff):

@@ -41,35 +41,35 @@ GOLDEN = {
         "conserved.csv":
             "de65d1a87602e3c491366bf2772b2c633e8f21c3d2d955668ebb21f77feb3941",
         "norms.csv":
-            "10fbe23acf178ce7f9a9199e1e62b5d125ddd12783c9445241a64395a533fde5",
+            "b2eaa07a063273f6f291f058641fac6dae5880713a6a45b195b0048c07d6be85",
     },
     "doublewell_fig4": {
         "conserved.csv":
-            "e2e08d6a17ab8626f5e586c65c9337b955bf674f76fbed6df4b73a4f16483768",
+            "a0e810d99e4a45eb9d6565ecb8af19d65fee45b4f01db1135978ae770c49ad35",
         "norms.csv":
-            "6591e2cb2dce0965bc65fd084bb529fb8925511f3acd6b242a60e435095fc0d6",
+            "f354608d0c4d00b9a03d4c31496ac8e99f43b9a1af59a1b88d893a7c72cf1838",
         "snapshot_0.csv":
-            "d6fa60f1a3d6872ee0e42c31e3901103f988fca88b9dacbbe8a35bd14a59153b",
+            "0b9ad47154f79476fff5757cc64918117845e9dcfc8d0341e70ef4d2458c8498",
         "snapshot_10.csv":
-            "651f0dd3b4bcada57a2197ddbcb618fd110aa34c37aec37996be20d852feaaa7",
+            "7512b2a3651fe874c669bcaf86c09f7a304ebfc0b6acc610a772a68aeefef1fb",
         "snapshot_12.csv":
-            "24b7f5f207a699c613085b0802fdc563cc8f29c7a9573573f3bea100809074b1",
+            "2397a03b8072d242ec322b1be6fdf8406b07406bba80b24c640cef9b17310c90",
         "snapshot_2.5.csv":
-            "12a6e6601240eda3e4f0903bb4955aecac0142d96f31485497f2f828332bc840",
+            "9bb098fc6c9bc07fdd354e380a0483b59f9f80f9a29d2aad06cab94cf0c998f3",
         "snapshot_5.csv":
-            "e7d186b40bea3a54643abfbfa30447b2671dd1e51b1cdef87df6b091cab4884f",
+            "b6b647fcd9f4a8b47c2f98ba50eee888c5413e171bb2910644941e87b07f5711",
         "snapshot_7.5.csv":
-            "b3bd2284923f7568ffac5c1ab9e83a07b01531d2735c048fa33609c3ed72e674",
+            "f0cbd456a8b1f6e4f9e6fbe150742088a8c63fb5edd3b2749f733c507c613c75",
     },
     "doublewell_kn": {
         "conserved.csv":
-            "e72b953b7b638284671afb8d363d3022e780bbeb8bb0ada18cec0677f423ab88",
+            "6c41020103ca2dd1b8be663a625ead457e96759748ea2e831a907260c6511d23",
         "kn_table.csv":
-            "c27ea660d62665bc056f1ca37364a47ab6558fe7201bf2925be39ee8471c732e",
+            "455920440c6a9bf5d9216842d2276ce90a4dc4cc4af4df62099a84dddd417b82",
         "norms.csv":
-            "46fdaa953158f4f6fc192b45ea143810e23fa0c9c5ace8c908788cd0075dd814",
+            "6d38c954839db6e812433725fba969c88fcdb0210d6384df845cc0c845d7cc40",
         "recurrence.csv":
-            "f12bf42c6db6b55fbc4a9017e39b0d095e4ac5ce1d2f72aafbf8bdb0b9e8800a",
+            "31478502fa11a6d573d0492e2d10ebbc852c7fc27a56b82a64a481c808d6b354",
     },
     "harmonic_fig1": {
         "conserved.csv":

@@ -164,15 +164,26 @@ def certified_tables():
 
 def test_certified_tables_come_from_the_first_pass(certified_tables):
     # The plain three-term pass certifies at n_max = 586 on its first
-    # max(256, 4 n_max) panels for every potential here.
+    # max(256, 4 n_max) intervals for every potential here.
     for table in certified_tables:
         assert table.panels == 4 * 586 == 2344, table.weight
         assert table.freud_residual <= 1e-12
 
 
+def _trapezoidal_weights(nodes, h):
+    """Weights of the trapezoidal rule on `nodes` equispaced nodes h apart."""
+    w = np.full(nodes, h)
+    w[[0, -1]] *= 0.5
+    return w
+
+
 def _full_line_pass(pot, n_max, panels, cutoff):
-    """The Stieltjes pass on the whole symmetric rule, one fresh array a row."""
-    x, w = panel_rule(-cutoff, cutoff, panels)
+    """The Stieltjes pass on the symmetric trapezoidal rule with 2 * panels
+    intervals of [-cutoff, cutoff], one fresh array a row.  The node j h is
+    one product, exact at 0 and mirrored bit for bit."""
+    h = cutoff / panels
+    x = h * np.arange(-panels, panels + 1.0)
+    w = _trapezoidal_weights(len(x), h)
     q = np.exp(-0.5 * pot(x))
     a = np.empty(n_max + 1)
     a[0] = math.sqrt(float(w @ (q * q)))
@@ -192,11 +203,6 @@ def _half_vs_full_line(pot, n_max):
     half = _stieltjes_pass(pot, n_max, panels, cutoff)
     full = _full_line_pass(pot, n_max, panels, cutoff)
     return float(np.max(np.abs(half - full) / full))
-
-
-def test_stieltjes_pass_needs_an_even_panel_count(doublewell_pot):
-    with pytest.raises(ValueError, match="even"):
-        _stieltjes_pass(doublewell_pot, 10, 257, 8.0)
 
 
 def test_half_line_pass_matches_the_full_line_rule(certified_tables):
@@ -219,8 +225,8 @@ def _five_pass_rows(pot, n_max, panels, cutoff):
     """The half-line pass on every node, with the weights kept apart from the
     values: each row is x q - a q_prev, then y * y, a weighted sum and a
     divide."""
-    x, w = panel_rule(0.0, cutoff, panels // 2)
-    w *= 2.0
+    x = np.linspace(0.0, cutoff, panels + 1)
+    w = 2.0 * _trapezoidal_weights(len(x), cutoff / panels)
     q = np.exp(-0.5 * pot(x))
     a = np.empty(n_max + 1)
     a[0] = math.sqrt(float(w @ (q * q)))
@@ -248,7 +254,7 @@ def test_the_pass_drops_only_nodes_whose_seed_is_zero(certified_tables):
     for table in certified_tables:
         pot = table.weight
         cutoff = bk.tail_cutoff(pot, poly_degree=2 * table.n_max + 2)
-        x_all, _ = panel_rule(0.0, cutoff, table.panels // 2)
+        x_all = np.linspace(0.0, cutoff, table.panels + 1)
         x, q, _ = _half_line_seed(pot, table.panels, cutoff)
         assert np.array_equal(x, x_all[:len(x)]) and q[-1] > 0.0
         assert np.all(np.exp(-0.5 * pot(x_all[len(x):])) == 0.0)
@@ -264,8 +270,8 @@ def test_a_seed_that_vanishes_everywhere_is_a_typed_failure():
 
 
 def test_every_pass_keeps_to_the_node_budget(harmonic_pot, monkeypatch):
-    # n_max = 200,000 starts on 800,000 panels, 4.8M nodes, past 2^22: the
-    # first pass must not run, as the doubled ones never do.
+    # n_max = 200,000 starts on 800,000 intervals, past the budget of
+    # 2^22 / 6: the first pass must not run, as the doubled ones never do.
     passes = []
     monkeypatch.setattr(orthopoly, "_stieltjes_pass",
                         lambda *args: passes.append(args))
@@ -308,22 +314,38 @@ def test_freud_residual_reads_only_rows_the_truncation_keeps_exact():
 
 def test_freud_residual_rejects_an_underresolved_pass(doublewell_pot):
     cutoff = bk.tail_cutoff(doublewell_pot, poly_degree=2 * 586 + 2)
-    coarse = _stieltjes_pass(doublewell_pot, 586, 1172, cutoff)
-    fine = _stieltjes_pass(doublewell_pot, 586, 2344, cutoff)
+    # 600 intervals read about 3e-12, 700 about 1e-14.
+    coarse = _stieltjes_pass(doublewell_pot, 586, 600, cutoff)
+    fine = _stieltjes_pass(doublewell_pot, 586, 700, cutoff)
     assert bk.freud_residual(coarse, doublewell_pot) > 1e-12
     assert bk.freud_residual(fine, doublewell_pot) <= 1e-12
 
 
 def test_build_recurrence_refines_an_uncertified_first_pass():
-    # A deep double well: the first pass, on 4 n_max panels, resolves the
-    # narrow wells to about 1e-7 only and fails the certificate.
-    pot = bk.normalize_potential(bk.RawPotential((0.0, -30.0, 1.0)))
-    n_max = 100
+    # A sextic with its wells at |x| ≈ 4.6 before normalization: the first
+    # pass, on 256 intervals, reads a Freud residual of about 2e-11, and the
+    # doubled pass certifies.
+    pot = bk.normalize_potential(bk.RawPotential((0.0, 0.0, -2.0, 0.0625)))
+    n_max = 50
     cutoff = bk.tail_cutoff(pot, poly_degree=2 * n_max + 2)
-    first = _stieltjes_pass(pot, n_max, 4 * n_max, cutoff)
+    first = _stieltjes_pass(pot, n_max, 256, cutoff)
     assert bk.freud_residual(first, pot) > 1e-12
     table = bk.build_recurrence(pot, n_max)
+    assert table.panels == 512
     assert bk.freud_residual(table.a, pot) <= 1e-12
+    fine = _stieltjes_pass(pot, n_max, 16 * n_max + 1024, cutoff)
+    assert np.max(np.abs(table.a - fine) / fine) <= 1e-12
+
+
+def test_deep_double_well_certifies_on_the_first_pass():
+    # The narrow wells of (0, -30, 1) need no doubling on the trapezoidal
+    # rule: the first pass of 4 n_max intervals reads about 4e-13.
+    pot = bk.normalize_potential(bk.RawPotential((0.0, -30.0, 1.0)))
+    n_max = 100
+    table = bk.build_recurrence(pot, n_max)
+    assert table.panels == 4 * n_max == 400
+    assert table.freud_residual <= 1e-12
+    cutoff = bk.tail_cutoff(pot, poly_degree=2 * n_max + 2)
     fine = _stieltjes_pass(pot, n_max, 16 * n_max + 1024, cutoff)
     assert np.max(np.abs(table.a - fine) / fine) <= 1e-12
 

@@ -107,8 +107,9 @@ def test_simulate_keeps_the_discrete_structure(data):
 
 
 # Inside the draw domain of test_simulate_keeps_the_discrete_structure: the
-# norm rises at steps 27, 28, 30, 33-36 and 39, by up to 1.6e-16 relative,
-# while mass and energy drift by 2.0e-15.
+# norm rises at steps 26, 28-31 and 33-40, by up to 3.1e-16 relative, while
+# mass and energy drift by 5.4e-15.  Which steps rise is decided by rounding,
+# so any change to the table at rounding level moves them.
 _STEADY_STATE = _config([1.7695077517265148, 0.715278340677401], 4, 25,
                         0.9014154050020589, 40,
                         [[2, 0, -0.9919138060186745],
@@ -125,9 +126,9 @@ def test_norm_never_increases_near_the_steady_state():
 
 def test_summary_counts_the_norm_increases():
     steady = cli.simulate(cli.RunConfig.from_dict(_STEADY_STATE))
-    assert steady.summary["norm_increases"] == 8
+    assert steady.summary["norm_increases"] == 13
     assert list(np.flatnonzero(np.diff(steady.norms) > 0.0) + 1) == [
-        27, 28, 30, 33, 34, 35, 36, 39]
+        26, 28, 29, 30, 31, 33, 34, 35, 36, 37, 38, 39, 40]
     fig3 = cli.simulate(cli.RunConfig.from_dict(cli.PRESETS["doublewell_fig3"]))
     assert fig3.summary["norm_increases"] == 0
 
