@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -299,9 +300,48 @@ def simulate(config: RunConfig) -> RunResult:
                      summary=summary)
 
 
+def _csv_files(result: RunResult):
+    """(name, header, row template, rows) of each CSV file the config's
+    outputs name, each computed only when the one before it is written."""
+    config, grid = result.config, SNAPSHOT_GRID
+    times = result.times.tolist()
+    if "norms" in config.outputs:
+        yield ("norms.csv", "t,norm", "%.17g,%.17g\n",
+               zip(times, result.norms.tolist()))
+    if "conserved" in config.outputs:
+        m = result.conserved.shape[1]
+        # General potentials leave the harmonic-only cells empty.
+        yield ("conserved.csv",
+               ",".join(("t",) + diagnostics.CONSERVED_COLUMNS),
+               "%.17g" + ",%.17g" * m
+               + "," * (len(diagnostics.CONSERVED_COLUMNS) - m) + "\n",
+               ((t, *row) for t, row in zip(times, result.conserved.tolist())))
+    if result.snapshots:
+        # One line per v with the v cell filled in; x and h are %-slots.
+        text = ["%.17g" % x for x in grid.tolist()]
+        grid_row = "".join(f"%s,{v},%.17g\n" for v in text)
+        for st in result.snapshots:
+            h = diagnostics.snapshot(st, grid, grid, result.table)
+            yield (f"snapshot_{st.t:g}.csv", "x,v,h", grid_row,
+                   _snapshot_rows(h, text))
+    if "recurrence" in config.outputs:
+        yield ("recurrence.csv", "n,a_n", "%d,%.17g\n",
+               enumerate(result.table.a.tolist()))
+    if result.kn is not None:
+        yield ("kn_table.csv", "N,M_big,kn0,kn1,kn2,kn3,converged",
+               "%d,%d,%.17g,%.17g,%.17g,%.17g,%s\n",
+               ((r.N, r.m_big, *r.kn, str(r.converged).lower())
+                for r in result.kn))
+
+
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
     """Create `out_dir` and write the CSV files the config's outputs name;
-    a snapshot that could overflow raises OverflowError before any file."""
+    a snapshot that could overflow raises OverflowError before any file.
+
+    Each file is written under a temporary name, and all of them are moved
+    into place only once every one is written; a failed write or move
+    removes what this call wrote, and `out_dir` too if this call created it.
+    """
     config, grid = result.config, SNAPSHOT_GRID
     if result.snapshots:
         # h[i, j] = sum P_n(x_i) C[k, n] H_k(v_j), so max|C| ||P[:, i]||_1
@@ -314,35 +354,24 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
             raise OverflowError(f"snapshot values on [{grid[0]:g}, {grid[-1]:g}]^2 "
                                 "pass double precision")
     out_dir = Path(out_dir)
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
-    times = result.times.tolist()
-    if "norms" in config.outputs:
-        _write_csv(out_dir / "norms.csv", "t,norm", "%.17g,%.17g\n",
-                   zip(times, result.norms.tolist()))
-    if "conserved" in config.outputs:
-        m = result.conserved.shape[1]
-        # General potentials leave the harmonic-only cells empty.
-        _write_csv(out_dir / "conserved.csv",
-                   ",".join(("t",) + diagnostics.CONSERVED_COLUMNS),
-                   "%.17g" + ",%.17g" * m
-                   + "," * (len(diagnostics.CONSERVED_COLUMNS) - m) + "\n",
-                   ((t, *row) for t, row in zip(times, result.conserved.tolist())))
-    if result.snapshots:
-        # One line per v with the v cell filled in; x and h are %-slots.
-        text = ["%.17g" % x for x in grid.tolist()]
-        grid_row = "".join(f"%s,{v},%.17g\n" for v in text)
-        for st in result.snapshots:
-            h = diagnostics.snapshot(st, grid, grid, result.table)
-            _write_csv(out_dir / f"snapshot_{st.t:g}.csv", "x,v,h", grid_row,
-                       _snapshot_rows(h, text))
-    if "recurrence" in config.outputs:
-        _write_csv(out_dir / "recurrence.csv", "n,a_n", "%d,%.17g\n",
-                   enumerate(result.table.a.tolist()))
-    if result.kn is not None:
-        _write_csv(out_dir / "kn_table.csv", "N,M_big,kn0,kn1,kn2,kn3,converged",
-                   "%d,%d,%.17g,%.17g,%.17g,%.17g,%s\n",
-                   ((r.N, r.m_big, *r.kn, str(r.converged).lower())
-                    for r in result.kn))
+    staged: list[tuple[Path, Path]] = []      # (temporary, final) paths
+    moved: list[Path] = []
+    try:
+        for name, *table in _csv_files(result):
+            staged.append((out_dir / f".{name}.partial", out_dir / name))
+            _write_csv(staged[-1][0], *table)
+        for tmp, final in staged:
+            moved.append(tmp.replace(final))
+    except BaseException:
+        for path in [tmp for tmp, _ in staged] + moved:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        if created:
+            with contextlib.suppress(OSError):
+                out_dir.rmdir()
+        raise
 
 
 def run(config: RunConfig, out_dir: Path) -> dict:

@@ -40,9 +40,9 @@ from .errors import IntegrationFailureError, PrecisionFailureError, describe
 from .potential import NormalizedPotential, tail_cutoff
 from .weddle import _MAX_NODES, panel_rule
 
-# The interval budget of a pass: 2^22 / 6, the panel count of the 2^22-node
-# budget of `weddle.integrate_adaptive`.  A table to n_max above 174,762
-# (a first pass of 4 n_max intervals) is refused before any pass runs.
+# The interval budget of a pass: 2^22 / 6, the panel count of a composite
+# Weddle rule on the 2^22-node budget `_MAX_NODES`.  A table to n_max above
+# 174,762 (a first pass of 4 n_max intervals) is refused before any pass runs.
 _MAX_PANELS = _MAX_NODES // 6
 
 

@@ -1,9 +1,14 @@
 import math
 
+import numpy as np
+from numpy.polynomial import polynomial as npoly
 import pytest
 from hypothesis import strategies as st
 
 import bgkspectral as bk
+from bgkspectral.errors import IntegrationFailureError, InvalidPotentialError
+from bgkspectral.potential import _TAIL_MARGIN, _real_root_radii
+from bgkspectral.weddle import _MAX_NODES, _REL_TOL, panel_rule
 
 HARMONIC_COEFFS = (0.5 * math.log(2.0 * math.pi), 0.5)
 DOUBLE_WELL_COEFFS = (1.0, -2.0, 1.0)
@@ -12,6 +17,65 @@ DOUBLE_WELL_COEFFS = (1.0, -2.0, 1.0)
 def inner_products(table, rule, f, n):
     """Vector of <f, P_k>, k = 0..n, under the weight rho, by the quadrature `rule`."""
     return bk.eval_poly_all(table, n, rule.nodes) @ (rule.weights * f(rule.nodes))
+
+
+def integrate_adaptive(f, lo: float, hi: float) -> float:
+    """Integrate f over [lo, hi] by composite Weddle, doubling panels from 16
+    until successive values agree to _REL_TOL; past _MAX_NODES nodes, raise
+    IntegrationFailureError.  The oracle of `bk.normalize_potential`'s
+    integrals, on a rule independent of its trapezoidal one."""
+    panels = 16
+    prev = None
+    while True:
+        x, w = panel_rule(lo, hi, panels)
+        val = float(w @ np.asarray(f(x), dtype=float))
+        if prev is not None and abs(val - prev) <= _REL_TOL * max(abs(val), 1e-300):
+            return val
+        panels *= 2
+        if 6 * panels + 1 > _MAX_NODES:
+            raise IntegrationFailureError(
+                f"composite quadrature on [{lo}, {hi}] did not reach rel_tol={_REL_TOL} "
+                f"within {_MAX_NODES} nodes"
+            )
+        prev = val
+
+
+def scanned_tail_cutoff(pot, poly_degree: int = 0) -> float:
+    """`bk.tail_cutoff` by a walk up the grid 0.5 * 1.0625^k, one point at a time."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            xdphi = npoly.polysub(npoly.polymulx(pot.deriv_coeffs), [poly_degree])
+            rising = np.max(_real_root_radii(xdphi), initial=0.0)
+
+            def negligible(L: float) -> bool:
+                return L > rising and (pot(L) - pot.floor - poly_degree
+                                       * math.log(max(L, math.e))) >= _TAIL_MARGIN
+
+            if negligible(1.0 / _MAX_NODES):
+                raise InvalidPotentialError(f"potential {pot.coeffs}: exp(-phi) "
+                                            "is too narrow to integrate")
+            L = 0.5
+            while not negligible(L):
+                L *= 1.0625
+                if L > 1e9:
+                    raise InvalidPotentialError("failed to locate an integration cutoff")
+            return L
+    except FloatingPointError:
+        raise InvalidPotentialError(
+            f"potential {pot.coeffs} overflows double precision") from None
+
+
+def weddle_normalized_coeffs(raw) -> tuple[float, ...]:
+    """The coefficients of `bk.normalize_potential(raw)` with I0 and I2 taken
+    by `integrate_adaptive` over their own scanned cutoffs."""
+    L0 = scanned_tail_cutoff(raw, poly_degree=0)
+    L2 = scanned_tail_cutoff(raw, poly_degree=raw.degree - 2)
+    i0 = integrate_adaptive(lambda x: np.exp(-raw(x)), -L0, L0)
+    i2 = integrate_adaptive(lambda x: raw.deriv2(x) * np.exp(-raw(x)), -L2, L2)
+    gamma = math.sqrt(i0 / i2)
+    coeffs = [g * gamma ** (2 * i) for i, g in enumerate(raw.coeffs)]
+    coeffs[0] += 0.5 * (math.log(i0) + math.log(i2))
+    return tuple(coeffs)
 
 
 @st.composite

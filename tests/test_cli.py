@@ -392,6 +392,39 @@ def test_invalid_config_leaves_no_artifacts(tmp_path):
         assert not out.exists()
 
 
+def test_failed_artifact_write_leaves_nothing_behind(tmp_path, capsys):
+    # norms.csv is written before conserved.csv, whose name is taken by a
+    # directory; the run exits 2 on one line and moves no file into place.
+    out = tmp_path / "partial"
+    (out / "conserved.csv").mkdir(parents=True)
+    assert cli.main(["--preset", "doublewell_fig3", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write artifacts to {out}: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["conserved.csv"]
+    assert not any((out / "conserved.csv").iterdir())
+
+
+def test_failed_artifact_write_removes_the_directory_it_created(tmp_path,
+                                                                monkeypatch):
+    # norms.csv is written and conserved.csv fails: the run leaves no file
+    # and no directory.
+    calls = []
+
+    def fail_second(path, *args):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write_csv(path, *args)
+
+    write_csv = cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv", fail_second)
+    out = tmp_path / "new"
+    with pytest.raises(ConfigError, match="disk full"):
+        cli.run(cli.RunConfig.from_dict(small_config()), out)
+    assert len(calls) == 2 and not out.exists()
+
+
 def test_run_writes_artifacts_and_summary(tmp_path):
     summary = cli.run(cli.RunConfig.from_dict(small_config()), tmp_path)
     assert summary["steps"] == 20
@@ -639,9 +672,9 @@ def test_sweep_of_N_sizes_the_recurrence(tmp_path):
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # 1e308 overflows phi' and phi; at 1e300 the weight is a spike about
     # 1e-150 wide, narrower than any rule within the node budget can place
-    # a node in; at 1e12 it is about 1e-6 wide, and the adaptive rule runs
-    # out of nodes before it converges.
-    for lead in (1e308, 1e300, 1e12):
+    # a node in; at 1e13 it is about 3e-7 wide, and the trapezoidal rule
+    # runs out of nodes before it converges.
+    for lead in (1e308, 1e300, 1e13):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(small_config(potential=[0.0, lead], N=4)))
         assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3

@@ -17,7 +17,7 @@ from bgkspectral.errors import (IntegrationFailureError, InvalidPotentialError,
 from bgkspectral.orthopoly import (_half_line_seed, _stieltjes_pass,
                                    _weight_moments_mp)
 from bgkspectral.weddle import panel_rule
-from conftest import inner_products, potentials_and_sizes
+from conftest import integrate_adaptive, inner_products, potentials_and_sizes
 
 
 def test_weddle_panel_exactness():
@@ -29,7 +29,6 @@ def test_weddle_panel_exactness():
 
 
 def test_adaptive_integration_gives_up():
-    from bgkspectral.weddle import integrate_adaptive
     # About 1.6e6 periods on [0, 1]: even the finest rule within the node
     # budget samples each period at fewer than two nodes.
     with pytest.raises(IntegrationFailureError, match="did not reach"):

@@ -13,7 +13,8 @@ import bgkspectral as bk
 from bgkspectral import cli
 from bgkspectral.errors import IntegrationFailureError, InvalidPotentialError
 
-from conftest import DOUBLE_WELL_COEFFS, HARMONIC_COEFFS
+from conftest import (DOUBLE_WELL_COEFFS, HARMONIC_COEFFS, scanned_tail_cutoff,
+                      weddle_normalized_coeffs)
 
 
 def test_harmonic_already_normalized():
@@ -210,11 +211,83 @@ def test_cutoff_keeps_all_but_a_negligible_share_of_the_mass(coeffs):
 
 
 def test_steep_potentials_at_the_node_budget():
-    # [0, 1e10] still normalizes; the two steeper weights exhaust the
-    # adaptive rule's nodes, which is reported against the coefficients.
-    pot = bk.normalize_potential(bk.RawPotential((0.0, 1e10)))
-    assert pot.scale == pytest.approx(1.0 / math.sqrt(2e10), rel=1e-12)
-    for coeffs in ((0.0, 1e12), (0.0, 0.0, 1e20)):
+    # The finest trapezoidal rule the 2^22-node budget affords on [0, 0.5]
+    # has 96 * 2^15 intervals.  [0, 1e12] and [0, 0, 1e20] normalize to
+    # their closed forms; on [0, 1e13] and [0, 0, 1e24] the last two rules
+    # disagree, which is reported against the coefficients, and [0, 1e16]
+    # lies within 2^-22 of the origin.
+    quadratic = bk.normalize_potential(bk.RawPotential((0.0, 1e12)))
+    assert quadratic.scale == 1.0 / math.sqrt(2e12)
+    assert quadratic.log_shift == pytest.approx(0.5 * math.log(2.0 * math.pi),
+                                                rel=2e-15)
+    # phi = a x^4: I0 = Gamma(1/4) / (2 a^(1/4)), I2 = 6 a^(1/4) Gamma(3/4).
+    quartic = bk.normalize_potential(bk.RawPotential((0.0, 0.0, 1e20)))
+    assert quartic.scale == pytest.approx(
+        math.sqrt(math.gamma(0.25) / (12.0 * math.gamma(0.75))) / 1e5, rel=2e-15)
+    for coeffs in ((0.0, 1e13), (0.0, 0.0, 1e24)):
         with pytest.raises(InvalidPotentialError, match=re.escape(str(coeffs))) as err:
             bk.normalize_potential(bk.RawPotential(coeffs))
         assert isinstance(err.value.__cause__, IntegrationFailureError)
+    with pytest.raises(InvalidPotentialError, match="too narrow"):
+        bk.normalize_potential(bk.RawPotential((0.0, 1e16)))
+
+
+@pytest.mark.parametrize("coeffs", [HARMONIC_COEFFS, DOUBLE_WELL_COEFFS,
+                                    (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, -1.0, 0.3),
+                                    (0.0, 1.0, -3.0, 0.5, 0.2), (0.0, -30.0, 1.0)])
+def test_trapezoidal_normalization_matches_the_weddle_oracle(coeffs):
+    raw = bk.RawPotential(coeffs)
+    np.testing.assert_allclose(bk.normalize_potential(raw).coeffs,
+                               weddle_normalized_coeffs(raw), rtol=2e-15, atol=0.0)
+
+
+def test_steep_quadratic_is_closer_to_its_closed_form_than_the_oracle():
+    # On [0, 1e10] the Weddle oracle's log-shift is 9.9e-13 off
+    # log sqrt(2 pi); the trapezoidal rule's is within rounding.
+    raw = bk.RawPotential((0.0, 1e10))
+    exact = (0.5 * math.log(2.0 * math.pi), 0.5)
+    np.testing.assert_allclose(bk.normalize_potential(raw).coeffs, exact,
+                               rtol=2e-15, atol=0.0)
+    np.testing.assert_allclose(weddle_normalized_coeffs(raw), exact,
+                               rtol=1e-12, atol=0.0)
+
+
+def _cutoff_or_message(cutoff, pot, poly_degree):
+    try:
+        return cutoff(pot, poly_degree)
+    except InvalidPotentialError as exc:
+        return str(exc)
+
+
+@st.composite
+def scaled_potentials(draw):
+    """Coefficients of a potential of degree 2..8, scaled by 10^-8..10^12."""
+    m = draw(st.integers(1, 4))
+    lower = draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
+    scale = 10.0 ** draw(st.integers(-8, 12))
+    return tuple(scale * c for c in lower + [draw(st.floats(0.05, 2.0))])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(scaled_potentials(), st.integers(0, 1500))
+@example((0.0, 1e16), 0)                       # narrow
+@example((0.0, 1e308), 0)                      # overflows
+@example((0.0, 1e-30), 0)                      # no cutoff up to 1e9
+@example((0.0,) * 40 + (1.0,), 0)              # probes past L overflow
+def test_bisection_finds_the_scanned_cutoff(coeffs, n):
+    pot = bk.RawPotential(coeffs)
+    for d in (0, pot.degree - 2, 2 * n + 2):
+        assert (_cutoff_or_message(bk.tail_cutoff, pot, d)
+                == _cutoff_or_message(scanned_tail_cutoff, pot, d))
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ((0.0, 1e16), "too narrow to integrate"),
+    ((0.0, 1e308), "overflows double precision"),
+    ((0.0, 1e-30), "failed to locate an integration cutoff"),
+])
+def test_cutoff_rejections_match_the_scan(coeffs, message):
+    pot = bk.RawPotential(coeffs)
+    for cutoff in (bk.tail_cutoff, scanned_tail_cutoff):
+        with pytest.raises(InvalidPotentialError, match=message):
+            cutoff(pot, 0)

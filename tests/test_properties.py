@@ -107,8 +107,8 @@ def test_simulate_keeps_the_discrete_structure(data):
 
 
 # Inside the draw domain of test_simulate_keeps_the_discrete_structure: the
-# norm rises at steps 26, 28-31 and 33-40, by up to 3.1e-16 relative, while
-# mass and energy drift by 5.4e-15.  Which steps rise is decided by rounding,
+# norm rises at every step from 26 to 40, by up to 4.7e-16 relative, while
+# mass and energy drift by 9.5e-15.  Which steps rise is decided by rounding,
 # so any change to the table at rounding level moves them.
 _STEADY_STATE = _config([1.7695077517265148, 0.715278340677401], 4, 25,
                         0.9014154050020589, 40,
@@ -126,9 +126,9 @@ def test_norm_never_increases_near_the_steady_state():
 
 def test_summary_counts_the_norm_increases():
     steady = cli.simulate(cli.RunConfig.from_dict(_STEADY_STATE))
-    assert steady.summary["norm_increases"] == 13
-    assert list(np.flatnonzero(np.diff(steady.norms) > 0.0) + 1) == [
-        26, 28, 29, 30, 31, 33, 34, 35, 36, 37, 38, 39, 40]
+    assert steady.summary["norm_increases"] == 15
+    assert list(np.flatnonzero(np.diff(steady.norms) > 0.0) + 1) == list(
+        range(26, 41))
     fig3 = cli.simulate(cli.RunConfig.from_dict(cli.PRESETS["doublewell_fig3"]))
     assert fig3.summary["norm_increases"] == 0
 
