@@ -286,7 +286,8 @@ def _norm(v: np.ndarray) -> float:
 
 
 def project_initial_condition(entries, K: int, N: int) -> SpectralState:
-    """State with the listed (k, n, value) coefficients set, others zero."""
+    """State with the listed (k, n, value) coefficients set, others zero;
+    of entries that repeat a (k, n), the last one wins."""
     c = np.zeros((K + 1, N + 1))
     for k, n, value in entries:
         if not (0 <= k <= K and 0 <= n <= N):

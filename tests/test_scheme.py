@@ -363,6 +363,27 @@ def test_trajectory_matches_dense_solver(doublewell_setup):
         assert np.linalg.norm(state.C.ravel() - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
+def test_project_initial_condition_keeps_the_last_repeat():
+    # Each (k, n) takes the value of its last entry.
+    rng = np.random.default_rng(5)
+    entries = [(int(k), int(n), float(v)) for k, n, v in
+               zip(rng.integers(0, 3, 200), rng.integers(0, 4, 200),
+                   rng.standard_normal(200))]
+    expect = np.zeros((3, 4))
+    for k, n, value in entries:
+        expect[k, n] = value
+    assert np.array_equal(bk.project_initial_condition(entries, 2, 3).C, expect)
+
+
+def test_project_initial_condition_names_the_first_entry_out_of_range():
+    entries = [(1, 2, 1.0), (3, 0, 1.0), (0, -1, 1.0), (1, 2, 2.0)]
+    with pytest.raises(IndexError, match=r"^coefficient \(3, 0\) outside "
+                                         r"\(K, N\) = \(2, 3\)$"):
+        bk.project_initial_condition(entries, 2, 3)
+    with pytest.raises(IndexError, match=r"^coefficient \(0, -1\) outside"):
+        bk.project_initial_condition(entries[2:], 2, 3)
+
+
 def test_project_initial_condition_presets(harmonic_setup, doublewell_setup):
     state = bk.project_initial_condition([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
     expect = np.zeros((21, 6))
