@@ -73,7 +73,12 @@ class RunConfig:
             raise ConfigError(f"missing config fields: {sorted(missing)}")
         return cls(**data)
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Raise ConfigError naming the first rule the config breaks.
+
+        Returns the `initial` entries as flat keys k (N + 1) + n and values,
+        in list order, for `scheme.initial_state`; no key repeats.
+        """
         lists = [("potential", self.potential), ("outputs", self.outputs),
                  ("snapshot_times", self.snapshot_times),
                  ("kn_n_values", self.kn_n_values), ("initial", self.initial)]
@@ -122,24 +127,32 @@ class RunConfig:
         if max(k1 * n1, n1 * p, k1 * p) > np.iinfo(np.intp).max // 8:
             raise ConfigError(f"K={describe(self.K)}, N={describe(self.N)} need an "
                               "array past the size numpy can index")
-        keys, width = [], int(self.N) + 1
+        keys, values = [], []
+        K, N, width = self.K, self.N, int(self.N) + 1
         for entry in self.initial:
             try:
                 k, n, value = entry
             except (TypeError, ValueError):
                 raise ConfigError(f"initial entries must be (k, n, value): "
                                   f"{describe(entry)}") from None
-            if not (_is_int(k) and _is_int(n) and _is_finite(value)):
+            exact = (type(k) is int and type(n) is int and type(value) is float
+                     and math.isfinite(value))
+            if not (exact or _is_int(k) and _is_int(n) and _is_finite(value)):
                 raise ConfigError(f"initial entry {describe(entry)}: k and n must "
                                   "be integers and the value a finite number")
-            if not (0 <= k <= self.K and 0 <= n <= self.N):
+            if not (0 <= k <= K and 0 <= n <= N):
                 raise ConfigError(f"initial coefficient ({describe(k)}, {describe(n)}) "
                                   "out of range")
-            keys.append(int(k) * width + int(n))
+            if exact:
+                keys.append(k * width + n)
+                values.append(value)
+            else:
+                keys.append(int(k) * width + int(n))
+                values.append(float(value))
+        keys = np.array(keys, dtype=np.intp)
         # A stable sort puts each repeat after the entry it repeats, in a
         # fraction of the memory of a hash set.  Every key is below
         # (K + 1)(N + 1), which the size check above keeps within intp.
-        keys = np.array(keys, dtype=np.intp)
         order = np.argsort(keys, kind="stable")
         ranked = keys[order]
         repeats = order[1:][ranked[1:] == ranked[:-1]]
@@ -157,6 +170,7 @@ class RunConfig:
             if names.setdefault(name, round(at)) != round(at):
                 raise ConfigError(f"snapshot times at steps {names[name]} and "
                                   f"{round(at)} share the file name {name}")
+        return keys, np.array(values)
 
 
 # Concrete types, not the numbers ABCs: an ABC check costs about 1 us, and
@@ -276,14 +290,14 @@ class RunResult:
 
 def simulate(config: RunConfig) -> RunResult:
     """Validate and run one configured experiment in memory; writes no file."""
-    config.validate()
+    keys, values = config.validate()
     pot = normalize_potential(RawPotential(tuple(config.potential)))
     # build_phi_matrix at size N + 1 reads a_0..a_{N + deg + 2}.
     table = build_recurrence(pot, config.N + pot.degree + 2)
     band = build_deriv_couplings(table, config.N).A
     basis = diagnostics.build_functional_basis(table, config.N)
 
-    state = scheme.project_initial_condition(config.initial, config.K, config.N)
+    state = scheme.initial_state(keys, values, config.K, config.N)
     if config.purge:
         state = diagnostics.purge_equilibrium_components(state, basis)
 

@@ -85,9 +85,14 @@ class _EvenPolynomial:
         return _read_only(_derivative(self.deriv_coeffs))
 
     @cached_property
+    def critical_radii(self) -> np.ndarray:
+        """|x| at the real critical points of phi, the roots of phi'."""
+        return _read_only(_real_root_radii(self.deriv_coeffs))
+
+    @cached_property
     def floor(self) -> float:
-        """Minimum of phi, at 0 or a real root of phi'; a missed root raises it."""
-        return float(np.min(self(np.append(_real_root_radii(self.deriv_coeffs), 0.0))))
+        """Minimum of phi, at 0 or a critical point; a missed root raises it."""
+        return float(np.min(self(np.append(self.critical_radii, 0.0))))
 
     def __call__(self, x):
         return npoly.polyval(x, self.power_coeffs)
@@ -261,6 +266,9 @@ def normalize_potential(raw: RawPotential) -> NormalizedPotential:
         scale=gamma,
         log_shift=log_c,
     )
+    # phi(gamma x) + log c has the critical points of phi divided by gamma,
+    # so its floor needs no root solve of its own.
+    object.__setattr__(pot, "critical_radii", _read_only(raw.critical_radii / gamma))
 
     check_tol = max(100.0 * _REL_TOL, 1e-11)
     r0, r2 = _weight_integrals(pot, tail_cutoff(pot, poly_degree=pot.degree - 2))

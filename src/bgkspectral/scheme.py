@@ -158,23 +158,41 @@ def assemble_generator(band: np.ndarray, K: int) -> Generator:
     A[r, n] = band[r - n, n]; `build_phi_matrix` leaves exact zeros past
     row N, so every coupling stays inside the truncation.
 
+    The CSR arrays are written directly, in canonical order.  Row i of every
+    block row k has one pattern: A^T's row i in block k - 1, the damping on
+    the diagonal, then A's row i in block k + 1, each sorted by column.  It
+    is laid out once and tiled across k, keeping the parts mode k has.
+
     `check_truncation` raises ValueError unless N >= deg(phi) and K >= 2.
     """
     deg, N = band.shape[0], band.shape[1] - 1
     check_truncation(K, N, deg)
+    w = N + 1
     s, n = np.nonzero(band)
     r = n + s
-    k = np.repeat(np.arange(K), len(r))
-    up_rows = k * (N + 1) + np.tile(r, K)
-    up_cols = (k + 1) * (N + 1) + np.tile(n, K)
-    up = np.repeat(np.sqrt(np.arange(1.0, K + 1.0)), len(r)) * np.tile(band[s, n], K)
-    dim = (K + 1) * (N + 1)
-    damped = np.arange(3 * (N + 1), dim)
-    m = sp.csr_matrix(
-        (np.concatenate([up, -up, np.full(len(damped), -1.0)]),
-         (np.concatenate([up_rows, up_cols, damped]),
-          np.concatenate([up_cols, up_rows, damped]))),
-        shape=(dim, dim))
+    by_row = np.lexsort((n, r))
+    # One block row: (row, part, column, value) of A^T's entries (part 0,
+    # block k - 1), the damping (part 1) and A's entries (part 2, block k + 1).
+    row = np.concatenate([n, np.arange(w), r[by_row]])
+    part = np.repeat([0, 1, 2], [len(n), w, len(n)])
+    col = np.concatenate([r - w, np.arange(w), n[by_row] + w])
+    val = np.concatenate([band[s, n], np.ones(w), band[s, n][by_row]])
+    at = np.argsort(row * 3 + part, kind="stable")
+    part, col, val = part[at], col[at], val[at]
+    # has[k, part]: mode k couples to k - 1 (k >= 1), is damped (k >= 3) and
+    # couples to k + 1 (k < K); scale[k, part] multiplies that part's values.
+    k = np.arange(K + 1)
+    has = np.stack([k >= 1, k >= 3, k < K], axis=1)
+    scale = np.stack([-np.sqrt(k), -np.ones(K + 1), np.sqrt(k + 1.0)], axis=1)
+    per_row = np.stack([np.bincount(n, minlength=w), np.ones(w, dtype=np.intp),
+                        np.bincount(r, minlength=w)])
+    indptr = np.concatenate([[0], np.cumsum(has.astype(np.intp) @ per_row)])
+    keep = has[:, part]
+    data = scale[:, part]
+    data *= val
+    dim = (K + 1) * w
+    m = sp.csr_matrix((data[keep], (k[:, None] * w + col)[keep], indptr),
+                      shape=(dim, dim))
     return Generator(matrix=m, K=K, N=N)
 
 
@@ -188,40 +206,64 @@ def make_stepping_plan(gen: Generator, dt: float) -> SteppingPlan:
     lower factorization is 4-10x faster (n = 2501, kd = 21) and the upper
     solve about 2x.  The bandwidth is read from the coupling pattern, so the
     factor's size depends on neither dt nor the values of M.
+
+    Every sparse structure is written in canonical CSR order from M's CSR
+    arrays, read as they are.  W's rows are M's even rows in band order
+    without their damping entry.  `system` holds -dt M off the diagonal and
+    1 - dt M on it; the rows of modes 0..2, which M does not damp, get
+    their 1 inserted.  `restrict`'s rows are the even rows of `system` with
+    the identity on the diagonal, between the couplings to mode k - 1 and
+    to mode k + 1, and `extend` has restrict's transposed pattern.  Every
+    block row of M repeats block row 1's pattern (`assemble_generator`),
+    which gives each row's number of couplings to mode k - 1.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     K, N = gen.K, gen.N
-    dim = (K + 1) * (N + 1)
-    k, n = np.divmod(np.arange(dim), N + 1)
-    t = 1.0 + dt * (k >= 3)
-    even = k % 2 == 0
-    m = gen.matrix.tocoo()
+    w = N + 1
+    dim = (K + 1) * w
+    indptr, indices, data = gen.matrix.indptr, gen.matrix.indices, gen.matrix.data
+    # Block row 1: row i couples to mode 0 (A^T's row i), then to mode 2.
+    ptr = indptr[w:2 * w + 1]
+    i1 = np.repeat(np.arange(w), np.diff(ptr))
+    j1 = indices[ptr[0]:ptr[-1]]
+    below = j1 < w
+    n_low = np.bincount(i1[below], minlength=w)
     # A's widest offset is deg(phi) - 1.
-    half_deg = (int(np.max(np.abs(n[m.row] - n[m.col]))) + 1) // 2
-    ev = np.flatnonzero(even)
-    order = ev[np.lexsort((k[ev], n[ev] // 2 + half_deg * (k[ev] // 2),
-                           (k[ev] + n[ev]) % 2))]
+    half_deg = (int(np.max(j1[below] - i1[below], initial=0)) + 1) // 2
+    k2, n = np.divmod(np.arange((K // 2 + 1) * w), w)
+    by = np.lexsort((k2, n // 2 + half_deg * k2, n % 2))
+    k, n = 2 * k2[by], n[by]
+    order = k * w + n
     n_e = len(order)
-    pos = np.zeros(dim, dtype=np.intp)
-    pos[order] = np.arange(n_e)
+    # t = 1 + dt [k >= 3], the diagonal of I - dt M, by mode.
+    t = 1.0 + dt * (np.arange(K + 1) >= 3)
 
-    sel = even[m.row] & ~even[m.col]
-    g_rows, g_cols = pos[m.row[sel]], m.col[sel]
-    g = dt * m.data[sel]
-    w = sp.csr_matrix((g / np.sqrt(t[g_cols]), (g_rows, g_cols)),
-                      shape=(n_e, dim))
-    # W W^T's bandwidth from W's pattern: the widest row span of a column.
-    lo, hi = np.full(dim, n_e), np.full(dim, -1)
-    np.minimum.at(lo, g_cols, g_rows)
-    np.maximum.at(hi, g_cols, g_rows)
-    kd = int(np.max(hi - lo))
-    s = (w @ w.T).tocoo()
+    # W = G T_o^-1/2, G = dt M[even k, odd k]: M's even rows in band order
+    # without the damping entry that rows k >= 3 hold after their couplings
+    # to mode k - 1.
+    src, m_ptr = _gather_rows(indptr, order)
+    src = np.delete(src, (m_ptr[:-1] + n_low[n])[k >= 3])
+    g_cols = indices[src]
+    g = data[src] * dt
+    g /= np.repeat(np.sqrt(t), w)[g_cols]
+    w_ptr = m_ptr - np.concatenate([[0], np.cumsum(k >= 3)])
+    w_mat = sp.csr_matrix((g, g_cols, w_ptr), shape=(n_e, dim))
+    del src, g, g_cols
+    # W^T, which W @ W.T would form itself; its rows are W's columns, so
+    # W W^T's bandwidth is the widest span of one of its rows.
+    w_t = w_mat.T.tocsr()
+    full = np.flatnonzero(np.diff(w_t.indptr))
+    kd = int(np.max(w_t.indices[w_t.indptr[full + 1] - 1] - w_t.indices[w_t.indptr[full]],
+                    initial=0))
+    s = (w_mat @ w_t).tocoo()
+    del w_mat, w_t
     lower = s.row >= s.col
+    row, col = s.row[lower], s.col[lower]
     band = np.zeros((kd + 1, n_e), order="F")
-    band[s.row[lower] - s.col[lower], s.col[lower]] = s.data[lower]
-    band[0] += t[order]
-    del w, s  # free S's triplets before the maps allocate their own
+    band[row - col, col] = s.data[lower]
+    band[0] += t[k]
+    del s, lower, row, col  # free S's triplets before the factor
     try:
         band = cholesky_banded(band, overwrite_ab=True, lower=True,
                                check_finite=False)
@@ -234,19 +276,45 @@ def make_stepping_plan(gen: Generator, dt: float) -> SteppingPlan:
         band[d, :kd - d], band[d, kd - d:] = 0.0, band[kd - d, :n_e - kd + d]
         band[kd - d, :d], band[kd - d, d:] = 0.0, row
 
-    # restrict = perm + G T_o^-1, extend = perm^T - T_o^-1 G^T, in band order.
-    coupling = g / t[g_cols]
-    rows = np.concatenate([np.arange(n_e), g_rows])
-    cols = np.concatenate([order, g_cols])
-    restrict = sp.csr_matrix((np.concatenate([np.ones(n_e), coupling]),
-                              (rows, cols)), shape=(n_e, dim))
-    extend = sp.csr_matrix((np.concatenate([np.ones(n_e), -coupling]),
-                            (cols, rows)), shape=(dim, n_e))
-    odd_scale = np.where(even, 0.0, 1.0 / t)
-    system = sp.identity(dim, format="csr") - dt * gen.matrix
+    # I - dt M; the rows of modes 0..2 get their diagonal 1 after their
+    # couplings to mode k - 1.
+    head = indptr[3 * w]
+    at = indptr[:3 * w] + np.concatenate([np.zeros(w, dtype=np.intp), n_low, n_low])
+    sys_ptr = indptr + np.minimum(np.arange(dim + 1), 3 * w)
+    sys_data = np.empty(len(data) + 3 * w)
+    sys_data[:head + 3 * w] = np.insert(data[:head] * -dt, at, 1.0)
+    np.multiply(data[head:], -dt, out=sys_data[head + 3 * w:])
+    diag = sys_ptr[3 * w:dim] + np.tile(n_low, K - 2)
+    sys_data[diag] = 1.0 - dt * data[diag - 3 * w]
+    sys_indices = np.concatenate([np.insert(indices[:head], at, np.arange(3 * w)),
+                                  indices[head:]])
+    system = sp.csr_matrix((sys_data, sys_indices, sys_ptr), shape=(dim, dim))
+    # restrict = perm + G T_o^-1: the even rows of I - dt M in band order,
+    # G = -(I - dt M) off the diagonal and the identity on it.
+    src, r_ptr = _gather_rows(sys_ptr, order)
+    r_cols = sys_indices[src]
+    r_data = sys_data[src]
+    r_data /= np.repeat(-t, w)[r_cols]
+    r_data[r_ptr[:-1] + n_low[n] * (k >= 1)] = 1.0
+    restrict = sp.csr_matrix((r_data, r_cols, r_ptr), shape=(n_e, dim))
+    # extend = perm^T - T_o^-1 G^T: restrict's transpose, negated but for the
+    # identity, the one entry of each even row.
+    ext = restrict.tocsc()
+    np.negative(ext.data, out=ext.data)
+    ext.data[ext.indptr[order]] = 1.0
+    extend = sp.csr_matrix((ext.data, ext.indices, ext.indptr), shape=(dim, n_e))
+    odd_scale = np.repeat(np.where(np.arange(K + 1) % 2 == 1, 1.0 / t, 0.0), w)
     lu = EvenOddCholesky(band=band, restrict=restrict, extend=extend,
                          odd_scale=odd_scale)
     return SteppingPlan(dt=dt, lu=lu, system=system, K=K, N=N)
+
+
+def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of `rows`, in that order, in the arrays of a
+    CSR matrix with row pointer `indptr`, and the row pointer they form."""
+    length = indptr[rows + 1] - indptr[rows]
+    ptr = np.concatenate([[0], np.cumsum(length)])
+    return np.arange(ptr[-1]) + np.repeat(indptr[rows] - ptr[:-1], length), ptr
 
 
 def step(plan: SteppingPlan, state: SpectralState) -> SpectralState:
@@ -285,12 +353,21 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def initial_state(keys: np.ndarray, values: np.ndarray, K: int, N: int) -> SpectralState:
+    """State at t = 0 whose coefficient k (N + 1) + n is `values[j]` where
+    `keys[j]` is that flat index, others zero; `keys` repeats no index."""
+    c = np.zeros((K + 1, N + 1))
+    c.ravel()[keys] = values
+    return SpectralState(C=c, t=0.0)
+
+
 def project_initial_condition(entries, K: int, N: int) -> SpectralState:
     """State with the listed (k, n, value) coefficients set, others zero;
     of entries that repeat a (k, n), the last one wins."""
-    c = np.zeros((K + 1, N + 1))
+    flat = {}
     for k, n, value in entries:
         if not (0 <= k <= K and 0 <= n <= N):
             raise IndexError(f"coefficient ({k}, {n}) outside (K, N) = ({K}, {N})")
-        c[k, n] = float(value)
-    return SpectralState(C=c, t=0.0)
+        flat[k * (N + 1) + n] = float(value)
+    return initial_state(np.array(list(flat), dtype=np.intp),
+                         np.array(list(flat.values())), K, N)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import strategies as st
 
 import bgkspectral as bk
-from bgkspectral.errors import IntegrationFailureError, InvalidPotentialError
+from bgkspectral.cli import _is_finite, _is_int
+from bgkspectral.errors import (ConfigError, IntegrationFailureError,
+                                InvalidPotentialError, describe)
 from bgkspectral.potential import _TAIL_MARGIN, _real_root_radii
 from bgkspectral.weddle import _MAX_NODES, _REL_TOL, panel_rule
 
@@ -76,6 +78,36 @@ def weddle_normalized_coeffs(raw) -> tuple[float, ...]:
     coeffs = [g * gamma ** (2 * i) for i, g in enumerate(raw.coeffs)]
     coeffs[0] += 0.5 * (math.log(i0) + math.log(i2))
     return tuple(coeffs)
+
+
+def checked_initial(initial, K: int, N: int):
+    """The `initial` rules of `RunConfig.validate()`, one entry at a time:
+    the ConfigError for the first entry in list order that is not a
+    (k, n, value) triple of integers and a finite number, or is out of
+    range; else the one for the first entry that repeats an earlier (k, n);
+    else the entries as (int k, int n, float value).  The oracle of
+    validate()'s single pass over `initial`."""
+    checked = []
+    for entry in initial:
+        try:
+            k, n, value = entry
+        except (TypeError, ValueError):
+            raise ConfigError(f"initial entries must be (k, n, value): "
+                              f"{describe(entry)}") from None
+        if not (_is_int(k) and _is_int(n) and _is_finite(value)):
+            raise ConfigError(f"initial entry {describe(entry)}: k and n must "
+                              "be integers and the value a finite number")
+        if not (0 <= k <= K and 0 <= n <= N):
+            raise ConfigError(f"initial coefficient ({describe(k)}, {describe(n)}) "
+                              "out of range")
+        checked.append((int(k), int(n), float(value)))
+    seen = set()
+    for (k, n, _), entry in zip(checked, initial):
+        if (k, n) in seen:
+            raise ConfigError(f"initial coefficient ({describe(entry[0])}, "
+                              f"{describe(entry[1])}) given twice")
+        seen.add((k, n))
+    return checked
 
 
 @st.composite

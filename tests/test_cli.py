@@ -20,6 +20,7 @@ from bgkspectral.errors import (ConfigError, IntegrationFailureError,
                                 PrecisionFailureError)
 from bgkspectral.orthopoly import build_recurrence, freud_residual
 from bgkspectral.potential import RawPotential, normalize_potential
+from conftest import checked_initial
 
 # Run options no run set to another value: every snapshot samples
 # cli.SNAPSHOT_GRID and every decay fit spans [0.2 T, T].
@@ -227,6 +228,53 @@ def test_validate_rejects_an_entry_that_is_not_a_triple(entry):
         cli.RunConfig.from_dict(data).validate()
 
 
+def _faulty_entry(draw, k, n, K, N):
+    """One malformed, mistyped or out-of-range variant of entry (k, n, 1.0)."""
+    return draw(st.sampled_from([
+        [k, n], [k, n, 1.0, 1.0], 5, None,
+        [True, n, 1.0], [k, False, 1.0], [float(k), n, 1.0], [k, float(n), 1.0],
+        [np.int64(k), n, 1.0], [k, np.int32(n), 1.0],
+        [k, n, math.nan], [k, n, math.inf], [k, n, -math.inf], [k, n, 10 ** 400],
+        [k, n, "1.0"], [K + 1, n, 1.0], [-1, n, 1.0], [k, N + 1, 1.0], [k, -1, 1.0],
+    ]))
+
+
+@st.composite
+def _initial_with_faults(draw):
+    K, N = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    cells = st.tuples(st.integers(0, K), st.integers(0, N))
+    valid = draw(st.lists(cells, max_size=12, unique=True))
+    initial = [[k, n, draw(st.floats(-10.0, 10.0))] for k, n in valid]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(initial)))
+        if valid and draw(st.booleans()):
+            fault = [*draw(st.sampled_from(valid)), 2.0]    # a repeat
+        else:
+            fault = _faulty_entry(draw, *draw(cells), K, N)
+        initial.insert(at, fault)
+    return K, N, initial
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_initial_with_faults())
+def test_validate_reports_initial_faults_as_the_per_entry_oracle(drawn):
+    # validate() checks `initial` in one pass and its repeats after it; the
+    # oracle checks one entry at a time.  The first bad entry in list order
+    # is named, and a repeat only when no entry is malformed or out of range.
+    K, N, initial = drawn
+    config = cli.RunConfig.from_dict(small_config(K=K, N=N, initial=initial))
+    try:
+        want = checked_initial(initial, K, N)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            config.validate()
+        assert str(got.value) == str(exc)
+        return
+    keys, values = config.validate()
+    state = scheme.initial_state(keys, values, K, N)
+    assert np.array_equal(state.C, scheme.project_initial_condition(want, K, N).C)
+
+
 _HUGE = 10 ** 400
 
 
@@ -315,7 +363,7 @@ def test_sizes_numpy_can_index_are_valid_and_a_failed_allocation_exits_3(
     def no_memory(*args):
         raise MemoryError("cannot allocate the state")
 
-    monkeypatch.setattr(cli.scheme, "project_initial_condition", no_memory)
+    monkeypatch.setattr(cli.scheme, "initial_state", no_memory)
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(json.dumps(small_config()))
     assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 3

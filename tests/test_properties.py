@@ -346,11 +346,18 @@ def _same_bytes(a, b) -> bool:
 @given(potentials_and_sizes(), st.integers(2, 60), st.floats(-4.0, 2.0))
 # The widest band of the domain (kd = 58), past LAPACK's blocked-code switch.
 @example(([0.0, 1.0, -3.0, 0.5, 0.2], 150), 60, 2.0)
+# The smallest truncations, N = deg(phi) and K in {2, 3}: the index
+# arithmetic of the plan is at its edges (no damped mode, no mode past 3).
+@example(([0.0, 1.0], 2), 2, -2.0)
+@example(([1.0, -2.0, 1.0], 4), 3, 0.0)
+@example(([0.0, 0.0, 0.0, 1.0], 6), 2, 2.0)
+@example(([0.0, 1.0, -3.0, 0.5, 0.2], 8), 3, -4.0)
 def test_stepping_plan_matches_the_upper_storage_oracle_bit_for_bit(drawn, K,
                                                                     log_dt):
     # The plan factors S in lower band storage and moves the factor into the
-    # upper storage the solve reads; it builds each map once from triplets.
-    # Neither may move a bit of the factor, the maps or the system.
+    # upper storage the solve reads; it writes the maps and the system as CSR
+    # arrays from index arithmetic.  Neither may move a bit of the factor,
+    # the maps or the system.
     coeffs, N = drawn
     table = _drawn_table(coeffs, N)
     if table is None:

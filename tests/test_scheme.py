@@ -186,11 +186,9 @@ def _kron_generator(dc, K, N):
     return m
 
 
-@pytest.mark.parametrize("K", [2, 3, 20])
-def test_generator_matches_the_kronecker_oracle(doublewell_table, K):
+def _assert_matches_the_kronecker_oracle(dc, K, N):
     # M = up (x) A + low (x) A^T + damp (x) I, entry for entry and bit for bit.
-    dc = bk.build_deriv_couplings(doublewell_table, 30)
-    oracle = _kron_generator(dc, K, 30)
+    oracle = _kron_generator(dc, K, N)
     m = bk.assemble_generator(dc.A, K).matrix
     assert m.has_canonical_format
     assert np.array_equal(m.indptr, oracle.indptr)
@@ -198,10 +196,29 @@ def test_generator_matches_the_kronecker_oracle(doublewell_table, K):
     assert np.array_equal(m.data, oracle.data)
 
 
+@pytest.mark.parametrize("K", [2, 3, 20])
+def test_generator_matches_the_kronecker_oracle(doublewell_table, K):
+    _assert_matches_the_kronecker_oracle(
+        bk.build_deriv_couplings(doublewell_table, 30), K, 30)
+
+
+# Every band width of the domain, at N = deg(phi), where the band is cut by
+# the truncation in every column, and at N = 60.
+@pytest.mark.parametrize("K", [2, 3, 20])
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0), (1.0, -2.0, 1.0), (0.0, 0.0, 0.0, 1.0),
+                                    (0.0, 1.0, -3.0, 0.5, 0.2)],
+                         ids=["harmonic", "double_well", "sextic", "octic"])
+def test_generator_matches_the_kronecker_oracle_on_every_band(coeffs, K):
+    pot = bk.normalize_potential(bk.RawPotential(coeffs))
+    table = bk.build_recurrence(pot, 60 + pot.degree + 2)
+    for N in (pot.degree, 60):
+        _assert_matches_the_kronecker_oracle(bk.build_deriv_couplings(table, N), K, N)
+
+
 def test_assembly_allocates_no_dense_couplings(doublewell_pot):
     # One (N + 1)^2 float array is 7.6 MiB at N = 1000; the couplings band is
-    # 4 x 1001 floats (31 KiB), and the peak, about 2.8 MiB, is the
-    # generator's COO triplets and their CSR conversion.
+    # 4 x 1001 floats (31 KiB), and the peak, about 2.0 MiB, is the
+    # (K + 1) x (one block row's entries) arrays the CSR arrays are cut from.
     table = bk.build_recurrence(doublewell_pot, 1006)
     tracemalloc.start()
     try:
