@@ -5,13 +5,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import marshal
 import math
-import multiprocessing
-import os
-import subprocess
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
@@ -20,7 +15,7 @@ import numpy as np
 
 from . import diagnostics, scheme
 from .conjecture_lab import KNReport, kn_sweep
-from .csv_writer import snapshot_rows, write_csv as _write_csv
+from .csv_writer import format_cells, text_cells, write_csv as _write_csv
 from .errors import ConfigError, InvalidPotentialError, describe
 # benchmarks/spans.py traces build_deriv_couplings (counting the nonzeros of
 # its `.A`, Phi's lower band, which the generator takes) and build_quadrature
@@ -218,59 +213,6 @@ PRESETS: dict[str, dict] = {
 }
 
 
-# The second writer process: this interpreter, isolated from the environment
-# and the site packages, running csv_writer.py, which imports only the
-# standard library.  An interpreter that cannot name its executable gives
-# "", which fails to start, so the write stays in this process.
-_WRITER = [sys.executable or "", "-I", "-S",
-           str(Path(__file__).with_name("csv_writer.py"))]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _second_writer(jobs):
-    """Write `jobs`, (path, row template, x texts, h) snapshots, in a second
-    process while the with block runs; yields whether that process took them.
-
-    Nothing is started for no jobs, or when the process cannot start: the
-    block then writes them.  Leaving the block waits for the process, and
-    the failure it reports, or an exit without a report, raises OSError.  An
-    exception in the block kills the process first; either way it is reaped.
-    """
-    proc = None
-    if jobs:
-        # The input goes through a file, not a pipe, so that this process
-        # never waits for the other one to start reading.
-        with contextlib.suppress(OSError), tempfile.TemporaryFile() as data:
-            marshal.dump(len(jobs), data)
-            for path, row_template, xs_text, h in jobs:
-                marshal.dump((str(path), row_template, xs_text, h.tobytes()), data)
-            data.seek(0)
-            proc = subprocess.Popen(_WRITER, stdin=data, stdout=subprocess.DEVNULL,
-                                    stderr=subprocess.PIPE)
-    if proc is None:
-        yield False
-        return
-    try:
-        yield True
-        report = proc.communicate()[1].decode(errors="replace").strip()
-    finally:
-        if proc.returncode is None:
-            proc.kill()
-            proc.wait()
-        proc.stderr.close()
-    if proc.returncode:
-        code = proc.returncode
-        raise OSError(report.splitlines()[-1] if report else "snapshot writer exited "
-                      "with " + (f"signal {-code}" if code < 0 else f"status {code}"))
-
-
 @dataclass(frozen=True)
 class RunResult:
     """Everything one run computes: per-step `times`, `norms` and `conserved`
@@ -353,29 +295,29 @@ def simulate(config: RunConfig) -> RunResult:
 
 
 def _csv_files(result: RunResult):
-    """(name, header, row template, rows) of each CSV file the config's
-    outputs name, apart from the snapshots."""
-    config = result.config
-    times = result.times.tolist()
+    """(name, header, columns) of each CSV file the config's outputs name,
+    apart from the snapshots.  Integers below 2^53, as floats, print the
+    same through '%.17g' as through '%d'."""
+    config, times = result.config, result.times
     if "norms" in config.outputs:
-        yield ("norms.csv", "t,norm", "%.17g,%.17g\n",
-               zip(times, result.norms.tolist()))
+        yield "norms.csv", "t,norm", [times, result.norms]
     if "conserved" in config.outputs:
-        m = result.conserved.shape[1]
         # General potentials leave the harmonic-only cells empty.
-        yield ("conserved.csv",
-               ",".join(("t",) + diagnostics.CONSERVED_COLUMNS),
-               "%.17g" + ",%.17g" * m
-               + "," * (len(diagnostics.CONSERVED_COLUMNS) - m) + "\n",
-               ((t, *row) for t, row in zip(times, result.conserved.tolist())))
+        empty = np.zeros((1, 0), np.uint8)
+        m = result.conserved.shape[1]
+        yield ("conserved.csv", ",".join(("t",) + diagnostics.CONSERVED_COLUMNS),
+               [times, *result.conserved.T]
+               + [empty] * (len(diagnostics.CONSERVED_COLUMNS) - m))
     if "recurrence" in config.outputs:
-        yield ("recurrence.csv", "n,a_n", "%d,%.17g\n",
-               enumerate(result.table.a.tolist()))
+        a = result.table.a
+        yield "recurrence.csv", "n,a_n", [np.arange(a.size, dtype=float), a]
     if result.kn is not None:
+        rows = result.kn
         yield ("kn_table.csv", "N,M_big,kn0,kn1,kn2,kn3,converged",
-               "%d,%d,%.17g,%.17g,%.17g,%.17g,%s\n",
-               ((r.N, r.m_big, *r.kn, str(r.converged).lower())
-                for r in result.kn))
+               [np.array([r.N for r in rows], float),
+                np.array([r.m_big for r in rows], float),
+                *np.array([r.kn for r in rows], float).reshape(-1, 4).T,
+                text_cells([str(r.converged).lower() for r in rows])])
 
 
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
@@ -385,22 +327,10 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     Each file is written under a temporary name, and all of them are moved
     into place only once every one is written; a failed write or move
     removes what this call wrote, and `out_dir` too if this call created it.
-
-    Every third snapshot file (the third, sixth, ...) goes to a second
-    process, which writes it while this one writes the rest.  That process
-    starts 10-25 ms late, about the time one file takes, so with a third of
-    the snapshots, and none of fewer than three, it seldom finishes last
-    and this one seldom sleeps waiting for it; a wait can wake this one on
-    another CPU.  This process computes those snapshots and hands over their
-    values, so the other one only formats text: it runs `csv_writer.py`
-    and imports no numpy.  The write stays in this process when there are
-    fewer than three snapshots, when only one CPU is usable, when the
-    second process cannot start, and in a `--sweep` worker, whose siblings
-    already use the other CPUs.  A failure in the second process, or an
-    exit without a report, is an OSError here and removes its files too.
+    Every file goes through `csv_writer.write_csv` in this process; the
+    snapshots' x and v cells are formatted once for all of them.
     """
     config, grid = result.config, SNAPSHOT_GRID
-    text, grid_row = [], ""
     if result.snapshots:
         # h[i, j] = sum P_n(x_i) C[k, n] H_k(v_j), so max|C| ||P[:, i]||_1
         # ||H[:, j]||_1 bounds |h| and every partial sum of the product.
@@ -411,18 +341,12 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
         if not np.isfinite(bound):
             raise OverflowError(f"snapshot values on [{grid[0]:g}, {grid[-1]:g}]^2 "
                                 "pass double precision")
-        # One line per v with the v cell filled in; x and h are %-slots.
-        text = ["%.17g" % x for x in grid.tolist()]
-        grid_row = "".join(f"%s,{v},%.17g\n" for v in text)
+        # Every snapshot row repeats an x and a v cell: the slots no grid
+        # value uses are dropped once, rather than stripped from every row.
+        cells = format_cells(grid)
+        cells = cells[:, cells.any(0)]
     tables = list(_csv_files(result))
     snapshots = {f"snapshot_{st.t:g}.csv": st for st in result.snapshots}
-
-    def values(name: str) -> np.ndarray:
-        return diagnostics.snapshot(snapshots[name], grid, grid, result.table)
-
-    handed = ({name: values(name) for name in list(snapshots)[2::3]}
-              if _usable_cpus() > 1 and multiprocessing.parent_process() is None
-              else {})
     out_dir = Path(out_dir)
     created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -430,15 +354,12 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
                for name in [table[0] for table in tables] + list(snapshots)}
     moved: list[Path] = []
     try:
-        with _second_writer([(partial[name], grid_row, text, h)
-                             for name, h in handed.items()]) as took:
-            for name, *table in tables:
-                _write_csv(partial[name], *table)
-            for name in snapshots:
-                if not (took and name in handed):
-                    h = handed[name] if name in handed else values(name)
-                    _write_csv(partial[name], "x,v,h", grid_row,
-                               snapshot_rows(h.ravel(), text))
+        for name, *table in tables:
+            _write_csv(partial[name], *table)
+        for name, st in snapshots.items():
+            _write_csv(partial[name], "x,v,h",
+                       [cells[:, None], cells[None],
+                        diagnostics.snapshot(st, grid, grid, result.table)])
         for name, tmp in partial.items():
             moved.append(tmp.replace(out_dir / name))
     except BaseException:

@@ -94,7 +94,9 @@ def purge_equilibrium_components(state: SpectralState,
 
 def l2_norm(state: SpectralState) -> float:
     """Maxwellian-weighted L2 norm of the expansion (Parseval)."""
-    norm = float(np.linalg.norm(state.C))
+    # np.linalg.norm's own steps for a real array, without its dispatch.
+    c = state.C.ravel(order="K")
+    norm = math.sqrt(c.dot(c))
     # Below 1e-150 the plain sum of squares underflows; hypot rescales.
     return norm if norm >= 1e-150 else math.hypot(*state.C.ravel())
 

@@ -1,5 +1,4 @@
 import dataclasses
-import errno
 import json
 import math
 import multiprocessing
@@ -7,7 +6,6 @@ import os
 import pickle
 import re
 import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgkspectral import cli, diagnostics, errors, orthopoly, scheme
+from bgkspectral import cli, csv_writer, diagnostics, errors, orthopoly, scheme
 from bgkspectral.errors import (ConfigError, IntegrationFailureError,
                                 PrecisionFailureError)
 from bgkspectral.orthopoly import build_recurrence, freud_residual
@@ -478,120 +476,44 @@ def test_failed_artifact_write_removes_the_directory_it_created(tmp_path,
     assert len(calls) == 2 and not out.exists()
 
 
-# doublewell_fig4's snapshot files in time order; the second writer process
-# takes every third one (the third and the sixth).
-FIG4_SNAPSHOTS = ["snapshot_0.csv", "snapshot_2.5.csv", "snapshot_5.csv",
-                  "snapshot_7.5.csv", "snapshot_10.csv", "snapshot_12.csv"]
-FIG4_HANDED = ["snapshot_5.csv", "snapshot_12.csv"]
-
-
 @pytest.fixture(scope="module")
 def fig4_result():
     return cli.simulate(cli.RunConfig.from_dict(cli.PRESETS["doublewell_fig4"]))
 
 
-@pytest.fixture
-def writers(monkeypatch):
-    """The processes started while the test runs."""
-    procs, popen = [], subprocess.Popen
+@pytest.mark.parametrize("why", ["full_run", "two_snapshots", "one_cpu",
+                                 "sweep_worker"])
+def test_the_write_stays_in_one_process(tmp_path, monkeypatch, fig4_result, why):
+    # Whatever the snapshot count, the usable CPUs and the process it runs
+    # in, a run writes every file itself and asks for no process.
+    started = []
+    popen = subprocess.Popen
 
     def recording_popen(*args, **kwargs):
-        procs.append(popen(*args, **kwargs))
-        return procs[-1]
+        started.append(args)
+        return popen(*args, **kwargs)
 
     monkeypatch.setattr(subprocess, "Popen", recording_popen)
-    return procs
-
-
-def _assert_no_child_left(procs):
-    assert multiprocessing.active_children() == []
-    for proc in procs:
-        assert proc.returncode is not None
-        with pytest.raises(ChildProcessError):
-            os.waitpid(proc.pid, os.WNOHANG)
-
-
-def _same_files(a: Path, b: Path) -> None:
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir())
-    for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-
-def test_split_and_serial_writes_give_the_same_bytes(tmp_path, monkeypatch,
-                                                     fig4_result, writers):
-    parent_writes, write_csv = [], cli._write_csv
-
-    def logged(path, *args):
-        parent_writes.append(path.name[1:-len(".partial")])
-        write_csv(path, *args)
-
-    monkeypatch.setattr(cli, "_write_csv", logged)
-    cpus = cli._usable_cpus()
-    cli.write_artifacts(fig4_result, tmp_path / "split")
-    split_writes = parent_writes[:]
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    parent_writes.clear()
-    cli.write_artifacts(fig4_result, tmp_path / "serial")
-    _same_files(tmp_path / "split", tmp_path / "serial")
-    every = ["norms.csv", "conserved.csv"] + FIG4_SNAPSHOTS
-    assert sorted(p.name for p in (tmp_path / "split").iterdir()) == sorted(every)
-    assert sorted(parent_writes) == sorted(every)
-    _assert_no_child_left(writers)
-    if cpus < 2:
-        pytest.skip("one usable CPU: both writes stay in this process")
-    # The handed files exist with the serial bytes, yet this process never
-    # wrote them: the one process it started did.
-    assert sorted(split_writes) == sorted(set(every) - set(FIG4_HANDED))
-    assert [proc.returncode for proc in writers] == [0]
-
-
-@pytest.mark.parametrize("why", ["two_snapshots", "one_cpu", "sweep_worker"])
-def test_the_write_stays_in_one_process(tmp_path, monkeypatch, fig4_result,
-                                        writers, why):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     if why == "two_snapshots":
         fig4_result = dataclasses.replace(fig4_result,
                                           snapshots=fig4_result.snapshots[:2])
     elif why == "one_cpu":
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    elif why == "sweep_worker":
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-    cli.write_artifacts(fig4_result, tmp_path)
-    assert writers == []
+    if why == "full_run":
+        assert cli.main(["--preset", "doublewell_fig4", "--out-dir", str(tmp_path)]) == 0
+    else:
+        cli.write_artifacts(fig4_result, tmp_path)
+    assert started == []
+    assert multiprocessing.active_children() == []
     assert (tmp_path / "snapshot_0.csv").exists()
 
 
-def test_a_writer_that_cannot_start_leaves_every_file_to_this_process(
-        tmp_path, monkeypatch, fig4_result):
-    attempts, computed, snapshot = [], [], diagnostics.snapshot
-
-    def cannot_start(*args, **kwargs):
-        attempts.append(args)
-        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    def counted(state, *args):
-        computed.append(state.t)
-        return snapshot(state, *args)
-
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(subprocess, "Popen", cannot_start)
-    monkeypatch.setattr(diagnostics, "snapshot", counted)
-    assert cli.run(fig4_result.config, tmp_path / "fallback")["steps"] == 1200
-    assert len(attempts) == 1
-    # The handed snapshots, computed before the start failed, are not
-    # computed again.
-    assert sorted(computed) == [0, 2.5, 5, 7.5, 10, 12]
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    cli.write_artifacts(fig4_result, tmp_path / "serial")
-    _same_files(tmp_path / "fallback", tmp_path / "serial")
-
-
-def test_a_failed_write_in_the_second_writer_leaves_nothing_behind(
-        tmp_path, capsys, monkeypatch, writers):
-    # The second process's first file is taken by a directory; every staged
-    # name, its files too, is removed, and the run exits 2 on one line.
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+def test_a_failed_snapshot_write_leaves_nothing_behind(tmp_path, capsys):
+    # A directory takes the staged name of the third snapshot file; every
+    # staged name is removed, and the run exits 2 on one line.
     out = tmp_path / "o"
     (out / ".snapshot_5.csv.partial").mkdir(parents=True)
     assert cli.main(["--preset", "doublewell_fig4", "--out-dir", str(out)]) == 2
@@ -600,40 +522,33 @@ def test_a_failed_write_in_the_second_writer_leaves_nothing_behind(
     assert "Is a directory" in err and ".snapshot_5.csv.partial" in err
     assert err.count("\n") == 1
     assert [p.name for p in out.iterdir()] == [".snapshot_5.csv.partial"]
-    assert len(writers) == 1
-    _assert_no_child_left(writers)
 
 
-def test_a_second_writer_that_exits_unreported_exits_2(tmp_path, capsys,
-                                                       monkeypatch, writers):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_WRITER", [sys.executable, "-c", "import os; os._exit(1)"])
-    out = tmp_path / "new"
-    assert cli.main(["--preset", "doublewell_fig4", "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == (f"config error: cannot write artifacts to "
-                                       f"{out}: snapshot writer exited with status 1\n")
-    assert not out.exists()
-    assert len(writers) == 1
-    _assert_no_child_left(writers)
+def test_an_interrupted_snapshot_write_leaves_no_out_dir(tmp_path, monkeypatch,
+                                                        fig4_result):
+    # The interrupt comes from the second chunk of the fourth snapshot file,
+    # after its first chunk is written.
+    writing, chunks = [], []
+    write_csv, format_cells = cli._write_csv, csv_writer.format_cells
 
-
-def test_an_interrupted_write_kills_the_second_writer(tmp_path, monkeypatch,
-                                                      fig4_result, writers):
-    write_csv = cli._write_csv
-
-    def interrupted(path, *args):
-        if path.name == ".snapshot_7.5.csv.partial":
-            raise KeyboardInterrupt
+    def tracked(path, *args):
+        writing.append(path.name)
         write_csv(path, *args)
 
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_write_csv", interrupted)
+    def interrupted(values):
+        if writing[-1] == ".snapshot_7.5.csv.partial":
+            chunks.append(values.shape)
+            if len(chunks) == 2:
+                raise KeyboardInterrupt
+        return format_cells(values)
+
+    monkeypatch.setattr(cli, "_write_csv", tracked)
+    monkeypatch.setattr(csv_writer, "format_cells", interrupted)
     out = tmp_path / "new"
     with pytest.raises(KeyboardInterrupt):
         cli.write_artifacts(fig4_result, out)
+    assert len(chunks) == 2
     assert not out.exists()
-    assert len(writers) == 1
-    _assert_no_child_left(writers)
 
 
 def test_run_writes_artifacts_and_summary(tmp_path):
