@@ -328,16 +328,18 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     into place only once every one is written; a failed write or move
     removes what this call wrote, and `out_dir` too if this call created it.
     Every file goes through `csv_writer.write_csv` in this process; the
-    snapshots' x and v cells are formatted once for all of them.
+    snapshots' x and v cells and the bases at the grid are computed once for
+    all of them.
     """
     config, grid = result.config, SNAPSHOT_GRID
     if result.snapshots:
         # h[i, j] = sum P_n(x_i) C[k, n] H_k(v_j), so max|C| ||P[:, i]||_1
         # ||H[:, j]||_1 bounds |h| and every partial sum of the product.
         with np.errstate(over="ignore", invalid="ignore"):
+            p = eval_poly_all(result.table, config.N, grid)
+            h = hermite_eval_all(config.K, grid)
             bound = max(np.max(np.abs(st.C)) for st in result.snapshots) \
-                * np.max(np.abs(eval_poly_all(result.table, config.N, grid)).sum(0)) \
-                * np.max(np.abs(hermite_eval_all(config.K, grid)).sum(0))
+                * np.max(np.abs(p).sum(0)) * np.max(np.abs(h).sum(0))
         if not np.isfinite(bound):
             raise OverflowError(f"snapshot values on [{grid[0]:g}, {grid[-1]:g}]^2 "
                                 "pass double precision")
@@ -359,7 +361,7 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
         for name, st in snapshots.items():
             _write_csv(partial[name], "x,v,h",
                        [cells[:, None], cells[None],
-                        diagnostics.snapshot(st, grid, grid, result.table)])
+                        diagnostics.snapshot(st, p, h)])
         for name, tmp in partial.items():
             moved.append(tmp.replace(out_dir / name))
     except BaseException:

@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthopoly import (RecurrenceTable, eval_poly_all, hermite_eval_all,
-                        jacobi_horner)
+from .orthopoly import RecurrenceTable, jacobi_horner
 from .scheme import SpectralState
 
 
@@ -150,13 +149,13 @@ def fit_decay_rate(series: DiagnosticsSeries, t_start: float,
     return DecayFit(rate=-float(slope), intercept=float(intercept), r_squared=r2)
 
 
-def snapshot(state: SpectralState, x_grid, v_grid,
-             table: RecurrenceTable) -> np.ndarray:
+def snapshot(state: SpectralState, p: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Values of the reconstructed perturbation on an (x, v) grid.
 
-    Returns h[i, j] = h(t, x_i, v_j), evaluated as two matrix products of the
-    basis-evaluation matrices with the coefficient array.
+    `p = eval_poly_all(table, N, x_grid)` and `h = hermite_eval_all(K,
+    v_grid)` are the bases at the grid points, evaluated once for every
+    state on the same grid.  Entry [i, j] of the result is h(t, x_i, v_j),
+    evaluated as two matrix products of the bases with the coefficient
+    array.
     """
-    p = eval_poly_all(table, state.N, x_grid)
-    h = hermite_eval_all(state.K, v_grid)
     return p.T @ state.C.T @ h

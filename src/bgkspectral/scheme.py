@@ -48,6 +48,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
+# The kernel behind `csr_matrix @ vector`; scipy exports it from no public module.
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import SolverConsistencyError, describe
 
@@ -91,8 +93,9 @@ class EvenOddCholesky:
     right-hand side b_e + G T_o^-1 b_o, and `extend` with `odd_scale` maps the
     reduced solution back: x = extend x_e + odd_scale * b.  Both sparse maps
     act on the original index order and list the reduced unknowns in band
-    order.  A Cholesky factor is the LU factor with L = U^T; both are
-    exposed as sparse matrices.
+    order; `solve` applies them with `_matvec`, scipy's CSR kernel on their
+    arrays, bit for bit the `@` products.  A Cholesky factor is the LU
+    factor with L = U^T; both are exposed as sparse matrices.
     """
 
     band: np.ndarray = field(repr=False)
@@ -113,8 +116,8 @@ class EvenOddCholesky:
     def solve(self, b: np.ndarray) -> np.ndarray:
         # Raw dpbtrs: cho_solve_banded's argument checks cost about 3.5 us a
         # call, more than the whole band solve on a preset-sized system.
-        x_e, _ = dpbtrs(self.band, self.restrict @ b, overwrite_b=1)
-        return self.extend @ x_e + self.odd_scale * b
+        x_e, _ = dpbtrs(self.band, _matvec(self.restrict, b), overwrite_b=1)
+        return _matvec(self.extend, x_e) + self.odd_scale * b
 
 
 @dataclass(frozen=True)
@@ -320,9 +323,12 @@ def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
 def step(plan: SteppingPlan, state: SpectralState) -> SpectralState:
     """One implicit Euler step: solve (I - dt M) C_next = C.
 
-    A state that is not finite raises before any solve.  A solve whose
-    residual misses the gate gets up to `_MAX_REFINEMENTS` refinement steps;
-    a residual that still misses it, or is not finite, raises.
+    The solve and the residual (I - dt M) x - C run through `_matvec` on the
+    plan's CSR arrays, with the bits of `plan.system @ x`; C may be of any
+    real dtype and memory layout, and C_next is float64.  A state that is
+    not finite raises before any solve.  A solve whose residual misses the
+    gate gets up to `_MAX_REFINEMENTS` refinement steps; a residual that
+    still misses it, or is not finite, raises.
     """
     if state.C.shape != (plan.K + 1, plan.N + 1):
         raise ValueError("state shape does not match the stepping plan")
@@ -332,7 +338,7 @@ def step(plan: SteppingPlan, state: SpectralState) -> SpectralState:
         raise SolverConsistencyError(
             "implicit Euler step on a state that is not finite")
     x = plan.lu.solve(b)
-    r = plan.system @ x - b
+    r = _matvec(plan.system, x) - b
     resid = _norm(r)
     refinements = 0
     while not resid <= tol:
@@ -342,10 +348,21 @@ def step(plan: SteppingPlan, state: SpectralState) -> SpectralState:
                 f"{_SOLVE_REL_TOL:.1e} * ||b|| after {refinements} refinement steps"
             )
         x -= plan.lu.solve(r)
-        r = plan.system @ x - b
+        r = _matvec(plan.system, x) - b
         resid = _norm(r)
         refinements += 1
     return SpectralState(C=x.reshape(plan.K + 1, plan.N + 1), t=state.t + plan.dt)
+
+
+def _matvec(a: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """a @ v for a float64 CSR matrix and a vector, as scipy's own
+    `_matmul_vector` computes it: `csr_matvec` on a's arrays into a zeroed
+    float64 vector, so the bits are the same, without the type and shape
+    dispatch of `@`, which costs more than the product at a preset's size."""
+    m, n = a.shape
+    out = np.zeros(m)
+    csr_matvec(m, n, a.indptr, a.indices, a.data, v, out)
+    return out
 
 
 def _norm(v: np.ndarray) -> float:

@@ -309,14 +309,14 @@ def test_criterion_10_well_transfer(doublewell_pot, doublewell_table):
     def left_mass(state):
         return float(weights @ (state.C[0] @ p))
 
-    xg = np.linspace(-4.0, 4.0, 201)
-    vg = np.linspace(-4.0, 4.0, 201)
+    pg = bk.eval_poly_all(doublewell_table, n, np.linspace(-4.0, 4.0, 201))
+    hg = bk.hermite_eval_all(20, np.linspace(-4.0, 4.0, 201))
     masses, peaks = [], []
     for step_idx in snap_steps:
         state = snaps[step_idx]
         masses.append(left_mass(state))
         peaks.append(float(np.max(np.abs(
-            bk.snapshot(state, xg, vg, doublewell_table)))))
+            bk.snapshot(state, pg, hg)))))
     change = abs(masses[-1] - masses[0]) / abs(masses[0])
     assert change >= 0.20, f"left-well mass change only {change:.1%}"
     for earlier, later in zip(peaks, peaks[1:]):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from bgkspectral import cli, csv_writer, diagnostics, errors, orthopoly, scheme
 from bgkspectral.errors import (ConfigError, IntegrationFailureError,
                                 PrecisionFailureError)
-from bgkspectral.orthopoly import build_recurrence, freud_residual
+from bgkspectral.orthopoly import (build_recurrence, eval_poly_all, freud_residual,
+                                   hermite_eval_all)
 from bgkspectral.potential import RawPotential, normalize_potential
 from conftest import checked_initial
 
@@ -955,7 +956,8 @@ def test_writer_matches_per_cell_formatting(tmp_path, monkeypatch):
             "t,mass,energy_plus,rx,m0,mx,energy_minus",
             ([_cells(a, *row), *pad] for a, row in zip(t, result.conserved)))
         for st in result.snapshots:
-            grid = diagnostics.snapshot(st, xs, vs, result.table)
+            grid = diagnostics.snapshot(st, eval_poly_all(result.table, cfg.N, xs),
+                                        hermite_eval_all(cfg.K, vs))
             expected[f"snapshot_{st.t:g}.csv"] = _reference_csv(
                 "x,v,h", ([_cells(x, v, grid[a, b])]
                           for a, x in enumerate(xs) for b, v in enumerate(vs)))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgkspectral import cli, csv_writer, diagnostics
+from bgkspectral.orthopoly import eval_poly_all, hermite_eval_all
 
 
 def _texts(values) -> list[bytes]:
@@ -93,9 +94,11 @@ def test_fig4_snapshots_match_a_plain_percent_loop(tmp_path):
     cli.write_artifacts(result, tmp_path)
     grid = cli.SNAPSHOT_GRID.tolist()
     assert len(result.snapshots) == 6
+    cfg = result.config
+    p = eval_poly_all(result.table, cfg.N, cli.SNAPSHOT_GRID)
+    hermite = hermite_eval_all(cfg.K, cli.SNAPSHOT_GRID)
     for state in result.snapshots:
-        h = diagnostics.snapshot(state, cli.SNAPSHOT_GRID, cli.SNAPSHOT_GRID,
-                                 result.table).tolist()
+        h = diagnostics.snapshot(state, p, hermite).tolist()
         lines = ["x,v,h\n"]
         for i, x in enumerate(grid):
             for j, v in enumerate(grid):

@@ -96,7 +96,8 @@ def test_norm_matches_two_dimensional_quadrature(doublewell_table, doublewell_po
                                 table=doublewell_table)
     vnodes, vweights = np.polynomial.hermite_e.hermegauss(K + 1)
     vweights = vweights / math.sqrt(2.0 * math.pi)
-    grid = bk.snapshot(state, xrule.nodes, vnodes, doublewell_table)
+    grid = bk.snapshot(state, bk.eval_poly_all(doublewell_table, N, xrule.nodes),
+                       bk.hermite_eval_all(K, vnodes))
     integral = float(xrule.weights @ (grid ** 2) @ vweights)
     assert math.sqrt(integral) == pytest.approx(bk.l2_norm(state), rel=1e-8)
 
@@ -136,13 +137,13 @@ def test_fit_window_validation():
 
 
 def test_snapshot_trivials(doublewell_table):
-    xg = np.linspace(-2, 2, 9)
-    vg = np.linspace(-3, 3, 7)
+    p = bk.eval_poly_all(doublewell_table, 5, np.linspace(-2, 2, 9))
+    h = bk.hermite_eval_all(3, np.linspace(-3, 3, 7))
     zero = bk.SpectralState(C=np.zeros((4, 6)))
-    assert np.all(bk.snapshot(zero, xg, vg, doublewell_table) == 0.0)
+    assert np.all(bk.snapshot(zero, p, h) == 0.0)
     const = bk.SpectralState(C=np.zeros((4, 6)))
     const.C[0, 0] = 1.0
-    grid = bk.snapshot(const, xg, vg, doublewell_table)
+    grid = bk.snapshot(const, p, h)
     assert np.allclose(grid, 1.0, atol=1e-12)
 
 
@@ -150,7 +151,8 @@ def test_snapshot_against_naive_sum(doublewell_table):
     rng = np.random.default_rng(17)
     state = bk.SpectralState(C=rng.standard_normal((5, 7)))
     x0, v0 = 0.8, -1.3
-    grid = bk.snapshot(state, np.array([x0]), np.array([v0]), doublewell_table)
+    grid = bk.snapshot(state, bk.eval_poly_all(doublewell_table, 6, np.array([x0])),
+                       bk.hermite_eval_all(4, np.array([v0])))
     naive = 0.0
     p = bk.eval_poly_all(doublewell_table, 6, x0)
     h = bk.hermite_eval_all(4, v0)

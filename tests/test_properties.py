@@ -118,7 +118,7 @@ _STEADY_STATE = _config([1.7695077517265148, 0.715278340677401], 4, 25,
 
 @pytest.mark.xfail(strict=True, reason=(
     "near the conserved part the dissipation per step falls below the "
-    "rounding of ||x||^2, so the norm can rise by one ulp (ROADMAP item 3)"))
+    "rounding of ||x||^2, so the norm can rise by one ulp (ROADMAP item 2)"))
 def test_norm_never_increases_near_the_steady_state():
     result = cli.simulate(cli.RunConfig.from_dict(_STEADY_STATE))
     assert np.all(np.diff(result.norms) <= 0.0)

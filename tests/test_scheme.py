@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.linalg.lapack import dpbtrs
+from scipy.sparse._base import _spbase
 from scipy.sparse.linalg import splu
 
 import bgkspectral as bk
+from bgkspectral import cli
 
 
 @pytest.fixture(scope="module")
@@ -470,3 +473,96 @@ def test_step_shape_mismatch(harmonic_setup):
     plan = bk.make_stepping_plan(gen, 0.1)
     with pytest.raises(ValueError):
         bk.step(plan, bk.SpectralState(C=np.zeros((2, 2))))
+
+
+# (potential, K, N, dt) of the harmonic_fig1 and doublewell_fig4 presets and
+# of the scale_stepping benchmark, and the last at a dt whose first solve
+# misses the residual gate, so `step` refines.
+_KERNEL_SHAPES = {
+    "fig1": (cli.HARMONIC_COEFFS, 20, 5, 1e-2),
+    "fig4": (cli.DOUBLE_WELL_COEFFS, 20, 30, 1e-2),
+    "scale_stepping": ((0.0, 0.0, 0.0, 1.0), 80, 60, 1e-2),
+    "scale_stepping_refined": ((0.0, 0.0, 0.0, 1.0), 80, 60, 3e5),
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_plans():
+    plans = {}
+    for name, (coeffs, K, N, dt) in _KERNEL_SHAPES.items():
+        pot = bk.normalize_potential(bk.RawPotential(tuple(coeffs)))
+        table = bk.build_recurrence(pot, N + pot.degree + 2)
+        gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K)
+        plans[name] = bk.make_stepping_plan(gen, dt)
+    return plans
+
+
+def _operator_solve(plan, b):
+    # The solve as scipy's `@` writes it.
+    x_e, _ = dpbtrs(plan.lu.band, plan.lu.restrict @ b, overwrite_b=1)
+    return plan.lu.extend @ x_e + plan.lu.odd_scale * b
+
+
+def _operator_step(plan, C):
+    # `step`'s gate and refinement loop with every product written as `@`.
+    b = C.ravel()
+    tol = 1e-12 * math.sqrt(b.dot(b))
+    x = _operator_solve(plan, b)
+    r = plan.system @ x - b
+    while not math.sqrt(r.dot(r)) <= tol:
+        x -= _operator_solve(plan, r)
+        r = plan.system @ x - b
+    return x.reshape(C.shape)
+
+
+def _kernel_states(K, N):
+    rng = np.random.default_rng(29)
+    return {
+        "float": rng.standard_normal((K + 1, N + 1)),
+        "int": rng.integers(-9, 10, (K + 1, N + 1)),
+        "fortran": np.asfortranarray(rng.standard_normal((K + 1, N + 1))),
+        "strided": rng.standard_normal((K + 1, 2 * (N + 1)))[:, ::2],
+    }
+
+
+@pytest.mark.parametrize("shape", list(_KERNEL_SHAPES))
+def test_kernel_products_give_the_bits_of_the_sparse_operator(kernel_plans, shape):
+    # The solve and the residual call scipy's csr_matvec on the plan's CSR
+    # arrays; every state, int-valued and non-contiguous ones too, must come
+    # out with the bits the csr_matrix `@` products give.
+    plan = kernel_plans[shape]
+    _, K, N, _ = _KERNEL_SHAPES[shape]
+    for kind, C in _kernel_states(K, N).items():
+        b = C.ravel()
+        assert plan.lu.solve(b).tobytes() == _operator_solve(plan, b).tobytes(), kind
+        got = bk.step(plan, bk.SpectralState(C=C)).C
+        assert got.dtype == np.float64
+        assert got.tobytes() == _operator_step(plan, C).tobytes(), kind
+    strided = np.random.default_rng(31).standard_normal(2 * (K + 1) * (N + 1))[::2]
+    assert plan.lu.solve(strided).tobytes() == _operator_solve(plan, strided).tobytes()
+
+
+def test_the_refined_kernel_shape_refines(kernel_plans):
+    # Without a refinement step the large-dt case would not reach the loop.
+    plan = kernel_plans["scale_stepping_refined"]
+    b = _kernel_states(80, 60)["float"].ravel()
+    r = plan.system @ _operator_solve(plan, b) - b
+    assert np.linalg.norm(r) > 1e-12 * np.linalg.norm(b)
+
+
+def test_fig4_run_makes_no_sparse_vector_product(monkeypatch):
+    # Every product of a step goes to scipy's kernel directly; none takes
+    # the type and shape dispatch of `@`.  The set-up's one sparse-sparse
+    # product, W W^T, still does.
+    matmul = _spbase.__matmul__
+
+    def sparse_only(self, other):
+        if isinstance(other, np.ndarray):
+            raise AssertionError("csr_matrix @ vector in a run")
+        return matmul(self, other)
+
+    monkeypatch.setattr(_spbase, "__matmul__", sparse_only)
+    with pytest.raises(AssertionError, match="in a run"):
+        sp.identity(3, format="csr") @ np.ones(3)
+    result = cli.simulate(cli.RunConfig.from_dict(cli.PRESETS["doublewell_fig4"]))
+    assert result.summary["steps"] == 1200 and len(result.snapshots) == 6
