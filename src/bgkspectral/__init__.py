@@ -26,8 +26,7 @@ from .orthopoly import (QuadratureRule, RecurrenceTable, build_quadrature,
 from .potential import (NormalizedPotential, RawPotential, normalize_potential,
                         tail_cutoff)
 from .scheme import (Generator, SpectralState, SteppingPlan,
-                     assemble_generator, make_stepping_plan,
-                     project_initial_condition, step)
+                     assemble_generator, make_stepping_plan, step)
 
 __version__ = "0.1.0"
 
@@ -43,6 +42,6 @@ __all__ = [
     "chebyshev_recurrence", "conserved_functionals", "estimate_kn",
     "eval_poly_all", "fit_decay_rate", "freud_residual", "hermite_eval_all",
     "jacobi_horner", "kn_sweep", "l2_norm", "magnus_constant",
-    "make_stepping_plan", "normalize_potential", "project_initial_condition",
+    "make_stepping_plan", "normalize_potential",
     "purge_equilibrium_components", "snapshot", "step", "tail_cutoff",
 ]

@@ -29,7 +29,7 @@ from .potential import RawPotential, normalize_potential
 HARMONIC_COEFFS = [0.5 * math.log(2.0 * math.pi), 0.5]
 DOUBLE_WELL_COEFFS = [1.0, -2.0, 1.0]
 
-KNOWN_OUTPUTS = ("norms", "conserved", "snapshots", "recurrence", "kn")
+KNOWN_OUTPUTS = ("norms", "conserved", "recurrence", "kn")
 
 MAX_STEPS = 10 ** 7
 
@@ -72,7 +72,8 @@ class RunConfig:
         """Raise ConfigError naming the first rule the config breaks.
 
         Returns the `initial` entries as flat keys k (N + 1) + n and values,
-        in list order, for `scheme.initial_state`; no key repeats.
+        in list order, for `scheme.initial_state`; no key repeats, and the
+        values' sum of squares is within double range.
         """
         lists = [("potential", self.potential), ("outputs", self.outputs),
                  ("snapshot_times", self.snapshot_times),
@@ -165,7 +166,15 @@ class RunConfig:
             if names.setdefault(name, round(at)) != round(at):
                 raise ConfigError(f"snapshot times at steps {names[name]} and "
                                   f"{round(at)} share the file name {name}")
-        return keys, np.array(values)
+        values = np.array(values)
+        # The step never increases the norm, so a finite norm at t = 0 stays
+        # finite; a sum of squares past double range is inf, not a warning.
+        with np.errstate(over="ignore"):
+            finite_norm = math.isfinite(values @ values)
+        if not finite_norm:
+            raise ConfigError("initial values: their sum of squares passes "
+                              "double range, so the state's norm is not finite")
+        return keys, values
 
 
 # Concrete types, not the numbers ABCs: an ABC check costs about 1 us, and
@@ -205,7 +214,7 @@ PRESETS: dict[str, dict] = {
         # conserved functional starts at zero.
         "initial": [[0, 1, 1.0], [0, 2, 1.0], [2, 1, 1.0]],
         "purge": True,
-        "outputs": ["norms", "conserved", "snapshots"],
+        "outputs": ["norms", "conserved"],
         # Sampling instants sit on the decay envelope, clear of the
         # oscillatory ripple of the slow modes.
         "snapshot_times": [0.0, 2.5, 5.0, 7.5, 10.0, 12.0],
@@ -249,8 +258,7 @@ def simulate(config: RunConfig) -> RunResult:
 
     # Each snapshot carries its configured time, the one validate() named
     # its file from, not the accumulated sum of steps.
-    snap_times = {round(t / config.dt): t for t in config.snapshot_times} \
-        if "snapshots" in config.outputs else {}
+    snap_times = {round(t / config.dt): t for t in config.snapshot_times}
     series = diagnostics.DiagnosticsSeries()
     series.record(state, basis)
     snapshots = [replace(state, t=snap_times[0])] if 0 in snap_times else []
@@ -321,8 +329,9 @@ def _csv_files(result: RunResult):
 
 
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
-    """Create `out_dir` and write the CSV files the config's outputs name;
-    a snapshot that could overflow raises OverflowError before any file.
+    """Create `out_dir` and write the CSV files the config's outputs name
+    and one per snapshot time; a snapshot that could overflow raises
+    OverflowError before any file.
 
     Each file is written under a temporary name, and all of them are moved
     into place only once every one is written; a failed write or move

@@ -37,12 +37,13 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import IntegrationFailureError, PrecisionFailureError, describe
-from .potential import NormalizedPotential, tail_cutoff
-from .weddle import _MAX_NODES, panel_rule
+from .potential import _MAX_NODES, NormalizedPotential, tail_cutoff
+from .weddle import panel_rule
 
-# The interval budget of a pass: 2^22 / 6, the panel count of a composite
-# Weddle rule on the 2^22-node budget `_MAX_NODES`.  A table to n_max above
-# 174,762 (a first pass of 4 n_max intervals) is refused before any pass runs.
+# The interval budget of a pass: 699,050 trapezoidal intervals of the half
+# line, a sixth of the normalization's node budget `_MAX_NODES`.  A table to
+# n_max above 174,762 (a first pass of 4 n_max intervals) is refused before
+# any pass runs.
 _MAX_PANELS = _MAX_NODES // 6
 
 

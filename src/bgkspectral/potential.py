@@ -4,6 +4,10 @@ A potential is stored through its even-power coefficients (c_0, ..., c_m) for
 phi(x) = sum_i c_i x^(2i).  Normalization rescales and shifts the potential so
 that the weight rho = exp(-phi) has unit mass and unit mean curvature,
 <1> = <phi''> = 1, which also centers the weight (phi is even).
+
+The normalization integrals converge to the relative tolerance `_REL_TOL`
+within the node budget `_MAX_NODES`; `orthopoly` sizes the interval budget
+of its Stieltjes passes from the same node budget.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import IntegrationFailureError, InvalidPotentialError
-from .weddle import _MAX_NODES, _REL_TOL
 
+_REL_TOL = 1e-12
+_MAX_NODES = 1 << 22
 # Log-weight drop, from the potential's minimum, that counts as negligible.
 _TAIL_MARGIN = 80.0
 

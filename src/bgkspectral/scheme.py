@@ -66,14 +66,6 @@ class SpectralState:
     C: np.ndarray
     t: float = 0.0
 
-    @property
-    def K(self) -> int:
-        return self.C.shape[0] - 1
-
-    @property
-    def N(self) -> int:
-        return self.C.shape[1] - 1
-
 
 @dataclass(frozen=True)
 class Generator:
@@ -325,10 +317,10 @@ def step(plan: SteppingPlan, state: SpectralState) -> SpectralState:
 
     The solve and the residual (I - dt M) x - C run through `_matvec` on the
     plan's CSR arrays, with the bits of `plan.system @ x`; C may be of any
-    real dtype and memory layout, and C_next is float64.  A state that is
-    not finite raises before any solve.  A solve whose residual misses the
-    gate gets up to `_MAX_REFINEMENTS` refinement steps; a residual that
-    still misses it, or is not finite, raises.
+    real dtype and memory layout, and C_next is float64.  A state whose
+    norm is not finite raises before any solve.  A solve whose residual
+    misses the gate gets up to `_MAX_REFINEMENTS` refinement steps; a
+    residual that still misses it, or is not finite, raises.
     """
     if state.C.shape != (plan.K + 1, plan.N + 1):
         raise ValueError("state shape does not match the stepping plan")
@@ -336,7 +328,7 @@ def step(plan: SteppingPlan, state: SpectralState) -> SpectralState:
     tol = _SOLVE_REL_TOL * _norm(b)
     if not math.isfinite(tol):
         raise SolverConsistencyError(
-            "implicit Euler step on a state that is not finite")
+            "implicit Euler step on a state whose norm is not finite")
     x = plan.lu.solve(b)
     r = _matvec(plan.system, x) - b
     resid = _norm(r)
@@ -377,14 +369,3 @@ def initial_state(keys: np.ndarray, values: np.ndarray, K: int, N: int) -> Spect
     c.ravel()[keys] = values
     return SpectralState(C=c, t=0.0)
 
-
-def project_initial_condition(entries, K: int, N: int) -> SpectralState:
-    """State with the listed (k, n, value) coefficients set, others zero;
-    of entries that repeat a (k, n), the last one wins."""
-    flat = {}
-    for k, n, value in entries:
-        if not (0 <= k <= K and 0 <= n <= N):
-            raise IndexError(f"coefficient ({k}, {n}) outside (K, N) = ({K}, {N})")
-        flat[k * (N + 1) + n] = float(value)
-    return initial_state(np.array(list(flat), dtype=np.intp),
-                         np.array(list(flat.values())), K, N)

@@ -1,8 +1,7 @@
 """Composite Weddle quadrature: closed Newton-Cotes on six subintervals per panel.
 
-It also holds the convergence tolerance and the node budget of the
-normalization integrals in `potential`; `orthopoly` sizes the interval budget
-of its Stieltjes pass from the same node budget.
+It serves `orthopoly.build_quadrature` and the tests' oracles; no solver
+path integrates with it.
 """
 
 import numpy as np
@@ -10,10 +9,6 @@ import numpy as np
 # Closed Newton-Cotes weights on 7 equispaced points (degree of exactness 7),
 # normalized so that the panel integral is h * PANEL_WEIGHTS @ f.
 PANEL_WEIGHTS = np.array([41.0, 216.0, 27.0, 272.0, 27.0, 216.0, 41.0]) / 140.0
-
-# Convergence tolerance and node budget of the normalization integrals.
-_REL_TOL = 1e-12
-_MAX_NODES = 1 << 22
 
 
 def panel_rule(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:

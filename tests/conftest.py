@@ -9,8 +9,9 @@ import bgkspectral as bk
 from bgkspectral.cli import _is_finite, _is_int
 from bgkspectral.errors import (ConfigError, IntegrationFailureError,
                                 InvalidPotentialError, describe)
-from bgkspectral.potential import _TAIL_MARGIN, _real_root_radii
-from bgkspectral.weddle import _MAX_NODES, _REL_TOL, panel_rule
+from bgkspectral.potential import (_MAX_NODES, _REL_TOL, _TAIL_MARGIN,
+                                   _real_root_radii)
+from bgkspectral.weddle import panel_rule
 
 HARMONIC_COEFFS = (0.5 * math.log(2.0 * math.pi), 0.5)
 DOUBLE_WELL_COEFFS = (1.0, -2.0, 1.0)
@@ -78,6 +79,15 @@ def weddle_normalized_coeffs(raw) -> tuple[float, ...]:
     coeffs = [g * gamma ** (2 * i) for i, g in enumerate(raw.coeffs)]
     coeffs[0] += 0.5 * (math.log(i0) + math.log(i2))
     return tuple(coeffs)
+
+
+def state_with(entries, K: int, N: int) -> bk.SpectralState:
+    """The (K + 1, N + 1) state at t = 0 with the listed (k, n, value)
+    coefficients set and the others zero."""
+    c = np.zeros((K + 1, N + 1))
+    for k, n, value in entries:
+        c[k, n] = value
+    return bk.SpectralState(C=c)
 
 
 def checked_initial(initial, K: int, N: int):

@@ -18,7 +18,7 @@ from scipy.linalg import eigvals_banded
 import bgkspectral as bk
 from bgkspectral.weddle import panel_rule
 
-from conftest import DOUBLE_WELL_COEFFS, HARMONIC_COEFFS
+from conftest import DOUBLE_WELL_COEFFS, HARMONIC_COEFFS, state_with
 
 # trajectories recorded by earlier criteria; criterion 7 re-checks them all
 RUNS: list[tuple[str, list[float]]] = []
@@ -33,7 +33,7 @@ def _setup(pot, table, K, N):
 
 def _run(label, pot, table, K, N, entries, dt, steps, snapshot_steps=()):
     gen, basis = _setup(pot, table, K, N)
-    state = bk.project_initial_condition(entries, K, N)
+    state = state_with(entries, K, N)
     plan = bk.make_stepping_plan(gen, dt)
     series = bk.DiagnosticsSeries()
     series.record(state, basis)
@@ -246,7 +246,7 @@ def test_criterion_8_first_order_convergence(harmonic_pot, harmonic_table):
     from scipy.linalg import expm
     gen, _ = _setup(harmonic_pot, harmonic_table, 5, 5)
     m = gen.matrix.toarray()
-    state = bk.project_initial_condition([(1, 2, 1.0), (2, 1, 1.0)], 5, 5)
+    state = state_with([(1, 2, 1.0), (2, 1, 1.0)], 5, 5)
     horizon = 0.2
     errs = []
     for dt in (0.1, 0.05, 0.025):

@@ -24,7 +24,7 @@ def test_every_traced_layer_records_a_span(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "SNAPSHOT_GRID", np.linspace(-4.0, 4.0, 4))
     data = {"potential": [0.5 * math.log(2 * math.pi), 0.5], "K": 4, "N": 4,
             "dt": 0.05, "T": 1.0, "initial": [[1, 2, 1.0]],
-            "outputs": ["norms", "conserved", "snapshots", "kn"],
+            "outputs": ["norms", "conserved", "kn"],
             "snapshot_times": [0.5],
             "kn_n_values": [2]}
     tracer = Tracer()

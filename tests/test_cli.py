@@ -19,7 +19,7 @@ from bgkspectral.errors import (ConfigError, IntegrationFailureError,
 from bgkspectral.orthopoly import (build_recurrence, eval_poly_all, freud_residual,
                                    hermite_eval_all)
 from bgkspectral.potential import RawPotential, normalize_potential
-from conftest import checked_initial
+from conftest import checked_initial, state_with
 
 # Run options no run set to another value: every snapshot samples
 # cli.SNAPSHOT_GRID and every decay fit spans [0.2 T, T].
@@ -83,6 +83,13 @@ def test_removed_run_options_are_unknown_fields(tmp_path, capsys):
         assert not out.exists()
         assert capsys.readouterr().err == \
             f"config error: unknown config fields: ['{name}']\n"
+    # The snapshots follow `snapshot_times` alone; "snapshots" names no output.
+    cfg, out = tmp_path / "snapshots.json", tmp_path / "snapshots"
+    cfg.write_text(json.dumps(dict(cli.PRESETS["doublewell_fig4"],
+                                   outputs=["norms", "conserved", "snapshots"])))
+    assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "config error: unknown outputs: ['snapshots']\n"
 
 
 def test_unknown_preset_is_config_error():
@@ -271,7 +278,7 @@ def test_validate_reports_initial_faults_as_the_per_entry_oracle(drawn):
         return
     keys, values = config.validate()
     state = scheme.initial_state(keys, values, K, N)
-    assert np.array_equal(state.C, scheme.project_initial_condition(want, K, N).C)
+    assert np.array_equal(state.C, state_with(want, K, N).C)
 
 
 _HUGE = 10 ** 400
@@ -294,6 +301,24 @@ def test_numbers_past_double_range_or_numpy_sizes_exit_2(tmp_path, capsys,
     assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("value, code, err", [
+    (1e155, 2, "config error: initial values: their sum of squares passes "
+               "double range, so the state's norm is not finite\n"),
+    (1e150, 0, ""),
+])
+def test_initial_values_whose_norm_passes_double_range_exit_2(tmp_path, capsys,
+                                                              value, code, err):
+    # Each value is finite, but from about 1.3e154 two of them have a sum of
+    # squares past double range; no step could then take the state's norm.
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({
+        "potential": [1.0, -2.0, 1.0], "K": 4, "N": 4, "dt": 0.01, "T": 0.1,
+        "initial": [[1, 1, value], [3, 2, value]]}))
+    assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)
 
 
 _LONG = 10 ** 5000     # past the 4300 digits Python prints an int with
@@ -595,9 +620,12 @@ def test_recurrence_and_kn_outputs(tmp_path):
 
 
 def test_snapshot_output(tmp_path, monkeypatch):
+    # Each snapshot time writes its file, whatever the outputs name.
     monkeypatch.setattr(cli, "SNAPSHOT_GRID", np.linspace(-2.0, 2.0, 5))
-    data = small_config(outputs=["snapshots"], snapshot_times=[0.0, 1.0])
+    data = small_config(outputs=[], snapshot_times=[0.0, 1.0])
     cli.run(cli.RunConfig.from_dict(data), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshot_0.csv",
+                                                           "snapshot_1.csv"]
     for name in ("snapshot_0.csv", "snapshot_1.csv"):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "x,v,h"
@@ -758,8 +786,7 @@ def test_snapshot_carries_its_configured_time(tmp_path, monkeypatch):
     # Three steps of 0.1 add up to 0.30000000000000004; the snapshot keeps
     # the configured 0.3, the time validate() checked its file name from.
     monkeypatch.setattr(cli, "SNAPSHOT_GRID", np.linspace(-4.0, 4.0, 2))
-    data = small_config(dt=0.1, T=0.3, outputs=["snapshots"],
-                        snapshot_times=[0.3])
+    data = small_config(dt=0.1, T=0.3, outputs=[], snapshot_times=[0.3])
     result = cli.simulate(cli.RunConfig.from_dict(data))
     assert result.times[-1] == 0.1 + 0.1 + 0.1 != 0.3
     (snap,) = result.snapshots
@@ -774,8 +801,7 @@ def test_overflowing_snapshot_range_exits_3_before_any_file(tmp_path, capsys,
     monkeypatch.setattr(cli, "SNAPSHOT_GRID", np.linspace(-1e200, 1e200, 3))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(
-        cli.PRESETS["doublewell_fig3"], outputs=["norms", "snapshots"],
-        snapshot_times=[0.0])))
+        cli.PRESETS["doublewell_fig3"], outputs=["norms"], snapshot_times=[0.0])))
     out = tmp_path / "o"
     assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == 3
     assert not out.exists()
@@ -937,7 +963,7 @@ def _reference_csv(header, rows):
 def test_writer_matches_per_cell_formatting(tmp_path, monkeypatch):
     xs = vs = np.linspace(-0.7, 2.1, 7)
     monkeypatch.setattr(cli, "SNAPSHOT_GRID", xs)
-    snap = small_config(outputs=["conserved", "snapshots"], T=0.2,
+    snap = small_config(outputs=["conserved"], T=0.2,
                         snapshot_times=[0.0, 0.1])
     kn = {"potential": [1.0, -2.0, 1.0], "K": 4, "N": 6, "dt": 0.05, "T": 0.5,
           "initial": [[0, 1, 1.0], [2, 3, -0.5]],

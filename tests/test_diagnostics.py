@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bgkspectral as bk
+from conftest import state_with
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,7 @@ def test_harmonic_extras_none_for_general_potential(doublewell_basis):
 def test_a_basis_built_for_another_n_is_rejected(doublewell_table):
     # Cut to the basis's length, energy_plus of this state would read
     # 1/sqrt(2) = 0.7071 and miss the phi-moment of C[0, 4].
-    state = bk.project_initial_condition([(0, 4, 1.0), (2, 0, 1.0)], 4, 30)
+    state = state_with([(0, 4, 1.0), (2, 0, 1.0)], 4, 30)
     full = bk.build_functional_basis(doublewell_table, 30)
     assert bk.conserved_functionals(state, full)[1] == pytest.approx(
         1.1772, abs=1e-4)
@@ -82,7 +83,7 @@ def test_norm_of_tiny_state_does_not_underflow():
 
 
 def test_preset_norm_is_sqrt_two():
-    state = bk.project_initial_condition([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
+    state = state_with([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
     assert bk.l2_norm(state) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
@@ -166,7 +167,7 @@ def test_preset_functionals_stay_zero(harmonic_table):
     dc = bk.build_deriv_couplings(harmonic_table, 5)
     gen = bk.assemble_generator(dc.A, 20)
     basis = bk.build_functional_basis(harmonic_table, 5)
-    state = bk.project_initial_condition([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
+    state = state_with([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
     plan = bk.make_stepping_plan(gen, 0.02)
     series = bk.DiagnosticsSeries()
     series.record(state, basis)

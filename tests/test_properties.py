@@ -34,7 +34,7 @@ def _config(potential, K, N, dt, steps, initial, purge):
     return {
         "potential": potential, "K": K, "N": N, "dt": dt, "T": steps * dt,
         "initial": initial, "purge": purge,
-        "outputs": ["norms", "conserved", "snapshots", "recurrence"],
+        "outputs": ["norms", "conserved", "recurrence"],
         "snapshot_times": [0.0, steps * dt],
     }
 

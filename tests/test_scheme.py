@@ -17,6 +17,7 @@ from scipy.sparse.linalg import splu
 
 import bgkspectral as bk
 from bgkspectral import cli
+from conftest import state_with
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +118,7 @@ def test_truncation_requirement_enforced(doublewell_setup, doublewell_table):
 def test_zero_state_stays_zero(harmonic_setup):
     _, gen, _ = harmonic_setup(4, 3)
     plan = bk.make_stepping_plan(gen, 0.1)
-    state = bk.project_initial_condition([], 4, 3)
+    state = state_with([], 4, 3)
     out = bk.step(plan, state)
     assert np.all(out.C == 0.0)
     assert out.t == pytest.approx(0.1)
@@ -140,7 +141,7 @@ def test_dt_must_be_finite(harmonic_setup, dt):
 def test_non_finite_state_fails_the_residual_gate(harmonic_setup, bad):
     _, gen, _ = harmonic_setup(4, 3)
     plan = bk.make_stepping_plan(gen, 0.1)
-    state = bk.project_initial_condition([(1, 2, 1.0), (0, 0, bad)], 4, 3)
+    state = state_with([(1, 2, 1.0), (0, 0, bad)], 4, 3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(bk.SolverConsistencyError):
@@ -344,7 +345,7 @@ def test_norm_never_increases(harmonic_setup, seed, dt):
 def test_one_step_matches_matrix_exponential(harmonic_setup):
     _, gen, _ = harmonic_setup(5, 5)
     m = gen.matrix.toarray()
-    state = bk.project_initial_condition([(1, 2, 1.0), (2, 1, 1.0)], 5, 5)
+    state = state_with([(1, 2, 1.0), (2, 1, 1.0)], 5, 5)
     plan = bk.make_stepping_plan(gen, 1e-3)
     out = bk.step(plan, state)
     ref = expm(1e-3 * m) @ state.C.ravel()
@@ -356,7 +357,7 @@ def test_local_error_is_second_order(harmonic_setup):
     # Against the exact flow, one implicit Euler step errs at O(dt^2).
     _, gen, _ = harmonic_setup(2, 4)
     m = gen.matrix.toarray()
-    state = bk.project_initial_condition([(1, 2, 1.0), (2, 1, 1.0)], 2, 4)
+    state = state_with([(1, 2, 1.0), (2, 1, 1.0)], 2, 4)
     errs = []
     for dt in (1e-3, 5e-4):
         plan = bk.make_stepping_plan(gen, dt)
@@ -374,7 +375,7 @@ def test_trajectory_matches_dense_solver(doublewell_setup):
     dim = m.shape[0]
     dt = 0.05
     plan = bk.make_stepping_plan(gen, dt)
-    state = bk.project_initial_condition([(2, 1, 1.0)], 6, 5)
+    state = state_with([(2, 1, 1.0)], 6, 5)
     dense = state.C.ravel().copy()
     system = np.eye(dim) - dt * m
     for _ in range(20):
@@ -383,49 +384,16 @@ def test_trajectory_matches_dense_solver(doublewell_setup):
         assert np.linalg.norm(state.C.ravel() - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
-def test_project_initial_condition_keeps_the_last_repeat():
-    # Each (k, n) takes the value of its last entry.
-    rng = np.random.default_rng(5)
-    entries = [(int(k), int(n), float(v)) for k, n, v in
-               zip(rng.integers(0, 3, 200), rng.integers(0, 4, 200),
-                   rng.standard_normal(200))]
-    expect = np.zeros((3, 4))
-    for k, n, value in entries:
-        expect[k, n] = value
-    assert np.array_equal(bk.project_initial_condition(entries, 2, 3).C, expect)
-
-
-def test_project_initial_condition_names_the_first_entry_out_of_range():
-    entries = [(1, 2, 1.0), (3, 0, 1.0), (0, -1, 1.0), (1, 2, 2.0)]
-    with pytest.raises(IndexError, match=r"^coefficient \(3, 0\) outside "
-                                         r"\(K, N\) = \(2, 3\)$"):
-        bk.project_initial_condition(entries, 2, 3)
-    with pytest.raises(IndexError, match=r"^coefficient \(0, -1\) outside"):
-        bk.project_initial_condition(entries[2:], 2, 3)
-
-
-def test_project_initial_condition_presets(harmonic_setup, doublewell_setup):
-    state = bk.project_initial_condition([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
-    expect = np.zeros((21, 6))
-    expect[1, 2] = 1.0
-    expect[2, 1] = 1.0
-    assert np.array_equal(state.C, expect)
-    with pytest.raises(IndexError):
-        bk.project_initial_condition([(21, 0, 1.0)], 20, 5)
-    with pytest.raises(IndexError):
-        bk.project_initial_condition([(0, 6, 1.0)], 20, 5)
-
-
 def test_purge_leaves_compliant_state_alone(harmonic_setup):
     _, _, basis = harmonic_setup(20, 5)
-    state = bk.project_initial_condition([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
+    state = state_with([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
     purged = bk.purge_equilibrium_components(state, basis)
     assert np.array_equal(purged.C, state.C)
 
 
 def test_purge_pure_mass_general(doublewell_setup):
     _, _, basis = doublewell_setup(5, 5)
-    state = bk.project_initial_condition([(0, 0, 1.0)], 5, 5)
+    state = state_with([(0, 0, 1.0)], 5, 5)
     purged = bk.purge_equilibrium_components(state, basis)
     mass, energy_plus = bk.conserved_functionals(purged, basis)
     assert mass == 0.0
@@ -434,7 +402,7 @@ def test_purge_pure_mass_general(doublewell_setup):
 
 def test_purge_harmonic_momentum(harmonic_setup):
     _, _, basis = harmonic_setup(5, 5)
-    state = bk.project_initial_condition([(1, 0, 1.0)], 5, 5)
+    state = state_with([(1, 0, 1.0)], 5, 5)
     purged = bk.purge_equilibrium_components(state, basis)
     cons = bk.conserved_functionals(purged, basis)
     assert cons.shape == (6,)
@@ -459,7 +427,7 @@ def test_conservation_along_run(harmonic_setup, doublewell_setup):
     ]
     for make, entries in cases:
         _, gen, basis = make(20, 5)
-        state = bk.project_initial_condition(entries, 20, 5)
+        state = state_with(entries, 20, 5)
         norm0 = bk.l2_norm(state)
         plan = bk.make_stepping_plan(gen, 0.01)
         for _ in range(200):
