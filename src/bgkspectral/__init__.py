@@ -20,9 +20,8 @@ from .errors import (ConfigError, IntegrationFailureError,
 from .operators import (DerivCouplings, build_deriv_couplings,
                         build_omega_matrix, build_phi_matrix)
 from .orthopoly import (QuadratureRule, RecurrenceTable, build_quadrature,
-                        build_recurrence, chebyshev_recurrence, eval_poly_all,
-                        freud_residual, hermite_eval_all, jacobi_horner,
-                        magnus_constant)
+                        build_recurrence, eval_poly_all, freud_residual,
+                        hermite_eval_all, jacobi_horner)
 from .potential import (NormalizedPotential, RawPotential, normalize_potential,
                         tail_cutoff)
 from .scheme import (Generator, SpectralState, SteppingPlan,
@@ -39,9 +38,8 @@ __all__ = [
     "SpectralState", "SteppingPlan", "assemble_generator",
     "build_deriv_couplings", "build_functional_basis", "build_omega_matrix",
     "build_phi_matrix", "build_quadrature", "build_recurrence",
-    "chebyshev_recurrence", "conserved_functionals", "estimate_kn",
-    "eval_poly_all", "fit_decay_rate", "freud_residual", "hermite_eval_all",
-    "jacobi_horner", "kn_sweep", "l2_norm", "magnus_constant",
-    "make_stepping_plan", "normalize_potential",
+    "conserved_functionals", "estimate_kn", "eval_poly_all", "fit_decay_rate",
+    "freud_residual", "hermite_eval_all", "jacobi_horner", "kn_sweep",
+    "l2_norm", "make_stepping_plan", "normalize_potential",
     "purge_equilibrium_components", "snapshot", "step", "tail_cutoff",
 ]

@@ -240,7 +240,11 @@ class RunResult:
 
 
 def simulate(config: RunConfig) -> RunResult:
-    """Validate and run one configured experiment in memory; writes no file."""
+    """Validate and run one configured experiment in memory; writes no file.
+
+    A purge that takes the initial norm past double range is a ConfigError,
+    as `RunConfig.validate` makes one of such an unpurged state.
+    """
     keys, values = config.validate()
     pot = normalize_potential(RawPotential(tuple(config.potential)))
     # build_phi_matrix at size N + 1 reads a_0..a_{N + deg + 2}.
@@ -251,6 +255,14 @@ def simulate(config: RunConfig) -> RunResult:
     state = scheme.initial_state(keys, values, config.K, config.N)
     if config.purge:
         state = diagnostics.purge_equilibrium_components(state, basis)
+        # The purge writes the phi-moment of C[0, :] into C[2, 0], which can
+        # take a norm validate() found finite past double range.
+        with np.errstate(over="ignore"):
+            finite_norm = math.isfinite(diagnostics.l2_norm(state))
+        if not finite_norm:
+            raise ConfigError("initial values: after the purge their sum of "
+                              "squares passes double range, so the state's "
+                              "norm is not finite")
 
     gen = scheme.assemble_generator(band, config.K)
     plan = scheme.make_stepping_plan(gen, config.dt)
@@ -290,7 +302,7 @@ def simulate(config: RunConfig) -> RunResult:
     summary["recurrence_panels"] = table.panels
     summary["dim"] = plan.system.shape[0]
     summary["generator_nnz"] = gen.matrix.nnz
-    summary["factor_nnz"] = plan.lu.U.nnz
+    summary["factor_nnz"] = plan.lu.nnz
     if reports is not None:
         summary["kn_freud_residual"] = max(
             (r.freud_residual for r in reports), default=None)

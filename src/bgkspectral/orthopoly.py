@@ -4,12 +4,12 @@ The family P_0, P_1, ... is defined by the symmetric three-term recurrence
 
     x P_n(x) = a_{n+1} P_{n+1}(x) + a_n P_{n-1}(x),   P_0 = 1/a_0,  P_{-1} = 0,
 
-with a_0 = sqrt(integral of rho).  Two independent constructions of the
-coefficients a_n are provided: `build_recurrence`, a discretized Stieltjes
-procedure in ordinary double precision (the production path), and
-`chebyshev_recurrence`, a moment-based recurrence run in software extended
-precision (the cross-check oracle, exponentially ill-conditioned in double
-precision).
+with a_0 = sqrt(integral of rho).  One construction of the coefficients a_n
+is provided: `build_recurrence`, a discretized Stieltjes procedure in
+ordinary double precision.  The independent construction it is checked
+against, the Chebyshev algorithm on power moments in software extended
+precision (exponentially ill-conditioned in double precision), is a test
+oracle and lives in the tests, in `tests/oracles.py`.
 
 `build_recurrence` certifies its table a posteriori with Freud's identity
 [phi'(J)]_{n,n-1} = n / a_n, read off the Jacobi matrix J by `jacobi_horner`
@@ -122,85 +122,6 @@ def _stieltjes_pass(pot, n_max: int, panels: int, cutoff: float) -> np.ndarray:
         y *= 1.0 / nrm
         q_prev, q, y = q, y, q_prev
     return a
-
-
-def _weight_moments_mp(pot, top: int, dps: int) -> list:
-    """Even moments m_0, m_1, ..., m_top of rho in extended precision.
-
-    Only the seed moments m_0, m_2, ..., m_{2m-2} are integrated directly;
-    the rest follow exactly from integration by parts against phi':
-    sum_i 2 i c_i m_{k+2i-1} = k m_{k-1}.  Odd moments vanish by parity.
-    """
-    import mpmath as mp
-    coeffs = [mp.mpf(c) for c in pot.coeffs]
-    m_half = len(coeffs) - 1
-
-    cut = tail_cutoff(pot, poly_degree=2 * m_half)
-
-    def phi_mp(x):
-        acc = coeffs[-1]
-        u = x * x
-        for c in coeffs[-2::-1]:
-            acc = acc * u + c
-        return acc
-
-    moments = [mp.mpf(0)] * (top + 1)
-    splits = [mp.mpf(0)] + [mp.mpf(cut) * f for f in (0.125, 0.25, 0.5, 1.0)] + [mp.inf]
-    for k in range(0, min(2 * m_half - 1, top + 1), 2):
-        moments[k] = 2 * mp.quad(lambda x: x ** k * mp.exp(-phi_mp(x)), splits)
-
-    lead = 2 * m_half * coeffs[-1]
-    k = 1
-    while k + 2 * m_half - 1 <= top:
-        rhs = k * moments[k - 1]
-        for i in range(1, m_half):
-            rhs -= 2 * i * coeffs[i] * moments[k + 2 * i - 1]
-        moments[k + 2 * m_half - 1] = rhs / lead
-        k += 2
-    return moments
-
-
-def chebyshev_recurrence(pot: NormalizedPotential, n_max: int,
-                         dps: int = 60) -> RecurrenceTable:
-    """Recurrence coefficients a_0..a_n_max from power moments, in extended precision.
-
-    The Chebyshev algorithm maps the moments of rho = exp(-pot) to the
-    recurrence.  It is exponentially ill-conditioned, so it runs with `dps`
-    decimal digits and is meant as an independent cross-check of
-    `build_recurrence` for moderate n_max.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    # Imported here: only this cross-check path needs extended precision.
-    import mpmath as mp
-    n = n_max + 1
-    with mp.workdps(dps):
-        mom = _weight_moments_mp(pot, 2 * n - 1, dps)
-        sig_prev = [mp.mpf(0)] * (2 * n)
-        sig = list(mom)
-        alpha = mom[1] / mom[0]
-        beta = [mom[0]]
-        alphas = [alpha]
-        for k in range(1, n):
-            sig_next = [mp.mpf(0)] * (2 * n)
-            for ell in range(k, 2 * n - k):
-                sig_next[ell] = (sig[ell + 1] - alphas[k - 1] * sig[ell]
-                                 - beta[k - 1] * sig_prev[ell])
-            if sig_next[k] <= 0:
-                raise PrecisionFailureError(
-                    f"Chebyshev algorithm lost positivity at index {k}; "
-                    f"raise the working precision (dps={dps})")
-            alphas.append(sig_next[k + 1] / sig_next[k] - sig[k] / sig[k - 1])
-            beta.append(sig_next[k] / sig[k - 1])
-            sig_prev, sig = sig, sig_next
-        # The weight is even, so the diagonal recurrence terms must vanish.
-        bad, drift = max(enumerate(abs(al) for al in alphas), key=lambda t: t[1])
-        if drift > mp.mpf(10) ** (-dps // 2):
-            raise PrecisionFailureError(
-                f"Chebyshev algorithm symmetry drift {mp.nstr(drift)} at index "
-                f"{bad} exceeds the precision budget at dps={dps}")
-        a = np.array([float(mp.sqrt(b)) for b in beta])
-    return RecurrenceTable(a=a, weight=pot)
 
 
 def jacobi_horner(a: np.ndarray, coeffs, v: np.ndarray) -> np.ndarray:
@@ -376,10 +297,3 @@ def build_quadrature(pot: NormalizedPotential, kind: str, resolution: int,
         return QuadratureRule(nodes=nodes, weights=weights)
     raise ValueError(f"unknown quadrature kind {kind!r}")
 
-
-def magnus_constant(pot: NormalizedPotential) -> float:
-    """Growth constant c with a_n ~ c * n^(1/deg) for this weight."""
-    m = pot.degree // 2
-    lead = pot.coeffs[-1]
-    return (math.factorial(m - 1) ** 2
-            / (2.0 * lead * math.factorial(2 * m - 1))) ** (1.0 / (2 * m))

@@ -105,6 +105,13 @@ class EvenOddCholesky:
     def L(self) -> sp.dia_matrix:
         return self.U.T
 
+    @property
+    def nnz(self) -> int:
+        """Entries of U, `U.nnz`, counted from the band's shape: diagonal d
+        of the kd + 1 holds n - d."""
+        kd, n = self.band.shape[0] - 1, self.band.shape[1]
+        return (kd + 1) * n - kd * (kd + 1) // 2
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         # Raw dpbtrs: cho_solve_banded's argument checks cost about 3.5 us a
         # call, more than the whole band solve on a preset-sized system.

@@ -19,6 +19,7 @@ import bgkspectral as bk
 from bgkspectral.weddle import panel_rule
 
 from conftest import DOUBLE_WELL_COEFFS, HARMONIC_COEFFS, state_with
+from oracles import chebyshev_recurrence, magnus_constant
 
 # trajectories recorded by earlier criteria; criterion 7 re-checks them all
 RUNS: list[tuple[str, list[float]]] = []
@@ -63,7 +64,7 @@ def test_criterion_1_orthonormal_engine():
     gram_err = np.max(np.abs(gram - np.eye(41)))
     assert gram_err <= 1e-9
 
-    cheb = bk.chebyshev_recurrence(dw, 20)
+    cheb = chebyshev_recurrence(dw, 20)
     agree = np.max(np.abs(cheb.a - dtab.a[:21]) / cheb.a)
     assert agree <= 1e-10
 
@@ -78,7 +79,7 @@ def test_criterion_2_growth_asymptotics():
     start = time.monotonic()
     dw = bk.normalize_potential(bk.RawPotential(DOUBLE_WELL_COEFFS))
     table = bk.build_recurrence(dw, 210)
-    const = bk.magnus_constant(dw)
+    const = magnus_constant(dw)
     n = np.arange(150, 201)
     dev = np.abs(table.a[n] * n ** -0.25 / const - 1.0)
     avg = float(np.mean(dev))

@@ -321,6 +321,27 @@ def test_initial_values_whose_norm_passes_double_range_exit_2(tmp_path, capsys,
     assert out.exists() == (code == 0)
 
 
+@pytest.mark.parametrize("value, code, err", [
+    (1.3e154, 2, "config error: initial values: after the purge their sum of "
+                 "squares passes double range, so the state's norm is not "
+                 "finite\n"),
+    (1e150, 0, ""),
+])
+def test_a_purge_that_takes_the_norm_past_double_range_exits_2(tmp_path, capsys,
+                                                               value, code, err):
+    # One value passes validate(), but the purge moves the phi-moment of
+    # C[0, :] into C[2, 0], and from about 1.3e154 the purged sum of squares
+    # passes double range (ROADMAP item 3).
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({
+        "potential": [1.0, -2.0, 1.0], "K": 4, "N": 4, "dt": 0.01, "T": 0.1,
+        "initial": [[0, 4, value]], "purge": True}))
+    cli.RunConfig.from_dict(json.loads(cfg.read_text())).validate()
+    assert cli.main(["--config", str(cfg), "--out-dir", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)
+
+
 _LONG = 10 ** 5000     # past the 4300 digits Python prints an int with
 
 

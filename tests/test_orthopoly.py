@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -14,10 +15,10 @@ import bgkspectral as bk
 from bgkspectral import orthopoly
 from bgkspectral.errors import (IntegrationFailureError, InvalidPotentialError,
                                 PrecisionFailureError)
-from bgkspectral.orthopoly import (_half_line_seed, _stieltjes_pass,
-                                   _weight_moments_mp)
+from bgkspectral.orthopoly import _half_line_seed, _stieltjes_pass
 from bgkspectral.weddle import panel_rule
 from conftest import integrate_adaptive, inner_products, potentials_and_sizes
+from oracles import chebyshev_recurrence, magnus_constant, weight_moments_mp
 
 
 def test_weddle_panel_exactness():
@@ -47,7 +48,7 @@ def test_a0_is_one_for_any_normalized_weight(doublewell_table):
 
 
 def test_magnus_asymptotics(doublewell_table, doublewell_pot):
-    const = bk.magnus_constant(doublewell_pot)
+    const = magnus_constant(doublewell_pot)
     n = 200
     ratio = doublewell_table.a[n] * n ** -0.25 / const
     assert abs(ratio - 1.0) <= 0.10
@@ -146,7 +147,7 @@ def test_harmonic_potential_expansion(harmonic_table, harmonic_gauss, harmonic_p
 def test_stieltjes_vs_extended_chebyshev(coeffs):
     pot = bk.normalize_potential(bk.RawPotential(coeffs))
     st = bk.build_recurrence(pot, 20)
-    ch = bk.chebyshev_recurrence(pot, 20)
+    ch = chebyshev_recurrence(pot, 20)
     rel = np.abs(st.a - ch.a) / ch.a
     assert np.max(rel) <= 1e-10
 
@@ -307,7 +308,7 @@ def test_freud_residual_reads_only_rows_the_truncation_keeps_exact():
     pot = bk.normalize_potential(bk.RawPotential((0, 0, 0, 0, 0, 1)))
     assert bk.freud_residual(np.ones(3), pot) == 0.0
     st = bk.build_recurrence(pot, 2)
-    ch = bk.chebyshev_recurrence(pot, 2)
+    ch = chebyshev_recurrence(pot, 2)
     assert np.max(np.abs(st.a - ch.a) / ch.a) <= 1e-12
 
 
@@ -369,7 +370,7 @@ def test_build_recurrence_fails_fast_once_the_residual_stalls(harmonic_pot,
 def test_moment_ladder_against_direct_quadrature(doublewell_pot):
     # The ladder fills high moments from two seeds; check one directly.
     with mp.workdps(40):
-        moments = _weight_moments_mp(doublewell_pot, 10, 40)
+        moments = weight_moments_mp(doublewell_pot, 10)
         coeffs = [mp.mpf(c) for c in doublewell_pot.coeffs]
 
         def phi(x):
@@ -382,7 +383,7 @@ def test_moment_ladder_against_direct_quadrature(doublewell_pot):
 
 def test_chebyshev_breakdown_reports_index(doublewell_pot):
     with pytest.raises(PrecisionFailureError) as err:
-        bk.chebyshev_recurrence(doublewell_pot, 30, dps=8)
+        chebyshev_recurrence(doublewell_pot, 30, dps=8)
     assert re.search(r"at index [1-9]", str(err.value))
 
 
@@ -390,7 +391,7 @@ def test_build_recurrence_argument_validation(harmonic_pot, harmonic_table):
     with pytest.raises(ValueError):
         bk.build_recurrence(harmonic_pot, 0)
     with pytest.raises(ValueError):
-        bk.chebyshev_recurrence(harmonic_pot, 0)
+        chebyshev_recurrence(harmonic_pot, 0)
     with pytest.raises(ValueError):
         bk.build_quadrature(harmonic_pot, "gauss_from_jacobi", 10)
     with pytest.raises(ValueError):
@@ -399,13 +400,31 @@ def test_build_recurrence_argument_validation(harmonic_pot, harmonic_table):
         bk.build_quadrature(harmonic_pot, "weird", 4)
 
 
-def test_import_leaves_out_mpmath():
-    # Only the extended-precision cross-check path needs mpmath.
+def test_import_leaves_out_mpmath(tmp_path):
+    # Only the tests' extended-precision oracles need mpmath.  With its import
+    # blocked, a preset run, the snapshot-writing fig4 preset and a K_N lab
+    # run (the benchmark's kn_lab config) still exit 0.
+    kn_config = tmp_path / "kn_lab.json"
+    kn_config.write_text(json.dumps({
+        "potential": [1.0, -2.0, 1.0], "K": 4, "N": 4, "dt": 1e-2, "T": 0.1,
+        "initial": [[1, 1, 1.0], [3, 2, 0.5]],
+        "outputs": ["norms", "conserved", "kn", "recurrence"],
+        "kn_n_values": [16, 32, 64, 128]}))
+    runs = [["--preset", "harmonic_fig1"], ["--preset", "doublewell_fig4"],
+            ["--config", str(kn_config)]]
+    runs = [args + ["--out-dir", str(tmp_path / str(i))]
+            for i, args in enumerate(runs)]
     env = dict(os.environ, PYTHONPATH=str(Path(bk.__file__).resolve().parents[1]))
-    code = "import sys, bgkspectral; print('mpmath' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    code = ("import json, sys, bgkspectral; print('mpmath' in sys.modules); "
+            "sys.modules['mpmath'] = None; from bgkspectral import cli; "
+            "print([cli.main(args) for args in json.loads(sys.argv[1])])")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    lines = out.split("\n")
+    assert lines[0] == "False"
+    assert lines[-2] == "[0, 0, 0]"
+    assert (tmp_path / "1" / "snapshot_12.csv").is_file()
+    assert (tmp_path / "2" / "kn_table.csv").is_file()
 
 
 def test_hermite_eval(harmonic_table):

@@ -264,6 +264,7 @@ def test_band_of_the_harmonic_schur_complement_is_tridiagonal(harmonic_pot):
     gen = bk.assemble_generator(bk.build_deriv_couplings(table, 600).A, 10)
     lu = bk.make_stepping_plan(gen, 1e-2).lu
     assert lu.U.offsets.max() == 1 and lu.band.shape == (2, 6 * 601)
+    assert lu.nnz == lu.U.nnz == 2 * 6 * 601 - 1
 
 
 def test_refinement_rescues_a_solve_that_misses_the_gate():
@@ -463,6 +464,15 @@ def kernel_plans():
         gen = bk.assemble_generator(bk.build_deriv_couplings(table, N).A, K)
         plans[name] = bk.make_stepping_plan(gen, dt)
     return plans
+
+
+def test_factor_entries_are_counted_from_the_band(kernel_plans):
+    # The count needs no sparse matrix; it is what the dia_matrix view holds.
+    # scale_stepping's band (n = 2501, kd = 21) holds half its pinned LU
+    # fill of 109,582.
+    for name, plan in kernel_plans.items():
+        assert plan.lu.nnz == plan.lu.U.nnz, name
+    assert kernel_plans["scale_stepping"].lu.nnz == 54_791
 
 
 def _operator_solve(plan, b):
