@@ -24,8 +24,8 @@ from .orthopoly import (QuadratureRule, RecurrenceTable, build_quadrature,
                         hermite_eval_all, jacobi_horner)
 from .potential import (NormalizedPotential, RawPotential, normalize_potential,
                         tail_cutoff)
-from .scheme import (Generator, SpectralState, SteppingPlan,
-                     assemble_generator, make_stepping_plan, step)
+from .scheme import (Generator, SteppingPlan, assemble_generator,
+                     make_stepping_plan, step)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "IntegrationFailureError", "InvalidPotentialError", "KNReport",
     "NormalizedPotential", "PrecisionFailureError", "QuadratureRule",
     "RawPotential", "RecurrenceTable", "SolverConsistencyError",
-    "SpectralState", "SteppingPlan", "assemble_generator",
+    "SteppingPlan", "assemble_generator",
     "build_deriv_couplings", "build_functional_basis", "build_omega_matrix",
     "build_phi_matrix", "build_quadrature", "build_recurrence",
     "conserved_functionals", "estimate_kn", "eval_poly_all", "fit_decay_rate",

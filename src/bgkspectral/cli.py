@@ -225,15 +225,15 @@ PRESETS: dict[str, dict] = {
 @dataclass(frozen=True)
 class RunResult:
     """Everything one run computes: per-step `times`, `norms` and `conserved`
-    rows (columns `diagnostics.CONSERVED_COLUMNS[:m]`), the states at the
-    snapshot steps, the recurrence table and, if requested, the K_N reports.
+    rows (columns `diagnostics.CONSERVED_COLUMNS[:m]`), a (configured t, C)
+    pair per snapshot, the recurrence table and, if requested, the K_N reports.
     """
 
     config: RunConfig
     times: np.ndarray
     norms: np.ndarray
     conserved: np.ndarray
-    snapshots: tuple[scheme.SpectralState, ...]
+    snapshots: tuple[tuple[float, np.ndarray], ...]
     table: RecurrenceTable
     kn: list[KNReport] | None
     summary: dict
@@ -252,13 +252,13 @@ def simulate(config: RunConfig) -> RunResult:
     band = build_deriv_couplings(table, config.N).A
     basis = diagnostics.build_functional_basis(table, config.N)
 
-    state = scheme.initial_state(keys, values, config.K, config.N)
+    c = scheme.initial_state(keys, values, config.K, config.N)
     if config.purge:
-        state = diagnostics.purge_equilibrium_components(state, basis)
+        c = diagnostics.purge_equilibrium_components(c, basis)
         # The purge writes the phi-moment of C[0, :] into C[2, 0], which can
         # take a norm validate() found finite past double range.
         with np.errstate(over="ignore"):
-            finite_norm = math.isfinite(diagnostics.l2_norm(state))
+            finite_norm = math.isfinite(diagnostics.l2_norm(c))
         if not finite_norm:
             raise ConfigError("initial values: after the purge their sum of "
                               "squares passes double range, so the state's "
@@ -268,17 +268,19 @@ def simulate(config: RunConfig) -> RunResult:
     plan = scheme.make_stepping_plan(gen, config.dt)
     steps = round(config.T / config.dt)
 
-    # Each snapshot carries its configured time, the one validate() named
-    # its file from, not the accumulated sum of steps.
+    # The series takes the running sum of steps as its time; each snapshot
+    # takes its configured time, the one validate() named its file from.
     snap_times = {round(t / config.dt): t for t in config.snapshot_times}
     series = diagnostics.DiagnosticsSeries()
-    series.record(state, basis)
-    snapshots = [replace(state, t=snap_times[0])] if 0 in snap_times else []
+    t = 0.0
+    series.record(t, c, basis)
+    snapshots = [(snap_times[0], c)] if 0 in snap_times else []
     for i in range(1, steps + 1):
-        state = scheme.step(plan, state)
-        series.record(state, basis)
+        c = scheme.step(plan, c)
+        t += config.dt
+        series.record(t, c, basis)
         if i in snap_times:
-            snapshots.append(replace(state, t=snap_times[i]))
+            snapshots.append((snap_times[i], c))
 
     reports = kn_sweep(pot, config.kn_n_values) \
         if "kn" in config.outputs else None
@@ -359,7 +361,7 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             p = eval_poly_all(result.table, config.N, grid)
             h = hermite_eval_all(config.K, grid)
-            bound = max(np.max(np.abs(st.C)) for st in result.snapshots) \
+            bound = max(np.max(np.abs(c)) for _, c in result.snapshots) \
                 * np.max(np.abs(p).sum(0)) * np.max(np.abs(h).sum(0))
         if not np.isfinite(bound):
             raise OverflowError(f"snapshot values on [{grid[0]:g}, {grid[-1]:g}]^2 "
@@ -369,7 +371,7 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
         cells = format_cells(grid)
         cells = cells[:, cells.any(0)]
     tables = list(_csv_files(result))
-    snapshots = {f"snapshot_{st.t:g}.csv": st for st in result.snapshots}
+    snapshots = {f"snapshot_{t:g}.csv": c for t, c in result.snapshots}
     out_dir = Path(out_dir)
     created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -379,10 +381,10 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     try:
         for name, *table in tables:
             _write_csv(partial[name], *table)
-        for name, st in snapshots.items():
+        for name, c in snapshots.items():
             _write_csv(partial[name], "x,v,h",
                        [cells[:, None], cells[None],
-                        diagnostics.snapshot(st, p, h)])
+                        diagnostics.snapshot(c, p, h)])
         for name, tmp in partial.items():
             moved.append(tmp.replace(out_dir / name))
     except BaseException:

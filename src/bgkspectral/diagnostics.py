@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .orthopoly import RecurrenceTable, jacobi_horner
-from .scheme import SpectralState
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,8 @@ def build_functional_basis(table: RecurrenceTable, n: int) -> FunctionalBasis:
 CONSERVED_COLUMNS = ("mass", "energy_plus", "rx", "m0", "mx", "energy_minus")
 
 
-def conserved_functionals(state: SpectralState, basis: FunctionalBasis) -> np.ndarray:
-    """Values of the conservation-law functionals, in `CONSERVED_COLUMNS` order.
+def conserved_functionals(c: np.ndarray, basis: FunctionalBasis) -> np.ndarray:
+    """Conservation-law functionals of `c`, in `CONSERVED_COLUMNS` order.
 
     The local mass, momentum and energy densities are the velocity modes
     k = 0, 1, 2; every functional is a fixed linear form in their space
@@ -54,7 +53,6 @@ def conserved_functionals(state: SpectralState, basis: FunctionalBasis) -> np.nd
     Needs K, N >= 2, as every state a stepping plan accepts has (K < 2 raises
     IndexError); a basis built for another N raises ValueError.
     """
-    c = state.C
     mass = float(c[0, 0])
     e0 = float(c[2, 0])
     phi_r = float(c[0] @ basis.ip_phi)
@@ -68,17 +66,16 @@ def conserved_functionals(state: SpectralState, basis: FunctionalBasis) -> np.nd
     return np.array([mass, energy_plus, rx, m0, mx, energy_minus])
 
 
-def purge_equilibrium_components(state: SpectralState,
-                                 basis: FunctionalBasis) -> SpectralState:
+def purge_equilibrium_components(c: np.ndarray, basis: FunctionalBasis) -> np.ndarray:
     """Remove the steady/oscillatory components so the conserved functionals vanish.
 
-    Adjusts the slots that `conserved_functionals` reads: mass C[0,0], energy
-    C[2,0] (paired with the phi-moment of C[0,:]), and in the harmonic case
-    also the position/momentum slots.  Needs K, N >= 2, as every state a
-    stepping plan accepts has (K < 2 raises IndexError); a basis built for
-    another N raises ValueError.
+    Adjusts, in a copy of `c`, the slots that `conserved_functionals` reads:
+    mass C[0,0], energy C[2,0] (paired with the phi-moment of C[0,:]), and in
+    the harmonic case also the position/momentum slots.  Needs K, N >= 2, as
+    every state a stepping plan accepts has (K < 2 raises IndexError); a
+    basis built for another N raises ValueError.
     """
-    c = state.C.copy()
+    c = c.copy()
     ip_phi = basis.ip_phi
     c[0, 0] = 0.0
     # phi is even, so ip_phi[1] = 0 and zeroing C[0,1] leaves phi_r unchanged.
@@ -88,16 +85,16 @@ def purge_equilibrium_components(state: SpectralState,
         c[0, 2] -= phi_r / ip_phi[2]
     else:
         c[2, 0] = -np.sqrt(2.0) * phi_r
-    return SpectralState(C=c, t=state.t)
+    return c
 
 
-def l2_norm(state: SpectralState) -> float:
-    """Maxwellian-weighted L2 norm of the expansion (Parseval)."""
+def l2_norm(c: np.ndarray) -> float:
+    """Maxwellian-weighted L2 norm of the expansion with coefficients `c` (Parseval)."""
     # np.linalg.norm's own steps for a real array, without its dispatch.
-    c = state.C.ravel(order="K")
-    norm = math.sqrt(c.dot(c))
+    v = c.ravel(order="K")
+    norm = math.sqrt(v.dot(v))
     # Below 1e-150 the plain sum of squares underflows; hypot rescales.
-    return norm if norm >= 1e-150 else math.hypot(*state.C.ravel())
+    return norm if norm >= 1e-150 else math.hypot(*c.ravel())
 
 
 @dataclass
@@ -108,10 +105,10 @@ class DiagnosticsSeries:
     norms: list[float] = field(default_factory=list)
     conserved: list[np.ndarray] = field(default_factory=list)
 
-    def record(self, state: SpectralState, basis: FunctionalBasis) -> None:
-        self.times.append(state.t)
-        self.norms.append(l2_norm(state))
-        self.conserved.append(conserved_functionals(state, basis))
+    def record(self, t: float, c: np.ndarray, basis: FunctionalBasis) -> None:
+        self.times.append(t)
+        self.norms.append(l2_norm(c))
+        self.conserved.append(conserved_functionals(c, basis))
 
 
 @dataclass(frozen=True)
@@ -149,13 +146,12 @@ def fit_decay_rate(series: DiagnosticsSeries, t_start: float,
     return DecayFit(rate=-float(slope), intercept=float(intercept), r_squared=r2)
 
 
-def snapshot(state: SpectralState, p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Values of the reconstructed perturbation on an (x, v) grid.
+def snapshot(c: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Values on an (x, v) grid of the perturbation with coefficients `c`.
 
     `p = eval_poly_all(table, N, x_grid)` and `h = hermite_eval_all(K,
     v_grid)` are the bases at the grid points, evaluated once for every
-    state on the same grid.  Entry [i, j] of the result is h(t, x_i, v_j),
-    evaluated as two matrix products of the bases with the coefficient
-    array.
+    array on the same grid.  Entry [i, j] of the result is h(x_i, v_j),
+    evaluated as two matrix products of the bases with `c`.
     """
-    return p.T @ state.C.T @ h
+    return p.T @ c.T @ h

@@ -6,11 +6,11 @@ class InvalidPotentialError(ValueError):
 
 
 class IntegrationFailureError(RuntimeError):
-    """An adaptive quadrature did not converge within its node budget."""
+    """A trapezoidal rule (normalization or Stieltjes) stalled or ran out of budget."""
 
 
 class PrecisionFailureError(RuntimeError):
-    """A moment-based recurrence computation lost positivity."""
+    """The Stieltjes recurrence broke down: its sampled weight or a norm vanished."""
 
 
 class SolverConsistencyError(RuntimeError):

@@ -1,11 +1,12 @@
 """Semi-discrete generator and implicit Euler stepping for the coefficient ODE.
 
-The state collects the coefficients C[k][n] of the perturbation on the tensor
-basis (space polynomial n, velocity Hermite k).  The generator couples
-neighbouring velocity modes through the derivative couplings A, read straight
-from Phi's lower band (the odd diagonals of d* below deg(phi), N + 1 wide),
-and damps the modes k >= 3; its transport part is exactly skew-symmetric, so
-the implicit Euler step is unconditionally norm non-increasing.
+A state is its (K + 1, N + 1) array C[k, n] of the perturbation's coefficients
+on the tensor basis (space polynomial n, velocity Hermite k); the run loop
+keeps the time.  The generator couples neighbouring velocity modes through the
+derivative couplings A, read straight from Phi's lower band (the odd diagonals
+of d* below deg(phi), N + 1 wide), and damps the modes k >= 3; its transport
+part is exactly skew-symmetric, so the implicit Euler step is unconditionally
+norm non-increasing.
 
 The same structure lets the implicit Euler system be solved by exact
 elimination.  The diagonal of I - dt M is T = 1 + dt [k >= 3], and transport
@@ -37,6 +38,10 @@ takes two or three refinements where a sparse LU takes one.  The residual of
 I - dt M itself cannot fall far below eps dt ||M|| ||x||, so from about
 dt = 1e5 some configurations miss the gate under any solver; each miss raises
 `SolverConsistencyError`.
+
+Below ||b|| = 2^-450, where the gate's squares can underflow to 0 and the
+output would round in the subnormals, a state is stepped scaled exactly by the
+power of two that puts its largest entry in [1/2, 1), and scaled back.
 """
 
 from __future__ import annotations
@@ -57,14 +62,8 @@ from .errors import SolverConsistencyError, describe
 _SOLVE_REL_TOL = 1e-12
 # Refinement steps a solve may take to meet the gate (ITMAX of LAPACK xGERFS).
 _MAX_REFINEMENTS = 5
-
-
-@dataclass(frozen=True)
-class SpectralState:
-    """Coefficient array C of shape (K+1, N+1) at time t."""
-
-    C: np.ndarray
-    t: float = 0.0
+# States with a smaller norm are stepped at unit scale (module docstring).
+_UNIT_SCALE_BELOW = 2.0 ** -450
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,6 @@ class SteppingPlan:
     tests read.
     """
 
-    dt: float
     lu: EvenOddCholesky = field(repr=False)
     system: sp.csr_matrix = field(repr=False)
     K: int
@@ -308,7 +306,7 @@ def make_stepping_plan(gen: Generator, dt: float) -> SteppingPlan:
     odd_scale = np.repeat(np.where(np.arange(K + 1) % 2 == 1, 1.0 / t, 0.0), w)
     lu = EvenOddCholesky(band=band, restrict=restrict, extend=extend,
                          odd_scale=odd_scale)
-    return SteppingPlan(dt=dt, lu=lu, system=system, K=K, N=N)
+    return SteppingPlan(lu=lu, system=system, K=K, N=N)
 
 
 def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,23 +317,28 @@ def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return np.arange(ptr[-1]) + np.repeat(indptr[rows] - ptr[:-1], length), ptr
 
 
-def step(plan: SteppingPlan, state: SpectralState) -> SpectralState:
-    """One implicit Euler step: solve (I - dt M) C_next = C.
+def step(plan: SteppingPlan, c: np.ndarray) -> np.ndarray:
+    """One implicit Euler step: the solution x of (I - dt M) x = c.
 
-    The solve and the residual (I - dt M) x - C run through `_matvec` on the
-    plan's CSR arrays, with the bits of `plan.system @ x`; C may be of any
-    real dtype and memory layout, and C_next is float64.  A state whose
-    norm is not finite raises before any solve.  A solve whose residual
-    misses the gate gets up to `_MAX_REFINEMENTS` refinement steps; a
-    residual that still misses it, or is not finite, raises.
+    The solve and the residual (I - dt M) x - c run through `_matvec` on the
+    plan's CSR arrays, with the bits of `plan.system @ x`; c may be of any
+    real dtype and memory layout, and x is float64.  A state whose norm is
+    not finite raises before any solve; a nonzero one below 2^-450 is
+    stepped at unit scale.  A solve whose residual misses the gate gets up
+    to `_MAX_REFINEMENTS` refinement steps; a residual that still misses
+    it, or is not finite, raises.
     """
-    if state.C.shape != (plan.K + 1, plan.N + 1):
+    if c.shape != (plan.K + 1, plan.N + 1):
         raise ValueError("state shape does not match the stepping plan")
-    b = state.C.ravel()
-    tol = _SOLVE_REL_TOL * _norm(b)
+    b = c.ravel()
+    b_norm = _norm(b)
+    tol = _SOLVE_REL_TOL * b_norm
     if not math.isfinite(tol):
         raise SolverConsistencyError(
             "implicit Euler step on a state whose norm is not finite")
+    if b_norm < _UNIT_SCALE_BELOW and b.any():
+        e = math.frexp(np.max(np.abs(b)))[1]
+        return np.ldexp(step(plan, np.ldexp(c, -e)), e)
     x = plan.lu.solve(b)
     r = _matvec(plan.system, x) - b
     resid = _norm(r)
@@ -350,7 +353,7 @@ def step(plan: SteppingPlan, state: SpectralState) -> SpectralState:
         r = _matvec(plan.system, x) - b
         resid = _norm(r)
         refinements += 1
-    return SpectralState(C=x.reshape(plan.K + 1, plan.N + 1), t=state.t + plan.dt)
+    return x.reshape(c.shape)
 
 
 def _matvec(a: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
@@ -369,10 +372,9 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def initial_state(keys: np.ndarray, values: np.ndarray, K: int, N: int) -> SpectralState:
-    """State at t = 0 whose coefficient k (N + 1) + n is `values[j]` where
-    `keys[j]` is that flat index, others zero; `keys` repeats no index."""
+def initial_state(keys: np.ndarray, values: np.ndarray, K: int, N: int) -> np.ndarray:
+    """(K + 1, N + 1) array whose flat entry k (N + 1) + n is `values[j]` where
+    `keys[j]` is that index, others zero; `keys` repeats no index."""
     c = np.zeros((K + 1, N + 1))
     c.ravel()[keys] = values
-    return SpectralState(C=c, t=0.0)
-
+    return c

@@ -81,13 +81,13 @@ def weddle_normalized_coeffs(raw) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def state_with(entries, K: int, N: int) -> bk.SpectralState:
-    """The (K + 1, N + 1) state at t = 0 with the listed (k, n, value)
+def state_with(entries, K: int, N: int) -> np.ndarray:
+    """The (K + 1, N + 1) coefficient array with the listed (k, n, value)
     coefficients set and the others zero."""
     c = np.zeros((K + 1, N + 1))
     for k, n, value in entries:
         c[k, n] = value
-    return bk.SpectralState(C=c)
+    return c
 
 
 def checked_initial(initial, K: int, N: int):

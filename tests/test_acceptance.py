@@ -37,11 +37,13 @@ def _run(label, pot, table, K, N, entries, dt, steps, snapshot_steps=()):
     state = state_with(entries, K, N)
     plan = bk.make_stepping_plan(gen, dt)
     series = bk.DiagnosticsSeries()
-    series.record(state, basis)
+    t = 0.0
+    series.record(t, state, basis)
     snaps = {0: state} if 0 in snapshot_steps else {}
     for i in range(1, steps + 1):
         state = bk.step(plan, state)
-        series.record(state, basis)
+        t += dt
+        series.record(t, state, basis)
         if i in snapshot_steps:
             snaps[i] = state
     RUNS.append((label, list(series.norms)))
@@ -255,8 +257,8 @@ def test_criterion_8_first_order_convergence(harmonic_pot, harmonic_table):
         s = state
         for _ in range(round(horizon / dt)):
             s = bk.step(plan, s)
-        ref = expm(horizon * m) @ state.C.ravel()
-        errs.append(float(np.linalg.norm(s.C.ravel() - ref)))
+        ref = expm(horizon * m) @ state.ravel()
+        errs.append(float(np.linalg.norm(s.ravel() - ref)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for order in orders:
         assert 0.9 <= order <= 1.1
@@ -308,7 +310,7 @@ def test_criterion_10_well_transfer(doublewell_pot, doublewell_table):
     p = bk.eval_poly_all(doublewell_table, n, xs)
 
     def left_mass(state):
-        return float(weights @ (state.C[0] @ p))
+        return float(weights @ (state[0] @ p))
 
     pg = bk.eval_poly_all(doublewell_table, n, np.linspace(-4.0, 4.0, 201))
     hg = bk.hermite_eval_all(20, np.linspace(-4.0, 4.0, 201))

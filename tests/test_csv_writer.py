@@ -97,13 +97,13 @@ def test_fig4_snapshots_match_a_plain_percent_loop(tmp_path):
     cfg = result.config
     p = eval_poly_all(result.table, cfg.N, cli.SNAPSHOT_GRID)
     hermite = hermite_eval_all(cfg.K, cli.SNAPSHOT_GRID)
-    for state in result.snapshots:
-        h = diagnostics.snapshot(state, p, hermite).tolist()
+    for t, c in result.snapshots:
+        h = diagnostics.snapshot(c, p, hermite).tolist()
         lines = ["x,v,h\n"]
         for i, x in enumerate(grid):
             for j, v in enumerate(grid):
                 lines.append("%.17g,%.17g,%.17g\n" % (x, v, h[i][j]))
-        path = tmp_path / f"snapshot_{state.t:g}.csv"
+        path = tmp_path / f"snapshot_{t:g}.csv"
         assert path.read_text() == "".join(lines), path.name
 
 

@@ -18,7 +18,7 @@ def doublewell_basis(doublewell_table):
 
 
 def test_zero_state(harmonic_basis):
-    state = bk.SpectralState(C=np.zeros((5, 9)))
+    state = np.zeros((5, 9))
     cons = bk.conserved_functionals(state, harmonic_basis)
     assert np.array_equal(cons, np.zeros(6))
     assert bk.l2_norm(state) == 0.0
@@ -26,18 +26,18 @@ def test_zero_state(harmonic_basis):
 
 def test_mass_matches_quadrature(doublewell_basis, doublewell_table,
                                  doublewell_weddle, doublewell_pot):
-    state = bk.SpectralState(C=np.zeros((3, 9)))
-    state.C[0, 0] = 1.0
+    state = np.zeros((3, 9))
+    state[0, 0] = 1.0
     cons = bk.conserved_functionals(state, doublewell_basis)
     assert cons[0] == 1.0                       # mass
     # oracle: direct quadrature of C_0(x) rho(x)
-    c0 = state.C[0] @ bk.eval_poly_all(doublewell_table, 8, doublewell_weddle.nodes)
+    c0 = state[0] @ bk.eval_poly_all(doublewell_table, 8, doublewell_weddle.nodes)
     direct = float(doublewell_weddle.weights @ c0)
     assert cons[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_harmonic_extras_none_for_general_potential(doublewell_basis):
-    state = bk.SpectralState(C=np.ones((4, 9)))
+    state = np.ones((4, 9))
     cons = bk.conserved_functionals(state, doublewell_basis)
     assert cons.shape == (2,)                   # mass, energy_plus only
 
@@ -58,10 +58,10 @@ def test_a_basis_built_for_another_n_is_rejected(doublewell_table):
 
 def test_superposition_is_exact(harmonic_basis):
     rng = np.random.default_rng(3)
-    u = bk.SpectralState(C=rng.standard_normal((5, 9)))
-    w = bk.SpectralState(C=rng.standard_normal((5, 9)))
+    u = rng.standard_normal((5, 9))
+    w = rng.standard_normal((5, 9))
     alpha, beta = 2.5, -0.75
-    combo = bk.SpectralState(C=alpha * u.C + beta * w.C)
+    combo = alpha * u + beta * w
     cu = bk.conserved_functionals(u, harmonic_basis)
     cw = bk.conserved_functionals(w, harmonic_basis)
     cc = bk.conserved_functionals(combo, harmonic_basis)
@@ -71,14 +71,14 @@ def test_superposition_is_exact(harmonic_basis):
 
 
 def test_single_coefficient_norm():
-    state = bk.SpectralState(C=np.zeros((4, 4)))
-    state.C[2, 1] = 3.0
+    state = np.zeros((4, 4))
+    state[2, 1] = 3.0
     assert bk.l2_norm(state) == 3.0
 
 
 def test_norm_of_tiny_state_does_not_underflow():
     # The plain sum of squares of 1e-200 entries underflows to 0.
-    state = bk.SpectralState(C=np.full((2, 2), 1e-200))
+    state = np.full((2, 2), 1e-200)
     assert bk.l2_norm(state) == pytest.approx(2e-200, rel=1e-15, abs=0.0)
 
 
@@ -92,7 +92,7 @@ def test_norm_matches_two_dimensional_quadrature(doublewell_table, doublewell_po
     # tensor Gauss rule (space rule from the table, Hermite rule in velocity).
     rng = np.random.default_rng(11)
     K, N = 6, 7
-    state = bk.SpectralState(C=rng.standard_normal((K + 1, N + 1)))
+    state = rng.standard_normal((K + 1, N + 1))
     xrule = bk.build_quadrature(doublewell_pot, "gauss_from_jacobi", N + 1,
                                 table=doublewell_table)
     vnodes, vweights = np.polynomial.hermite_e.hermegauss(K + 1)
@@ -140,17 +140,17 @@ def test_fit_window_validation():
 def test_snapshot_trivials(doublewell_table):
     p = bk.eval_poly_all(doublewell_table, 5, np.linspace(-2, 2, 9))
     h = bk.hermite_eval_all(3, np.linspace(-3, 3, 7))
-    zero = bk.SpectralState(C=np.zeros((4, 6)))
+    zero = np.zeros((4, 6))
     assert np.all(bk.snapshot(zero, p, h) == 0.0)
-    const = bk.SpectralState(C=np.zeros((4, 6)))
-    const.C[0, 0] = 1.0
+    const = np.zeros((4, 6))
+    const[0, 0] = 1.0
     grid = bk.snapshot(const, p, h)
     assert np.allclose(grid, 1.0, atol=1e-12)
 
 
 def test_snapshot_against_naive_sum(doublewell_table):
     rng = np.random.default_rng(17)
-    state = bk.SpectralState(C=rng.standard_normal((5, 7)))
+    state = rng.standard_normal((5, 7))
     x0, v0 = 0.8, -1.3
     grid = bk.snapshot(state, bk.eval_poly_all(doublewell_table, 6, np.array([x0])),
                        bk.hermite_eval_all(4, np.array([v0])))
@@ -159,7 +159,7 @@ def test_snapshot_against_naive_sum(doublewell_table):
     h = bk.hermite_eval_all(4, v0)
     for k in range(5):
         for n in range(7):
-            naive += state.C[k, n] * p[n] * h[k]
+            naive += state[k, n] * p[n] * h[k]
     assert grid[0, 0] == pytest.approx(naive, abs=1e-12)
 
 
@@ -170,10 +170,10 @@ def test_preset_functionals_stay_zero(harmonic_table):
     state = state_with([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
     plan = bk.make_stepping_plan(gen, 0.02)
     series = bk.DiagnosticsSeries()
-    series.record(state, basis)
-    for _ in range(50):
+    series.record(0.0, state, basis)
+    for i in range(1, 51):
         state = bk.step(plan, state)
-        series.record(state, basis)
+        series.record(i * 0.02, state, basis)
     worst = np.max(np.abs(series.conserved))
     assert worst <= 1e-12
     assert all(b <= a * (1 + 1e-13)

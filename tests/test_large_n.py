@@ -86,7 +86,7 @@ def test_long_run_keeps_structure(tables, name, N):
     basis = bk.build_functional_basis(table, N)
     plan = bk.make_stepping_plan(gen, dt)
     rng = np.random.default_rng(20250 + N)
-    state = bk.SpectralState(C=rng.standard_normal((K + 1, N + 1)))
+    state = rng.standard_normal((K + 1, N + 1))
     limit = 1e-12 * bk.l2_norm(state)
     start = bk.conserved_functionals(state, basis)
     norm = bk.l2_norm(state)

@@ -120,8 +120,7 @@ def test_zero_state_stays_zero(harmonic_setup):
     plan = bk.make_stepping_plan(gen, 0.1)
     state = state_with([], 4, 3)
     out = bk.step(plan, state)
-    assert np.all(out.C == 0.0)
-    assert out.t == pytest.approx(0.1)
+    assert np.all(out == 0.0)
 
 
 def test_dt_must_be_positive(harmonic_setup):
@@ -279,10 +278,29 @@ def test_refinement_rescues_a_solve_that_misses_the_gate():
     b_norm = np.linalg.norm(b)
     unrefined = plan.lu.solve(b)
     assert np.linalg.norm(plan.system @ unrefined - b) > 1e-12 * b_norm
-    x = bk.step(plan, bk.SpectralState(C=b.reshape(K + 1, N + 1))).C.ravel()
+    x = bk.step(plan, b.reshape(K + 1, N + 1)).ravel()
     assert np.linalg.norm(plan.system @ x - b) <= 1e-12 * b_norm
     oracle = splu(plan.system.tocsc()).solve(b)
     assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_a_tiny_state_is_refined_as_at_unit_scale(doublewell_setup, monkeypatch):
+    # Below ||b|| = 1e-154 both squares of the gate underflow to 0, so a
+    # solve perturbed by 1e-6 would pass it unrefined, 1e-6 off.  The step
+    # solves such a state at unit scale: it refines there and scales back,
+    # bit for bit the unit state's step scaled by the same power of two.
+    _, gen, _ = doublewell_setup(10, 10)
+    plan = bk.make_stepping_plan(gen, 0.1)
+    solve = bk.scheme.EvenOddCholesky.solve
+    monkeypatch.setattr(bk.scheme.EvenOddCholesky, "solve",
+                        lambda lu, b: solve(lu, b) * (1.0 + 1e-6))
+    c = np.random.default_rng(5).standard_normal((11, 11))
+    tiny = np.ldexp(c, -532)
+    assert np.linalg.norm(tiny) < 1e-158
+    x = bk.step(plan, c)
+    resid = plan.system @ x.ravel() - c.ravel()
+    assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(c)
+    assert np.array_equal(bk.step(plan, tiny), np.ldexp(x, -532))
 
 
 def test_package_imports_no_sparse_linalg():
@@ -316,7 +334,7 @@ def test_step_meets_the_gate_at_large_dt(coeffs, K, N, dt):
     plan = bk.make_stepping_plan(gen, dt)
     for seed in range(8):
         b = np.random.default_rng(seed).standard_normal((K + 1) * (N + 1))
-        x = bk.step(plan, bk.SpectralState(C=b.reshape(K + 1, N + 1))).C.ravel()
+        x = bk.step(plan, b.reshape(K + 1, N + 1)).ravel()
         assert np.linalg.norm(plan.system @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -327,7 +345,7 @@ def test_step_raises_once_refinement_cannot_meet_the_gate(doublewell_setup):
     plan = bk.make_stepping_plan(gen, 1e7)
     b = np.random.default_rng(0).standard_normal(21 * 6)
     with pytest.raises(bk.SolverConsistencyError, match="after 5 refinement steps"):
-        bk.step(plan, bk.SpectralState(C=b.reshape(21, 6)))
+        bk.step(plan, b.reshape(21, 6))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
@@ -335,7 +353,7 @@ def test_step_raises_once_refinement_cannot_meet_the_gate(doublewell_setup):
 def test_norm_never_increases(harmonic_setup, seed, dt):
     _, gen, _ = harmonic_setup(6, 4)
     rng = np.random.default_rng(seed)
-    state = bk.SpectralState(C=rng.standard_normal((7, 5)))
+    state = rng.standard_normal((7, 5))
     plan = bk.make_stepping_plan(gen, dt)
     for _ in range(3):
         nxt = bk.step(plan, state)
@@ -349,8 +367,8 @@ def test_one_step_matches_matrix_exponential(harmonic_setup):
     state = state_with([(1, 2, 1.0), (2, 1, 1.0)], 5, 5)
     plan = bk.make_stepping_plan(gen, 1e-3)
     out = bk.step(plan, state)
-    ref = expm(1e-3 * m) @ state.C.ravel()
-    rel = np.linalg.norm(out.C.ravel() - ref) / np.linalg.norm(ref)
+    ref = expm(1e-3 * m) @ state.ravel()
+    rel = np.linalg.norm(out.ravel() - ref) / np.linalg.norm(ref)
     assert rel <= 1e-5
 
 
@@ -363,8 +381,8 @@ def test_local_error_is_second_order(harmonic_setup):
     for dt in (1e-3, 5e-4):
         plan = bk.make_stepping_plan(gen, dt)
         out = bk.step(plan, state)
-        ref = expm(dt * m) @ state.C.ravel()
-        errs.append(np.linalg.norm(out.C.ravel() - ref))
+        ref = expm(dt * m) @ state.ravel()
+        errs.append(np.linalg.norm(out.ravel() - ref))
     ratio = errs[0] / errs[1]
     assert 3.0 <= ratio <= 5.0
 
@@ -377,19 +395,19 @@ def test_trajectory_matches_dense_solver(doublewell_setup):
     dt = 0.05
     plan = bk.make_stepping_plan(gen, dt)
     state = state_with([(2, 1, 1.0)], 6, 5)
-    dense = state.C.ravel().copy()
+    dense = state.ravel().copy()
     system = np.eye(dim) - dt * m
     for _ in range(20):
         state = bk.step(plan, state)
         dense = np.linalg.solve(system, dense)
-        assert np.linalg.norm(state.C.ravel() - dense) <= 1e-12 * np.linalg.norm(dense)
+        assert np.linalg.norm(state.ravel() - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_purge_leaves_compliant_state_alone(harmonic_setup):
     _, _, basis = harmonic_setup(20, 5)
     state = state_with([(1, 2, 1.0), (2, 1, 1.0)], 20, 5)
     purged = bk.purge_equilibrium_components(state, basis)
-    assert np.array_equal(purged.C, state.C)
+    assert np.array_equal(purged, state)
 
 
 def test_purge_pure_mass_general(doublewell_setup):
@@ -414,7 +432,7 @@ def test_purge_harmonic_momentum(harmonic_setup):
 def test_purge_messy_state_all_functionals(harmonic_setup):
     _, _, basis = harmonic_setup(6, 5)
     rng = np.random.default_rng(7)
-    state = bk.SpectralState(C=rng.standard_normal((7, 6)))
+    state = rng.standard_normal((7, 6))
     purged = bk.purge_equilibrium_components(state, basis)
     cons = bk.conserved_functionals(purged, basis)
     for value in cons:
@@ -441,7 +459,7 @@ def test_step_shape_mismatch(harmonic_setup):
     _, gen, _ = harmonic_setup(4, 3)
     plan = bk.make_stepping_plan(gen, 0.1)
     with pytest.raises(ValueError):
-        bk.step(plan, bk.SpectralState(C=np.zeros((2, 2))))
+        bk.step(plan, np.zeros((2, 2)))
 
 
 # (potential, K, N, dt) of the harmonic_fig1 and doublewell_fig4 presets and
@@ -513,7 +531,7 @@ def test_kernel_products_give_the_bits_of_the_sparse_operator(kernel_plans, shap
     for kind, C in _kernel_states(K, N).items():
         b = C.ravel()
         assert plan.lu.solve(b).tobytes() == _operator_solve(plan, b).tobytes(), kind
-        got = bk.step(plan, bk.SpectralState(C=C)).C
+        got = bk.step(plan, C)
         assert got.dtype == np.float64
         assert got.tobytes() == _operator_step(plan, C).tobytes(), kind
     strided = np.random.default_rng(31).standard_normal(2 * (K + 1) * (N + 1))[::2]
